@@ -4,6 +4,27 @@ Ops compute eagerly and, when a Tape is active on the current thread, append
 a node with its backward rule. Without an active tape (or inside
 `inference_mode`), ops are plain numpy math with no graph overhead.
 
+The model's recurrent and attention math are fused ops with hand-written
+backward rules, so a training batch records a few nodes per timestep rather
+than one per elementwise operation:
+
+- `lstm_sequence` runs one LSTM direction over a padded batch. The input
+  projection of every timestep is one GEMM; padded rows keep their state;
+  the only matrix product left in the backward loop over time is
+  `dpre_t @ w_rec`, and each weight gradient is one GEMM over the stacked
+  gate gradients.
+- `lstm_step` is one LSTM cell update (the decoder, which input feeding keeps
+  step by step).
+- `attention` is bilinear scoring, masked softmax and context for n queries
+  over a source batch of n rows, or of one row shared by all n.
+
+An op with several outputs records one packed node whose data holds all of
+them, plus one view node per output. A view's backward scatters its gradient
+into the packed node's, which starts as zeros, so an output that gets no
+gradient (say a final cell state nothing reads) contributes zeros. Every node
+goes through `_record`, so `Tape(check_finite=True)` and `inference_mode`
+treat fused ops like any other.
+
 A Tape is single-threaded; distinct tapes over shared read-only parameters
 may run on different threads. Training is float32 by default; building
 parameters as float64 propagates through every op for gradient checking.
@@ -97,9 +118,11 @@ class inference_mode:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # the first gradient is a private copy: g may be a view of another buffer
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g.astype(t.data.dtype)
+    else:
+        t.grad += g
 
 
 def _record(data: np.ndarray, inputs: tuple, backward: Callable) -> Tensor:
@@ -114,38 +137,20 @@ def _record(data: np.ndarray, inputs: tuple, backward: Callable) -> Tensor:
     return out
 
 
+def _views(packed: Tensor, indices: Sequence) -> list[Tensor]:
+    """One view node per output of a packed multi-output op."""
+    outs = []
+    for index in indices:
+        def backward(g, index=index):
+            if packed.grad is None:
+                packed.grad = np.zeros_like(packed.data)
+            packed.grad[index] += g
+
+        outs.append(_record(packed.data[index], (packed,), backward))
+    return outs
+
+
 # --- elementwise -------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return _record(a.data + b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-    def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _record(a.data * b.data, (a, b), backward)
-
-
-def add_const(x: Tensor, c) -> Tensor:
-    c = np.asarray(c, dtype=x.data.dtype)
-
-    def backward(g):
-        _accumulate(x, g)
-
-    return _record(x.data + c, (x,), backward)
 
 
 def mul_const(x: Tensor, c) -> Tensor:
@@ -167,28 +172,7 @@ def tanh(x: Tensor) -> Tensor:
     return _record(t, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # 0.5*(tanh(x/2)+1) is overflow-free for large |x|
-    s = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-
-    def backward(g):
-        _accumulate(x, g * s * (1.0 - s))
-
-    return _record(s, (x,), backward)
-
-
 # --- linear algebra ----------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-
-    def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _record(a.data @ b.data, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -209,28 +193,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     return _record(out, inputs, backward)
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Stacked matrix product: [B,m,k] @ [B,k,n] -> [B,m,n]."""
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[2] != b.data.shape[1]:
-        raise ValueError(f"bmm shape mismatch: {a.data.shape} x {b.data.shape}")
-
-    def backward(g):
-        _accumulate(a, g @ b.data.transpose(0, 2, 1))
-        _accumulate(b, a.data.transpose(0, 2, 1) @ g)
-
-    return _record(a.data @ b.data, (a, b), backward)
-
-
 # --- shape manipulation ------------------------------------------------------
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    orig = x.data.shape
-
-    def backward(g):
-        _accumulate(x, g.reshape(orig))
-
-    return _record(x.data.reshape(shape), (x,), backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -246,56 +209,7 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _record(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 
 
-def split(x: Tensor, n_chunks: int, axis: int = -1) -> list[Tensor]:
-    """Split into equal chunks; each chunk's backward scatters into x."""
-    if x.data.shape[axis] % n_chunks != 0:
-        raise ValueError(f"cannot split axis of size {x.data.shape[axis]} into {n_chunks}")
-    size = x.data.shape[axis] // n_chunks
-    outs = []
-    for i in range(n_chunks):
-        index = [slice(None)] * x.data.ndim
-        index[axis] = slice(i * size, (i + 1) * size)
-        index = tuple(index)
-
-        def backward(g, index=index):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[index] += g
-
-        outs.append(_record(x.data[index].copy(), (x,), backward))
-    return outs
-
-
-def stack(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
-    def backward(g):
-        for i, p in enumerate(parts):
-            _accumulate(p, np.take(g, i, axis=axis))
-
-    return _record(np.stack([p.data for p in parts], axis=axis), tuple(parts), backward)
-
-
-# --- reductions and normalizations -------------------------------------------
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(x, np.full_like(x.data, g))
-
-    return _record(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), backward)
-
-
-def softmax(x: Tensor, mask_add=None) -> Tensor:
-    """Softmax over the last axis; `mask_add` is a constant added beforehand
-    (large negative values force exactly-zero weights via underflow)."""
-    z = x.data if mask_add is None else x.data + np.asarray(mask_add, dtype=x.data.dtype)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        _accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    return _record(y, (x,), backward)
+# --- normalizations ----------------------------------------------------------
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -309,10 +223,210 @@ def log_softmax(x: Tensor) -> Tensor:
     return _record(out, (x,), backward)
 
 
+# --- recurrent cells and attention -------------------------------------------
+#
+# Gates are ordered i,f,g,o along the 4n axis. Sigmoid is 0.5*(tanh(x/2)+1),
+# which is overflow-free for large |x|; all four activations are one tanh call
+# over pre*scale, followed by *scale + offset (scale 0.5 on sigmoid gates, 1 on
+# the candidate g).
+
+
+def _gate_constants(n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    scale = np.full(4 * n, 0.5, dtype=dtype)
+    scale[2 * n : 3 * n] = 1.0
+    return scale, 1.0 - scale
+
+
+def _cell(acts: np.ndarray, c: np.ndarray, c_new: np.ndarray, tanh_c: np.ndarray,
+          h_new: np.ndarray) -> None:
+    """One LSTM update from cell state c [B,n] and `acts` [B,4n], which holds
+    the pre-activations and is overwritten with the gate activations; writes
+    c', tanh(c') and h' into the given buffers."""
+    n = c.shape[1]
+    scale, offset = _gate_constants(n, acts.dtype)
+    acts *= scale
+    np.tanh(acts, out=acts)
+    acts *= scale
+    acts += offset
+    np.multiply(acts[:, n : 2 * n], c, out=c_new)
+    c_new += acts[:, :n] * acts[:, 2 * n : 3 * n]
+    np.tanh(c_new, out=tanh_c)
+    np.multiply(acts[:, 3 * n :], tanh_c, out=h_new)
+
+
+def _cell_partials(acts: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray):
+    """Backward factors of `_cell` for any leading shape: with dc' already
+    including dh' * c_factor, dpre = [dc', dc', dc', dh'] * gate_factor and
+    dc = dc' * f."""
+    n = tanh_c.shape[-1]
+    i, g, o = acts[..., :n], acts[..., 2 * n : 3 * n], acts[..., 3 * n :]
+    dact = acts * (1.0 - acts)
+    dact[..., 2 * n : 3 * n] = 1.0 - g * g
+    gate_factor = np.concatenate([g, c_prev, i, tanh_c], axis=-1)
+    gate_factor *= dact
+    return gate_factor, o * (1.0 - tanh_c * tanh_c)
+
+
+def _check_cell(x_shape, w_in: Tensor, w_rec: Tensor, bias: Tensor) -> int:
+    n = w_rec.data.shape[1]
+    if (w_rec.data.shape != (4 * n, n) or w_in.data.shape != (4 * n, x_shape[-1])
+            or bias.data.shape != (4 * n,)):
+        raise ValueError(f"LSTM shape mismatch: input {x_shape}, weights {w_in.data.shape} "
+                         f"and {w_rec.data.shape}, bias {bias.data.shape}")
+    return n
+
+
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, w_in: Tensor, w_rec: Tensor,
+              bias: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM update of a [B,in] input and [B,n] state: c' = f*c + i*g,
+    h' = o*tanh(c'). Weights are [4n x in] and [4n x n]. Returns (h', c')."""
+    n = _check_cell(x.data.shape, w_in, w_rec, bias)
+    if h.data.shape != (x.data.shape[0], n) or c.data.shape != h.data.shape:
+        raise ValueError(f"LSTM state shape mismatch: {h.data.shape}, {c.data.shape}")
+    acts = x.data @ w_in.data.T
+    recurrent = h.data @ w_rec.data.T
+    recurrent += bias.data
+    acts += recurrent
+    tanh_c = np.empty_like(c.data)
+    packed_data = np.empty((x.data.shape[0], 2 * n), dtype=acts.dtype)  # [h' | c']
+    _cell(acts, c.data, packed_data[:, n:], tanh_c, packed_data[:, :n])
+
+    def backward(g):
+        gate_factor, c_factor = _cell_partials(acts, c.data, tanh_c)
+        dh = g[:, :n]
+        dc = dh * c_factor
+        dc += g[:, n:]
+        dpre = np.concatenate([dc, dc, dc, dh], axis=1)
+        dpre *= gate_factor
+        _accumulate(x, dpre @ w_in.data)
+        _accumulate(h, dpre @ w_rec.data)
+        _accumulate(c, dc * acts[:, n : 2 * n])
+        _accumulate(w_in, dpre.T @ x.data)
+        _accumulate(w_rec, dpre.T @ h.data)
+        _accumulate(bias, dpre.sum(axis=0))
+
+    packed = _record(packed_data, (x, h, c, w_in, w_rec, bias), backward)
+    h_out, c_out = _views(packed, (np.s_[:, :n], np.s_[:, n:]))
+    return h_out, c_out
+
+
+def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bias: Tensor,
+                  reverse: bool = False) -> tuple[Tensor, Tensor, Tensor]:
+    """One LSTM direction over a padded batch xs [B,T,in], from a zero state.
+
+    `mask` [B,T] is 1 at real positions; at a padded position a row keeps
+    its previous state, and its output there is that state. `reverse` runs
+    from T-1 down to 0. Returns (outputs [B,T,n], final h [B,n], final c [B,n])."""
+    batch, length = xs.data.shape[:2]
+    n = _check_cell(xs.data.shape, w_in, w_rec, bias)
+    if mask.shape != (batch, length):
+        raise ValueError(f"mask shape {mask.shape} does not match input {xs.data.shape}")
+    dtype = xs.data.dtype
+    # internal buffers run in processing order p (t = T-1-p when reversed),
+    # so every per-step slice is contiguous
+    steps = np.s_[::-1] if reverse else np.s_[:]
+    keep = mask.T[steps, :, None].astype(bool)           # [T,B,1]
+    full = keep.all(axis=(1, 2))                         # [T]: no padding at step p
+    x_steps = np.ascontiguousarray(xs.data.transpose(1, 0, 2)[steps]).reshape(
+        length * batch, -1)
+    acts = (x_steps @ w_in.data.T).reshape(length, batch, 4 * n)  # input projections first
+    hs = np.zeros((length + 1, batch, n), dtype=dtype)   # hs[p]: state before step p
+    cs = np.zeros((length + 1, batch, n), dtype=dtype)
+    tanh_cs = np.empty((length, batch, n), dtype=dtype)
+    for p in range(length):
+        recurrent = hs[p] @ w_rec.data.T
+        recurrent += bias.data
+        acts[p] += recurrent
+        _cell(acts[p], cs[p], cs[p + 1], tanh_cs[p], hs[p + 1])
+        if not full[p]:
+            padded = ~keep[p]
+            np.copyto(hs[p + 1], hs[p], where=padded)
+            np.copyto(cs[p + 1], cs[p], where=padded)
+    packed_data = np.empty((batch, length + 2, n), dtype=dtype)  # outputs, h_T, c_T
+    packed_data[:, :length] = hs[1:][steps].transpose(1, 0, 2)
+    packed_data[:, length] = hs[length]
+    packed_data[:, length + 1] = cs[length]
+
+    def backward(g):
+        gate_factor, c_factor = _cell_partials(acts, cs[:-1], tanh_cs)
+        d_outputs = g[:, :length].transpose(1, 0, 2)[steps]
+        dpre = np.empty_like(acts)
+        dh = g[:, length].copy()
+        dc = g[:, length + 1].copy()
+        for p in range(length - 1, -1, -1):
+            dh += d_outputs[p]
+            dc_new = dh * c_factor[p]
+            dc_new += dc
+            np.multiply(np.concatenate([dc_new, dc_new, dc_new, dh], axis=1), gate_factor[p],
+                        out=dpre[p])
+            if not full[p]:
+                dpre[p] *= keep[p]
+            dh_prev = dpre[p] @ w_rec.data
+            dc_prev = dc_new * acts[p, :, n : 2 * n]
+            if not full[p]:
+                padded = ~keep[p]
+                np.copyto(dh_prev, dh, where=padded)
+                np.copyto(dc_prev, dc, where=padded)
+            dh, dc = dh_prev, dc_prev
+        flat = dpre.reshape(length * batch, 4 * n)
+        dx = (flat @ w_in.data).reshape(length, batch, -1)[steps].transpose(1, 0, 2)
+        _accumulate(xs, dx)
+        _accumulate(w_in, flat.T @ x_steps)
+        _accumulate(w_rec, flat.T @ hs[:-1].reshape(length * batch, n))
+        _accumulate(bias, flat.sum(axis=0))
+
+    packed = _record(packed_data, (xs, w_in, w_rec, bias), backward)
+    outputs, h_final, c_final = _views(
+        packed, (np.s_[:, :length], np.s_[:, length], np.s_[:, length + 1]))
+    return outputs, h_final, c_final
+
+
+def attention(top: Tensor, annotations: Tensor, mask_add, w_score: Tensor
+              ) -> tuple[Tensor, np.ndarray]:
+    """Bilinear attention of n queries `top` [n,h] over `annotations` [B,S,h],
+    where B is n or 1 (one source shared by every query).
+
+    weights = softmax(top @ w_score @ a_s + mask_add) over s, context =
+    sum_s weights_s a_s. `mask_add` [B,S] is a constant; large negative
+    entries give exactly-zero weights. Returns (context [n,h], weights [n,S]);
+    the weights are a plain array, not a differentiable output."""
+    n, h = top.data.shape
+    rows, length, ann_h = annotations.data.shape
+    if rows not in (1, n) or ann_h != h or w_score.data.shape != (h, h):
+        raise ValueError(f"attention shape mismatch: queries {top.data.shape}, annotations "
+                         f"{annotations.data.shape}, score weights {w_score.data.shape}")
+    if length == 0:
+        raise ValueError("attention over an empty source")
+    ann = annotations.data
+    query = top.data @ w_score.data
+    # reshape (not None-indexing) keeps these stacks BLAS-eligible for numpy's matmul
+    scores = (ann @ query.reshape(n, h, 1)).reshape(n, length)  # ann broadcasts over n
+    z = scores + np.asarray(mask_add, dtype=scores.dtype)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    context = (weights.reshape(n, 1, length) @ ann).reshape(n, h)
+
+    def backward(g):
+        dweights = (ann @ g.reshape(n, h, 1)).reshape(n, length)
+        dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+        dquery = (dscores.reshape(n, 1, length) @ ann).reshape(n, h)
+        if rows == 1:
+            dann = (weights.T @ g + dscores.T @ query)[None]
+        else:
+            dann = weights[:, :, None] * g[:, None, :] + dscores[:, :, None] * query[:, None, :]
+        _accumulate(annotations, dann)
+        _accumulate(top, dquery @ w_score.data.T)
+        _accumulate(w_score, top.data.T @ dquery)
+
+    return _record(context, (top, annotations, w_score), backward), weights
+
+
 # --- lookups and losses -------------------------------------------------------
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Rows of `table` for an id array of any shape."""
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"embedding id out of range for table of {table.data.shape[0]} rows")
@@ -349,11 +463,21 @@ def cross_entropy(logits: Tensor, targets, pad_index: int) -> Tensor:
     return _record(loss, (logits,), backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator,
+            draw_order: tuple[int, ...] | None = None) -> Tensor:
+    """Inverted dropout; identity when rate is 0.
+
+    The keep mask is drawn from `rng` over x's axes taken in `draw_order`
+    (default: x's own order), so a [B,T,d] input with draw_order (1, 0, 2)
+    consumes the stream as T successive [B,d] draws would."""
     if rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
+    if draw_order is None:
+        uniform = rng.random(x.data.shape)
+    else:
+        uniform = rng.random(tuple(x.data.shape[a] for a in draw_order))
+        uniform = uniform.transpose(np.argsort(draw_order))
+    keep = (uniform >= rate).astype(x.data.dtype)
     return mul_const(x, keep / (1.0 - rate))
 
 

@@ -19,7 +19,6 @@ from .autodiff import Tensor
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
 from .model import (
     DecoderState,
-    EncodedSource,
     ModelConfig,
     ModelParams,
     decode_step,
@@ -73,12 +72,6 @@ def _stack_states(rows: Sequence[tuple]) -> DecoderState:
     return DecoderState(layers=layers, attn=Tensor(np.stack([r[1] for r in rows])))
 
 
-def _tile_encoded(encoded: EncodedSource, n: int) -> EncodedSource:
-    ann = Tensor(np.repeat(encoded.annotations.data, n, axis=0))
-    mask = np.repeat(encoded.mask, n, axis=0)
-    return EncodedSource(ann, mask, encoded.final_states)
-
-
 def _sort_key(hyp: Hypothesis, max_len: int, length_normalize: bool = False):
     completion = hyp.finish_step if hyp.finished else max_len + 1
     score = hyp.log_prob / max(len(hyp.tokens) - 1, 1) if length_normalize else hyp.log_prob
@@ -120,8 +113,8 @@ def beam_search(
 
             prev = np.array([h.tokens[-1] for h in live], dtype=np.intp)
             state = _stack_states([h.state for h in live])
-            log_probs, new_state = decode_step(prev, state, _tile_encoded(encoded, len(live)),
-                                               params, config)
+            # the one-row encoding serves every live hypothesis
+            log_probs, new_state = decode_step(prev, state, encoded, params, config)
             scores = log_probs.data + np.array([h.log_prob for h in live])[:, None]
             scores[:, list(_BANNED)] = -np.inf
 

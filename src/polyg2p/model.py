@@ -6,6 +6,15 @@ decoder initialized from the encoder's final states, bilinear ("general")
 global attention over encoder annotations, and a softmax generator over the
 phoneme vocabulary. The decoder input is the previous target embedding
 concatenated with the previous attentional vector (input feeding).
+
+The math runs as fused autodiff ops. Each encoder direction of each layer is
+one `lstm_sequence` over the whole padded batch, after a single embedding
+lookup of the [B,S] id matrix. Input feeding keeps the decoder step by step:
+per step, one `lstm_step` per layer and one `attention`. `forward_loss` then
+runs the generator and the loss once over all steps' attentional vectors.
+`decode_step` runs the same `_decoder_step` as training, so inference has no
+second code path; a one-row `EncodedSource` can serve any number of decoder
+rows (a beam), since `attention` broadcasts it.
 """
 
 from __future__ import annotations
@@ -208,29 +217,9 @@ def params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> Mo
 # --- forward computation -----------------------------------------------------
 
 
-def cell_step(x: Tensor, h: Tensor, c: Tensor, cell: CellParams) -> tuple[Tensor, Tensor]:
-    """One LSTM update: c' = f*c + i*g, h' = o*tanh(c')."""
-    pre = ad.add(ad.linear(x, cell.input_weights), ad.linear(h, cell.recurrent_weights, cell.bias))
-    i_gate, f_gate, g_cand, o_gate = ad.split(pre, 4)
-    i_gate = ad.sigmoid(i_gate)
-    f_gate = ad.sigmoid(f_gate)
-    g_cand = ad.tanh(g_cand)
-    o_gate = ad.sigmoid(o_gate)
-    c_new = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, g_cand))
-    h_new = ad.mul(o_gate, ad.tanh(c_new))
-    return h_new, c_new
-
-
-def _masked_update(new: Tensor, old: Tensor, col: np.ndarray) -> Tensor:
-    # col is a [B,1] 0/1 mask: padded rows keep their previous state
-    if col.all():
-        return new
-    return ad.add(ad.mul_const(new, col), ad.mul_const(old, 1.0 - col))
-
-
 @dataclass
 class EncodedSource:
-    annotations: Tensor        # [B, S, h]
+    annotations: Tensor        # [B, S, h]; one row (B=1) may serve any number of decoder rows
     mask: np.ndarray           # [B, S] float 0/1, 1 at real tokens
     final_states: list[tuple[Tensor, Tensor]]  # per decoder-init layer: (h0, c0), each [B, h]
 
@@ -280,36 +269,20 @@ def encode(
     dtype = params.src_embedding.data.dtype
     ids, mask = pad_batch(src_rows)
     mask = mask.astype(dtype)
-    batch, length = ids.shape
-    half = config.hidden_size // 2
 
-    inputs = [ad.embedding_lookup(params.src_embedding, ids[:, t]) for t in range(length)]
+    x = ad.embedding_lookup(params.src_embedding, ids)  # [B, S, e]
     final_states: list[tuple[Tensor, Tensor]] = []
     for layer_idx, layer in enumerate(params.encoder):
         if layer_idx > 0 and training and config.dropout > 0:
-            inputs = [ad.dropout(x, config.dropout, rng) for x in inputs]
-        outputs: dict[str, list[Tensor]] = {}
-        finals: dict[str, tuple[Tensor, Tensor]] = {}
-        for direction, order in (("fwd", range(length)), ("bwd", range(length - 1, -1, -1))):
-            cell = layer[direction]
-            h, c = _zeros(batch, half, dtype), _zeros(batch, half, dtype)
-            out = [None] * length
-            for t in order:
-                h_new, c_new = cell_step(inputs[t], h, c, cell)
-                col = mask[:, t : t + 1]
-                h = _masked_update(h_new, h, col)
-                c = _masked_update(c_new, c, col)
-                out[t] = h
-            outputs[direction] = out
-            finals[direction] = (h, c)
-        inputs = [ad.concat([outputs["fwd"][t], outputs["bwd"][t]]) for t in range(length)]
-        final_states.append(
-            (ad.concat([finals["fwd"][0], finals["bwd"][0]]),
-             ad.concat([finals["fwd"][1], finals["bwd"][1]]))
-        )
-
-    annotations = ad.stack(inputs, axis=1)
-    return EncodedSource(annotations, mask, final_states)
+            # drawn in [S,B,e] order: the random stream of one [B,e] draw per step
+            x = ad.dropout(x, config.dropout, rng, draw_order=(1, 0, 2))
+        (out_f, h_f, c_f), (out_b, h_b, c_b) = (
+            ad.lstm_sequence(x, mask, cell.input_weights, cell.recurrent_weights, cell.bias,
+                             reverse=reverse)
+            for cell, reverse in ((layer["fwd"], False), (layer["bwd"], True)))
+        x = ad.concat([out_f, out_b])
+        final_states.append((ad.concat([h_f, h_b]), ad.concat([c_f, c_b])))
+    return EncodedSource(x, mask, final_states)
 
 
 def initial_state(encoded: EncodedSource, config: ModelConfig) -> DecoderState:
@@ -329,20 +302,15 @@ def attend(
     annotations: Tensor,
     mask: np.ndarray,
     attention: AttentionParams,
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, np.ndarray]:
     """Bilinear attention: weights = softmax(h^T W a_s) over unmasked positions,
-    context = sum_s weights_s * a_s. Returns (context [B,h], weights [B,S])."""
-    batch, length, h = annotations.data.shape
-    if length == 0:
-        raise ValueError("attention over an empty source")
-    query = ad.matmul(decoder_top_h, attention.score_weights)       # [B, h]
-    scores = ad.reshape(ad.bmm(annotations, ad.reshape(query, (batch, h, 1))), (batch, length))
-    weights = ad.softmax(scores, mask_add=(mask - 1.0) * _MASK_SCALE)
-    context = ad.reshape(ad.bmm(ad.reshape(weights, (batch, 1, length)), annotations), (batch, h))
-    return context, weights
+    context = sum_s weights_s * a_s. Annotations and mask may be a single row
+    shared by every query. Returns (context [B,h], weights [B,S] as an array)."""
+    return ad.attention(decoder_top_h, annotations, (mask - 1.0) * _MASK_SCALE,
+                        attention.score_weights)
 
 
-def _decoder_logits(
+def _decoder_step(
     prev_ids: np.ndarray,
     state: DecoderState,
     encoded: EncodedSource,
@@ -350,23 +318,27 @@ def _decoder_logits(
     config: ModelConfig,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, DecoderState, Tensor]:
-    """One decoder step from raw previous-token ids; returns pre-softmax logits."""
+) -> DecoderState:
+    """One decoder step from raw previous-token ids; the new state's `attn` is
+    the attentional vector the generator reads."""
     emb = ad.embedding_lookup(params.tgt_embedding, prev_ids)
     x = ad.concat([emb, state.attn]) if config.input_feeding else emb
     new_layers: list[tuple[Tensor, Tensor]] = []
     for layer_idx, cell in enumerate(params.decoder):
         if layer_idx > 0 and training and config.dropout > 0:
             x = ad.dropout(x, config.dropout, rng)
-        h, c = state.layers[layer_idx]
-        h, c = cell_step(x, h, c, cell)
+        h, c = ad.lstm_step(x, *state.layers[layer_idx], cell.input_weights,
+                            cell.recurrent_weights, cell.bias)
         new_layers.append((h, c))
         x = h
-    context, weights = attend(x, encoded.annotations, encoded.mask, params.attention)
+    context, _ = attend(x, encoded.annotations, encoded.mask, params.attention)
     attn_vec = ad.tanh(ad.linear(ad.concat([context, x]), params.attention.output_weights,
                                  params.attention.output_bias))
-    logits = ad.linear(attn_vec, params.generator_weights, params.generator_bias)
-    return logits, DecoderState(new_layers, attn_vec), weights
+    return DecoderState(new_layers, attn_vec)
+
+
+def _generator(attn_vecs: Tensor, params: ModelParams) -> Tensor:
+    return ad.linear(attn_vecs, params.generator_weights, params.generator_bias)
 
 
 def decode_step(
@@ -378,12 +350,14 @@ def decode_step(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, DecoderState]:
-    """One decoder step; returns (log_probs [B, Vt], new state)."""
+    """One decoder step; returns (log_probs [B, Vt], new state).
+
+    `encoded` may hold one source row for all B decoder rows (a beam)."""
     prev_ids = np.asarray(prev_ids, dtype=np.intp)
     if prev_ids.size and prev_ids.max() >= config.tgt_vocab_size:
         raise IndexError("target id out of range")
-    logits, new_state, _ = _decoder_logits(prev_ids, state, encoded, params, config, training, rng)
-    return ad.log_softmax(logits), new_state
+    new_state = _decoder_step(prev_ids, state, encoded, params, config, training, rng)
+    return ad.log_softmax(_generator(new_state.attn, params)), new_state
 
 
 def forward_loss(
@@ -396,7 +370,8 @@ def forward_loss(
     """Teacher-forced cross-entropy over a batch of (src_ids, tgt_ids) pairs.
 
     Targets are wrapped as BOS ... EOS internally; PAD positions contribute
-    no loss, and attention never sees padded source positions.
+    no loss, and attention never sees padded source positions. The generator
+    and loss run once over every step's attentional vectors.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -409,14 +384,14 @@ def forward_loss(
     golds, _ = pad_batch([list(t) + [EOS_ID] for t in tgt_rows])
     steps = golds.shape[1]
 
-    step_logits = []
+    attn_vecs = []
     for t in range(steps):
-        logits, state, _ = _decoder_logits(dec_inputs[:, t], state, encoded, params, config,
-                                           training=training, rng=rng)
-        step_logits.append(logits)
-    all_logits = ad.concat(step_logits, axis=0)          # [steps*B, Vt], step-major
+        state = _decoder_step(dec_inputs[:, t], state, encoded, params, config,
+                              training=training, rng=rng)
+        attn_vecs.append(state.attn)
+    logits = _generator(ad.concat(attn_vecs, axis=0), params)  # [steps*B, Vt], step-major
     flat_targets = golds.T.reshape(-1)
-    return ad.cross_entropy(all_logits, flat_targets, PAD_ID)
+    return ad.cross_entropy(logits, flat_targets, PAD_ID)
 
 
 def target_token_count(batch: Sequence[tuple[Sequence[int], Sequence[int]]]) -> int:

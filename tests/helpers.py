@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from polyg2p import autodiff as ad
 from polyg2p.corpus import RESERVED, Vocabulary
 from polyg2p.model import ModelConfig, init_params
 
@@ -31,6 +32,22 @@ def finite_difference(loss_fn, tensor, eps: float = 1e-4) -> np.ndarray:
         flat[i] = orig
         grad_flat[i] = (hi - lo) / (2.0 * eps)
     return grad
+
+
+def weighted_sum(*terms):
+    """Scalar loss: the sum over (x, w) terms of sum(x * w), for constant
+    weights w, recorded on the active tape. The gradient it sends to each x
+    is its w."""
+    tensors = [x for x, _ in terms]
+    weights = [np.broadcast_to(np.asarray(w, dtype=x.data.dtype), x.data.shape)
+               for x, w in terms]
+    total = sum((x.data * w).sum() for x, w in zip(tensors, weights))
+
+    def backward(g):
+        for x, w in zip(tensors, weights):
+            ad._accumulate(x, g * w)
+
+    return ad._record(np.asarray(total, dtype=tensors[0].data.dtype), tuple(tensors), backward)
 
 
 def _sig(x: float) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_difference, rel_err
+from helpers import finite_difference, rel_err, weighted_sum
 from polyg2p import autodiff as ad
 from polyg2p.autodiff import Tape, Tensor
 
@@ -15,32 +15,36 @@ def f64(*shape, rng=None, scale=1.0):
     return Tensor(rng.uniform(-scale, scale, shape).astype(np.float64))
 
 
+# ad.linear (x @ w.T) is the general matrix product op
+
+
 def test_matmul_identity():
     eye = Tensor(np.eye(2))
     m = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(ad.matmul(eye, m).data, m.data)
+    assert np.array_equal(ad.linear(eye, m).data, m.data.T)
+    assert np.array_equal(ad.linear(m, eye).data, m.data)
 
 
 def test_matmul_row_times_column():
     a = Tensor(np.array([[1.0, 2.0]]))
-    b = Tensor(np.array([[3.0], [4.0]]))
-    assert ad.matmul(a, b).data == np.array([[11.0]])
+    b = Tensor(np.array([[3.0, 4.0]]))  # the column [3, 4], stored as w's row
+    assert ad.linear(a, b).data == np.array([[11.0]])
 
 
 def test_matmul_shape_mismatch_names_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 4\)"):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
 
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
-    a, b = f64(3, 4, rng=rng), f64(4, 2, rng=rng)
+    a, b = f64(3, 4, rng=rng), f64(2, 4, rng=rng)
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.tanh(ad.matmul(a, b)))
+        loss = weighted_sum((ad.tanh(ad.linear(a, b)), 1.0))
         tape.backward(loss)
 
     def loss_fn():
-        return float(np.tanh(a.data @ b.data).sum())
+        return float(np.tanh(a.data @ b.data.T).sum())
 
     assert rel_err(a.grad, finite_difference(loss_fn, a)) <= 1e-5
     assert rel_err(b.grad, finite_difference(loss_fn, b)) <= 1e-5
@@ -48,74 +52,75 @@ def test_matmul_gradient_matches_finite_differences():
 
 def test_tanh_and_sigmoid_at_zero():
     assert ad.tanh(Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
-    assert ad.sigmoid(Tensor(np.zeros(3))).data.tolist() == [0.5, 0.5, 0.5]
+    # with zero weights every LSTM gate is sigmoid(0), exactly 0.5, and the
+    # candidate tanh(0) is 0: c' = 0.5*c and h' = 0.5*tanh(c')
+    c = np.array([[0.8, -0.4]])
+    zeros = lambda *shape: Tensor(np.zeros(shape))
+    h1, c1 = ad.lstm_step(zeros(1, 3), zeros(1, 2), Tensor(c), zeros(8, 3), zeros(8, 2), zeros(8))
+    assert np.array_equal(c1.data, 0.5 * c)
+    assert np.array_equal(h1.data, 0.5 * np.tanh(0.5 * c))
 
 
 def test_tanh_gradient_at_point_three():
     x = Tensor(np.array([0.3]))
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.tanh(x))
+        loss = weighted_sum((ad.tanh(x), 1.0))
         tape.backward(loss)
     fd = finite_difference(lambda: float(np.tanh(x.data).sum()), x)
     assert rel_err(x.grad, fd) <= 1e-5
 
 
-def test_elementwise_add_mul_gradients():
-    rng = np.random.default_rng(3)
-    a, b = f64(4, rng=rng), f64(4, rng=rng)
-    with Tape() as tape:
-        loss = ad.reduce_sum(ad.mul(ad.add(a, b), ad.sigmoid(a)))
-        tape.backward(loss)
-
-    def loss_fn():
-        s = 1.0 / (1.0 + np.exp(-a.data))
-        return float(((a.data + b.data) * s).sum())
-
-    assert rel_err(a.grad, finite_difference(loss_fn, a)) <= 1e-5
-    assert rel_err(b.grad, finite_difference(loss_fn, b)) <= 1e-5
-
-
-def test_add_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        ad.add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
+def _attention_weights(scores):
+    """Softmax weights of `ad.attention` for given raw scores: with h=1, a unit
+    query and a unit score matrix, the score of position s is annotation s."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    n, length = scores.shape
+    _, weights = ad.attention(Tensor(np.ones((n, 1))), Tensor(scores[:, :, None]),
+                              np.zeros((n, length)), Tensor(np.ones((1, 1))))
+    return weights
 
 
 def test_softmax_symmetry():
-    assert np.allclose(ad.softmax(Tensor(np.zeros(2))).data, [0.5, 0.5])
+    assert np.allclose(_attention_weights([0.0, 0.0]), [[0.5, 0.5]])
 
 
 def test_softmax_large_inputs_no_overflow():
-    out = ad.softmax(Tensor(np.array([1000.0, 1000.0]))).data
-    assert np.allclose(out, [0.5, 0.5])
+    out = _attention_weights([1000.0, 1000.0])
+    assert np.allclose(out, [[0.5, 0.5]])
     assert np.all(np.isfinite(out))
 
 
 def test_softmax_closed_form():
-    out = ad.softmax(Tensor(np.array([0.0, math.log(3.0)]))).data
-    assert np.allclose(out, [0.25, 0.75], atol=1e-12)
+    out = _attention_weights([0.0, math.log(3.0)])
+    assert np.allclose(out, [[0.25, 0.75]], atol=1e-12)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8), st.floats(-30, 30))
 def test_softmax_sums_to_one_and_shift_invariant(values, shift):
     x = np.array(values)
-    a = ad.softmax(Tensor(x)).data
-    b = ad.softmax(Tensor(x + shift)).data
+    a = _attention_weights(x)
+    b = _attention_weights(x + shift)
     assert abs(a.sum() - 1.0) <= 1e-6
     assert np.allclose(a, b, atol=1e-9)
 
 
 def test_softmax_gradient():
-    x = f64(2, 5, rng=np.random.default_rng(9))
-    w = np.random.default_rng(10).uniform(-1, 1, (2, 5))
+    # h=1: each annotation is both a score and a value, so the gradient of the
+    # context runs through the softmax
+    ann = f64(2, 5, 1, rng=np.random.default_rng(9))
+    w = np.random.default_rng(10).uniform(-1, 1, (2, 1))
+    top, w_score = Tensor(np.ones((2, 1))), Tensor(np.ones((1, 1)))
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.mul(ad.softmax(x), Tensor(w)))
+        context, _ = ad.attention(top, ann, np.zeros((2, 5)), w_score)
+        loss = weighted_sum((context, w))
         tape.backward(loss)
 
     def loss_fn():
-        e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-        return float((e / e.sum(axis=-1, keepdims=True) * w).sum())
+        a = ann.data[:, :, 0]
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        return float(((e / e.sum(axis=-1, keepdims=True) * a).sum(axis=-1) * w[:, 0]).sum())
 
-    assert rel_err(x.grad, finite_difference(loss_fn, x)) <= 1e-5
+    assert rel_err(ann.grad, finite_difference(loss_fn, ann)) <= 1e-5
 
 
 def test_log_softmax_normalizes():
@@ -133,7 +138,7 @@ def test_embedding_duplicate_ids_accumulate():
     table = f64(3, 4)
     with Tape() as tape:
         out = ad.embedding_lookup(table, [1, 1])
-        loss = ad.reduce_sum(out)
+        loss = weighted_sum((out, 1.0))
         tape.backward(loss)
     assert np.allclose(table.grad[1], 2.0)
     assert np.allclose(table.grad[0], 0.0)
@@ -149,7 +154,7 @@ def test_embedding_gradient():
     ids = [0, 2, 2, 4]
     w = np.random.default_rng(5).uniform(-1, 1, (4, 3))
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.mul(ad.embedding_lookup(table, ids), Tensor(w)))
+        loss = weighted_sum((ad.embedding_lookup(table, ids), w))
         tape.backward(loss)
     fd = finite_difference(lambda: float((table.data[ids] * w).sum()), table)
     assert rel_err(table.grad, fd) <= 1e-5
@@ -197,17 +202,17 @@ def test_cross_entropy_gradient():
 def test_backward_identity():
     x = Tensor(np.array(2.0))
     with Tape() as tape:
-        loss = ad.add_const(x, 0.0)
-        tape.backward(loss)
+        tape.backward(x)
     assert x.grad == 1.0
 
 
 def test_backward_sum_of_squares():
-    x = Tensor(np.array([1.0, 2.0]))
+    # x @ x.T reads x through both operands; both gradients accumulate
+    x = Tensor(np.array([[1.0, 2.0]]))
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.mul(x, x))
+        loss = weighted_sum((ad.linear(x, x), 1.0))
         tape.backward(loss)
-    assert np.allclose(x.grad, [2.0, 4.0])
+    assert np.allclose(x.grad, [[2.0, 4.0]])
 
 
 def test_backward_requires_scalar_loss():
@@ -222,40 +227,27 @@ def test_backward_ignored_node_gets_no_gradient():
     x, unused = Tensor(np.ones(2)), Tensor(np.ones(2))
     with Tape() as tape:
         ad.tanh(unused)  # on the tape but not feeding the loss
-        loss = ad.reduce_sum(x)
+        loss = weighted_sum((x, 1.0))
         tape.backward(loss)
     assert unused.grad is None
 
 
-def test_split_concat_stack_reshape_gradients():
-    x = f64(2, 8, rng=np.random.default_rng(12))
-    w = np.random.default_rng(13).uniform(-1, 1, (2, 2, 8))
+def test_concat_gradients():
+    rng = np.random.default_rng(12)
+    a, b = f64(2, 3, rng=rng), f64(2, 5, rng=rng)
+    w = rng.uniform(-1, 1, (4, 8))
     with Tape() as tape:
-        parts = ad.split(x, 4)
-        glued = ad.concat([parts[3], parts[1], parts[0], parts[2]])
-        stacked = ad.stack([glued, ad.tanh(glued)], axis=1)
-        loss = ad.reduce_sum(ad.mul(ad.reshape(stacked, (2, 2, 8)), Tensor(w)))
+        glued = ad.concat([b, a])
+        stacked = ad.concat([glued, ad.tanh(glued)], axis=0)
+        loss = weighted_sum((stacked, w))
         tape.backward(loss)
 
     def loss_fn():
-        p = [x.data[:, 2 * i : 2 * i + 2] for i in range(4)]
-        glued = np.concatenate([p[3], p[1], p[0], p[2]], axis=1)
-        stacked = np.stack([glued, np.tanh(glued)], axis=1)
-        return float((stacked * w).sum())
+        glued = np.concatenate([b.data, a.data], axis=1)
+        return float((np.concatenate([glued, np.tanh(glued)]) * w).sum())
 
-    assert rel_err(x.grad, finite_difference(loss_fn, x)) <= 1e-5
-
-
-def test_bmm_gradient():
-    rng = np.random.default_rng(14)
-    a, b = f64(2, 3, 4, rng=rng), f64(2, 4, 2, rng=rng)
-    with Tape() as tape:
-        loss = ad.reduce_sum(ad.bmm(a, b))
-        tape.backward(loss)
-    fd_a = finite_difference(lambda: float((a.data @ b.data).sum()), a)
-    fd_b = finite_difference(lambda: float((a.data @ b.data).sum()), b)
-    assert rel_err(a.grad, fd_a) <= 1e-5
-    assert rel_err(b.grad, fd_b) <= 1e-5
+    assert rel_err(a.grad, finite_difference(loss_fn, a)) <= 1e-5
+    assert rel_err(b.grad, finite_difference(loss_fn, b)) <= 1e-5
 
 
 def test_linear_matches_manual_composition():
@@ -264,7 +256,7 @@ def test_linear_matches_manual_composition():
     out = ad.linear(x, w, b)
     assert np.allclose(out.data, x.data @ w.data.T + b.data)
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.linear(x, w, b))
+        loss = weighted_sum((ad.linear(x, w, b), 1.0))
         tape.backward(loss)
     fd = finite_difference(lambda: float((x.data @ w.data.T + b.data).sum()), w)
     assert rel_err(w.grad, fd) <= 1e-5
@@ -343,7 +335,119 @@ def test_inference_mode_masks_active_tape():
 
 
 def test_check_finite_mode_raises():
-    x = Tensor(np.array([1e308]))
+    x = Tensor(np.array([[1e308]]))
     with Tape(check_finite=True), np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError):
-            ad.mul(x, x)
+            ad.linear(x, x)
+
+
+def test_dropout_draw_order_matches_stepwise_draws():
+    x = Tensor(np.ones((3, 4, 5)))
+    whole = ad.dropout(x, 0.5, np.random.default_rng(7), draw_order=(1, 0, 2)).data
+    rng = np.random.default_rng(7)
+    steps = [ad.dropout(Tensor(np.ones((3, 5))), 0.5, rng).data for _ in range(4)]
+    assert np.array_equal(whole, np.stack(steps, axis=1))
+
+
+# --- fused ops: gradients against central finite differences, float64 -------
+
+
+def _check_gradients(loss_of, tensors):
+    """Backward of `loss_of()` on a tape against finite differences of its
+    forward, for every tensor in `tensors`."""
+    with Tape() as tape:
+        loss = loss_of()
+        tape.backward(loss)
+    for t in tensors:
+        fd = finite_difference(lambda: float(loss_of().data), t)
+        grad = t.grad if t.grad is not None else np.zeros_like(t.data)
+        assert rel_err(grad, fd) <= 1e-5, t.name
+
+
+def _cell_weights(rng, in_size, hidden):
+    names = ("input_weights", "recurrent_weights", "bias")
+    shapes = ((4 * hidden, in_size), (4 * hidden, hidden), (4 * hidden,))
+    return [Tensor(rng.uniform(-0.7, 0.7, s), name=n) for n, s in zip(names, shapes)]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_gradient(reverse):
+    rng = np.random.default_rng(21)
+    batch, length, in_size, hidden = 3, 4, 2, 3
+    xs = Tensor(rng.uniform(-1, 1, (batch, length, in_size)), name="xs")
+    # a full row, a length-1 row, and one with a padded last step
+    mask = np.array([[1, 1, 1, 1], [1, 0, 0, 0], [1, 1, 1, 0]], dtype=np.float64)
+    weights = _cell_weights(rng, in_size, hidden)
+    w_out = rng.uniform(-1, 1, (batch, length, hidden))
+    w_h, w_c = rng.uniform(-1, 1, (2, batch, hidden))
+
+    def loss_of():
+        outputs, h, c = ad.lstm_sequence(xs, mask, *weights, reverse=reverse)
+        return weighted_sum((outputs, w_out), (h, w_h), (c, w_c))
+
+    _check_gradients(loss_of, [xs, *weights])
+    assert np.all(xs.grad[mask == 0] == 0.0)  # padded inputs feed nothing
+
+
+@pytest.mark.parametrize("c_in_loss", [True, False])
+def test_lstm_step_gradient(c_in_loss):
+    rng = np.random.default_rng(22)
+    x, h, c = (Tensor(rng.uniform(-1, 1, (2, n)), name=name)
+               for n, name in ((3, "x"), (4, "h"), (4, "c")))
+    weights = _cell_weights(rng, 3, 4)
+    w_h, w_c = rng.uniform(-1, 1, (2, 2, 4))
+
+    def loss_of():
+        h1, c1 = ad.lstm_step(x, h, c, *weights)
+        # without c' in the loss, its view node gets no gradient at all
+        return weighted_sum((h1, w_h), (c1, w_c)) if c_in_loss else weighted_sum((h1, w_h))
+
+    _check_gradients(loss_of, [x, h, c, *weights])
+
+
+@pytest.mark.parametrize("source_rows", [3, 1])
+def test_attention_gradient_with_masked_position(source_rows):
+    rng = np.random.default_rng(23)
+    queries, length, hidden = 3, 4, 5
+    top = Tensor(rng.uniform(-1, 1, (queries, hidden)), name="top")
+    annotations = Tensor(rng.uniform(-1, 1, (source_rows, length, hidden)), name="annotations")
+    w_score = Tensor(rng.uniform(-1, 1, (hidden, hidden)), name="w_score")
+    mask_add = np.zeros((source_rows, length))
+    mask_add[0, 2] = -1e9
+    w_ctx = rng.uniform(-1, 1, (queries, hidden))
+
+    def loss_of():
+        context, _ = ad.attention(top, annotations, mask_add, w_score)
+        return weighted_sum((context, w_ctx))
+
+    _check_gradients(loss_of, [top, annotations, w_score])
+    assert np.all(annotations.grad[0, 2] == 0.0)
+    _, weights = ad.attention(top, annotations, mask_add, w_score)
+    assert np.all(weights[: 1 if source_rows > 1 else queries, 2] == 0.0)
+
+
+def test_attention_shared_source_equals_repeated_source():
+    rng = np.random.default_rng(24)
+    top = Tensor(rng.uniform(-1, 1, (4, 6)).astype(np.float32))
+    one = rng.uniform(-1, 1, (1, 5, 6)).astype(np.float32)
+    w_score = Tensor(rng.uniform(-1, 1, (6, 6)).astype(np.float32))
+    mask_add = np.array([[0, 0, 0, -1e9, -1e9]], dtype=np.float32)
+    shared = ad.attention(top, Tensor(one), mask_add, w_score)
+    repeated = ad.attention(top, Tensor(np.repeat(one, 4, axis=0)), np.repeat(mask_add, 4, axis=0),
+                            w_score)
+    assert np.array_equal(shared[0].data, repeated[0].data)
+    assert np.array_equal(shared[1], repeated[1])
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    z = lambda *shape: Tensor(np.zeros(shape))
+    with pytest.raises(ValueError, match=r"LSTM shape mismatch.*\(8, 2\)"):
+        ad.lstm_step(z(1, 3), z(1, 2), z(1, 2), z(8, 2), z(8, 2), z(8))
+    with pytest.raises(ValueError, match="state shape"):
+        ad.lstm_step(z(1, 3), z(2, 2), z(2, 2), z(8, 3), z(8, 2), z(8))
+    with pytest.raises(ValueError, match="mask shape"):
+        ad.lstm_sequence(z(2, 4, 3), np.ones((2, 3)), z(8, 3), z(8, 2), z(8))
+    with pytest.raises(ValueError, match="attention shape mismatch"):
+        ad.attention(z(3, 4), z(2, 5, 4), np.zeros((2, 5)), z(4, 4))
+    with pytest.raises(ValueError, match="empty source"):
+        ad.attention(z(1, 4), z(1, 0, 4), np.zeros((1, 0)), z(4, 4))

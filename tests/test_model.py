@@ -12,7 +12,6 @@ from polyg2p.model import (
     ModelConfig,
     TrainingSchedule,
     attend,
-    cell_step,
     clone_params,
     decode_step,
     encode,
@@ -33,8 +32,9 @@ def _zero_cell(in_size, hidden):
 
 def test_cell_step_all_zero_parameters_give_zero_state():
     cell = _zero_cell(3, 4)
-    h, c = cell_step(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))),
-                     Tensor(np.zeros((2, 4))), cell)
+    h, c = ad.lstm_step(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))),
+                        Tensor(np.zeros((2, 4))), cell.input_weights, cell.recurrent_weights,
+                        cell.bias)
     assert np.allclose(h.data, 0.0)
     assert np.allclose(c.data, 0.0)
 
@@ -46,7 +46,8 @@ def test_cell_step_saturated_gates_carry_memory():
     bias[0:4] = -50.0   # input gate
     bias[4:8] = 50.0    # forget gate
     c0 = np.array([[0.3, -0.7, 1.2, 0.0]])
-    _, c1 = cell_step(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), Tensor(c0), cell)
+    _, c1 = ad.lstm_step(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), Tensor(c0),
+                         cell.input_weights, cell.recurrent_weights, cell.bias)
     assert np.allclose(c1.data, c0, atol=1e-6)
 
 
@@ -60,7 +61,8 @@ def test_cell_step_matches_scalar_oracle():
     x = rng.uniform(-1, 1, 3)
     h0 = rng.uniform(-1, 1, 4)
     c0 = rng.uniform(-1, 1, 4)
-    h1, c1 = cell_step(Tensor(x[None]), Tensor(h0[None]), Tensor(c0[None]), cell)
+    h1, c1 = ad.lstm_step(Tensor(x[None]), Tensor(h0[None]), Tensor(c0[None]),
+                          cell.input_weights, cell.recurrent_weights, cell.bias)
     oh, oc = scalar_cell_step(x.tolist(), h0.tolist(), c0.tolist(),
                               cell.input_weights.data.tolist(),
                               cell.recurrent_weights.data.tolist(),
@@ -106,6 +108,18 @@ def test_encode_matches_scalar_oracle():
         assert np.allclose(c0.data[0], ec, atol=1e-6)
 
 
+def test_encode_tape_nodes_do_not_grow_with_source_length():
+    config, params = tiny_model(seed=3, dropout=0.3)
+
+    def nodes(length):
+        with Tape() as tape:
+            encode([[4 + i % 5 for i in range(length)], [5, 6]], params, config,
+                   training=True, rng=np.random.default_rng(0))
+        return len(tape.nodes)
+
+    assert nodes(3) == nodes(12)
+
+
 def test_encode_rejects_empty_input():
     config, params = tiny_model()
     with pytest.raises(ValueError, match="empty source"):
@@ -126,7 +140,7 @@ def test_attend_single_position_takes_the_annotation():
     ann = Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 1, h)).astype(np.float32))
     top = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, h)).astype(np.float32))
     context, weights = attend(top, ann, np.ones((1, 1), dtype=np.float32), params.attention)
-    assert np.allclose(weights.data, [[1.0]])
+    assert np.allclose(weights, [[1.0]])
     assert np.allclose(context.data, ann.data[:, 0, :])
 
 
@@ -137,7 +151,7 @@ def test_attend_zero_score_matrix_gives_uniform_weights():
     ann = Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 5, h)).astype(np.float32))
     top = Tensor(np.ones((1, h), dtype=np.float32))
     _, weights = attend(top, ann, np.ones((1, 5), dtype=np.float32), params.attention)
-    assert np.allclose(weights.data, 0.2, atol=1e-7)
+    assert np.allclose(weights, 0.2, atol=1e-7)
 
 
 def test_attend_matches_brute_force_sum():
@@ -158,7 +172,7 @@ def test_attend_matches_brute_force_sum():
     exps = [math.exp(s - max(scores)) for s in scores]
     expected_w = [e / sum(exps) for e in exps]
     expected_ctx = sum(w * ann[0, s] for s, w in enumerate(expected_w))
-    assert np.allclose(weights.data[0], expected_w, atol=1e-6)
+    assert np.allclose(weights[0], expected_w, atol=1e-6)
     assert np.allclose(context.data[0], expected_ctx, atol=1e-6)
 
 
@@ -169,8 +183,8 @@ def test_attention_masks_padding_to_exactly_zero():
     top = Tensor(np.random.default_rng(3).uniform(-1, 1, (2, h)).astype(np.float32))
     mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=np.float32)
     _, weights = attend(top, ann, mask, params.attention)
-    assert np.all(weights.data[0, 2:] == 0.0)
-    assert np.allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
+    assert np.all(weights[0, 2:] == 0.0)
+    assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_decode_step_distribution_normalizes():
