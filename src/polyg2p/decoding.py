@@ -5,6 +5,16 @@ normalization. Ties are broken by earlier completion step, then
 lexicographically by token ids, so n-best lists are deterministic.
 PAD/BOS/UNK are never proposed; a hypothesis finishes when it emits EOS and
 is finalized as-is (flagged truncated) if it reaches max_len first.
+
+`beam_search` holds the beam as arrays: token paths [rows, max_len+1],
+cumulative float64 scores, and each row's completion step (max_len+1 while
+live). The decoder state of the live rows is one `DecoderState` of [live, h]
+arrays in beam order. Each step runs one `decode_step` over the live rows,
+keeps every candidate tied with the width-th best score, and ranks the
+finished rows and the candidates with one `np.lexsort` on the ranking
+contract; the next state is the new state gathered at the survivors' parent
+rows. `greedy_decode` is a separate argmax loop, the independent width-1
+reference that tests compare `beam_search` against.
 """
 
 from __future__ import annotations
@@ -29,21 +39,6 @@ from .model import (
 _BANNED = (PAD_ID, BOS_ID, UNK_ID)
 
 
-@dataclass
-class Hypothesis:
-    """A partial or complete decode: BOS-initiated token path and its score."""
-
-    tokens: tuple[int, ...]
-    log_prob: float
-    state: DecoderState | None
-    finished: bool
-    finish_step: int | None = None
-
-    def phoneme_ids(self) -> tuple[int, ...]:
-        ids = self.tokens[1:]
-        return ids[:-1] if self.finished else ids
-
-
 @dataclass(frozen=True)
 class NBestEntry:
     phonemes: tuple[str, ...]
@@ -55,27 +50,11 @@ def default_max_len(src_len: int) -> int:
     return 2 * src_len + 10
 
 
-def _state_rows(state: DecoderState, i: int) -> tuple:
-    return (
-        tuple((h.data[i], c.data[i]) for h, c in state.layers),
-        state.attn.data[i],
+def _gather(state: DecoderState, rows: np.ndarray) -> DecoderState:
+    return DecoderState(
+        layers=[(Tensor(h.data[rows]), Tensor(c.data[rows])) for h, c in state.layers],
+        attn=Tensor(state.attn.data[rows]),
     )
-
-
-def _stack_states(rows: Sequence[tuple]) -> DecoderState:
-    n_layers = len(rows[0][0])
-    layers = [
-        (Tensor(np.stack([r[0][layer][0] for r in rows])),
-         Tensor(np.stack([r[0][layer][1] for r in rows])))
-        for layer in range(n_layers)
-    ]
-    return DecoderState(layers=layers, attn=Tensor(np.stack([r[1] for r in rows])))
-
-
-def _sort_key(hyp: Hypothesis, max_len: int, length_normalize: bool = False):
-    completion = hyp.finish_step if hyp.finished else max_len + 1
-    score = hyp.log_prob / max(len(hyp.tokens) - 1, 1) if length_normalize else hyp.log_prob
-    return (-score, completion, hyp.tokens)
 
 
 def beam_search(
@@ -99,57 +78,59 @@ def beam_search(
         max_len = default_max_len(len(src_ids))
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    live_done = max_len + 1  # completion step of a hypothesis that has not emitted EOS
 
     with ad.inference_mode():
         encoded = encode([src_ids], params, config)
-        start_state = initial_state(encoded, config)
-        beam = [Hypothesis((BOS_ID,), 0.0, _state_rows(start_state, 0), finished=False)]
+        state = initial_state(encoded, config)  # one row per live hypothesis, in beam order
+        paths = np.full((1, max_len + 1), PAD_ID, dtype=np.intp)
+        paths[0, 0] = BOS_ID
+        scores = np.zeros(1)
+        done = np.full(1, live_done, dtype=np.intp)
 
         for step in range(1, max_len + 1):
-            live = [h for h in beam if not h.finished]
-            if not live:
+            live = np.flatnonzero(done == live_done)
+            if live.size == 0:
                 break
-            finished = [h for h in beam if h.finished]
+            finished = np.flatnonzero(done != live_done)
 
-            prev = np.array([h.tokens[-1] for h in live], dtype=np.intp)
-            state = _stack_states([h.state for h in live])
             # the one-row encoding serves every live hypothesis
-            log_probs, new_state = decode_step(prev, state, encoded, params, config)
-            scores = log_probs.data + np.array([h.log_prob for h in live])[:, None]
-            scores[:, list(_BANNED)] = -np.inf
+            log_probs, new_state = decode_step(paths[live, step - 1], state, encoded,
+                                               params, config)
+            cand = log_probs.data + scores[live, None]
+            cand[:, list(_BANNED)] = -np.inf
 
-            flat = scores.ravel()
-            finite = np.flatnonzero(np.isfinite(flat))
-            if finite.size > width:
+            flat = cand.ravel()
+            kept = np.flatnonzero(np.isfinite(flat))
+            if kept.size > width:
                 # keep everything tied with the width-th best so ties break stably
-                threshold = np.partition(flat[finite], -width)[-width]
-                finite = finite[flat[finite] >= threshold]
-            vocab_size = scores.shape[1]
-            candidates = []
-            for idx in finite:
-                row, tok = divmod(int(idx), vocab_size)
-                parent = live[row]
-                if tok == EOS_ID:
-                    candidates.append(Hypothesis(parent.tokens + (EOS_ID,), float(flat[idx]),
-                                                 None, finished=True, finish_step=step))
-                else:
-                    candidates.append(Hypothesis(parent.tokens + (tok,), float(flat[idx]),
-                                                 _state_rows(new_state, row), finished=False))
-            pool = finished + candidates
-            pool.sort(key=lambda h: _sort_key(h, max_len, length_normalize))
-            beam = pool[:width]
+                threshold = np.partition(flat[kept], -width)[-width]
+                kept = kept[flat[kept] >= threshold]
+            parent, token = np.divmod(kept, cand.shape[1])
 
-        beam.sort(key=lambda h: _sort_key(h, max_len, length_normalize))
+            # the pool: hypotheses finished earlier, then this step's candidates
+            new_paths = paths[live[parent]]
+            new_paths[:, step] = token
+            pool_paths = np.concatenate([paths[finished], new_paths])
+            pool_scores = np.concatenate([scores[finished], flat[kept]])
+            pool_done = np.concatenate(
+                [done[finished], np.where(token == EOS_ID, step, live_done)])
 
-    entries: list[NBestEntry] = []
-    seen: set[tuple[str, ...]] = set()
-    for hyp in beam:
-        phonemes = tuple(tgt_vocab.decode(hyp.phoneme_ids()))
-        if phonemes in seen:
-            continue
-        seen.add(phonemes)
-        entries.append(NBestEntry(phonemes, hyp.log_prob, truncated=not hyp.finished))
-    return entries
+            rank_scores = pool_scores
+            if length_normalize:  # per generated token: a live row has generated `step`
+                rank_scores = pool_scores / np.minimum(pool_done, step)
+            # ranking contract: score, then completion step, then token ids; paths of
+            # equal completion step have equal length, so columns 1..step decide
+            order = np.lexsort((*pool_paths[:, step:0:-1].T, pool_done, -rank_scores))[:width]
+            paths, scores, done = pool_paths[order], pool_scores[order], pool_done[order]
+            # live survivors are all candidates, which follow the finished rows in the pool
+            state = _gather(new_state, parent[order[done == live_done] - finished.size])
+
+    return [
+        NBestEntry(tuple(tgt_vocab.decode(row[1:end].tolist())), float(score),
+                   truncated=end == live_done)
+        for row, score, end in zip(paths, scores, done.tolist())
+    ]
 
 
 def greedy_decode(
@@ -164,6 +145,8 @@ def greedy_decode(
         raise ValueError("empty source")
     if max_len is None:
         max_len = default_max_len(len(src_ids))
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
 
     with ad.inference_mode():
         encoded = encode([src_ids], params, config)

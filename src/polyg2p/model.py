@@ -14,7 +14,9 @@ per step, one `lstm_step` per layer and one `attention`. `forward_loss` then
 runs the generator and the loss once over all steps' attentional vectors.
 `decode_step` runs the same `_decoder_step` as training, so inference has no
 second code path; a one-row `EncodedSource` can serve any number of decoder
-rows (a beam), since `attention` broadcasts it.
+rows, since `attention` broadcasts it. Beam search passes all its live
+hypotheses as the rows of one `DecoderState` and reorders that state by
+gathering rows, so the model knows nothing of the beam.
 """
 
 from __future__ import annotations
@@ -129,89 +131,100 @@ def _cell_bias(four_h: int, dtype) -> np.ndarray:
     return b
 
 
-def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
-    """Deterministic initialization: weights uniform(-0.1, 0.1), biases zero,
-    forget-gate bias 1.0."""
-    rng = np.random.default_rng(seed)
-
-    def uniform(*shape):
-        return Tensor(rng.uniform(-0.1, 0.1, shape).astype(dtype))
-
+def _build_params(
+    config: ModelConfig,
+    buffer: Callable[[str, tuple[int, ...], str], np.ndarray],
+) -> ModelParams:
+    """Assemble ModelParams from `buffer(name, shape, kind)`, called once per
+    tensor in the order `init_params` draws them. `kind` is "weight",
+    "cell_bias" (forget-gate slice 1.0 at initialization) or "bias"."""
     h = config.hidden_size
     half = h // 2
 
-    def make_cell(in_size: int, hidden: int) -> CellParams:
+    def tensor(name: str, shape: tuple[int, ...], kind: str = "weight") -> Tensor:
+        return Tensor(buffer(name, shape, kind), name=name)
+
+    def make_cell(prefix: str, in_size: int, hidden: int) -> CellParams:
         return CellParams(
-            input_weights=uniform(4 * hidden, in_size),
-            recurrent_weights=uniform(4 * hidden, hidden),
-            bias=Tensor(_cell_bias(4 * hidden, dtype)),
+            input_weights=tensor(f"{prefix}.input_weights", (4 * hidden, in_size)),
+            recurrent_weights=tensor(f"{prefix}.recurrent_weights", (4 * hidden, hidden)),
+            bias=tensor(f"{prefix}.bias", (4 * hidden,), "cell_bias"),
         )
 
     encoder = []
     for layer in range(config.enc_layers):
         in_size = config.src_embed if layer == 0 else h
-        encoder.append({"fwd": make_cell(in_size, half), "bwd": make_cell(in_size, half)})
+        encoder.append({d: make_cell(f"encoder.l{layer}.{d}", in_size, half)
+                        for d in ("fwd", "bwd")})
     decoder = []
     for layer in range(config.dec_layers):
         if layer == 0:
             in_size = config.tgt_embed + (h if config.input_feeding else 0)
         else:
             in_size = h
-        decoder.append(make_cell(in_size, h))
+        decoder.append(make_cell(f"decoder.l{layer}", in_size, h))
 
-    params = ModelParams(
-        src_embedding=uniform(config.src_vocab_size, config.src_embed),
-        tgt_embedding=uniform(config.tgt_vocab_size, config.tgt_embed),
+    return ModelParams(
+        src_embedding=tensor("src_embedding", (config.src_vocab_size, config.src_embed)),
+        tgt_embedding=tensor("tgt_embedding", (config.tgt_vocab_size, config.tgt_embed)),
         encoder=encoder,
         decoder=decoder,
         attention=AttentionParams(
-            score_weights=uniform(h, h),
-            output_weights=uniform(h, 2 * h),
-            output_bias=Tensor(np.zeros(h, dtype=dtype)),
+            score_weights=tensor("attention.score_weights", (h, h)),
+            output_weights=tensor("attention.output_weights", (h, 2 * h)),
+            output_bias=tensor("attention.output_bias", (h,), "bias"),
         ),
-        generator_weights=uniform(config.tgt_vocab_size, h),
-        generator_bias=Tensor(np.zeros(config.tgt_vocab_size, dtype=dtype)),
+        generator_weights=tensor("generator.weights", (config.tgt_vocab_size, h)),
+        generator_bias=tensor("generator.bias", (config.tgt_vocab_size,), "bias"),
     )
-    for name, t in params.named():
-        t.name = name
-    return params
+
+
+def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
+    """Deterministic initialization: weights uniform(-0.1, 0.1), biases zero,
+    forget-gate bias 1.0."""
+    rng = np.random.default_rng(seed)
+
+    def buffer(name: str, shape: tuple[int, ...], kind: str) -> np.ndarray:
+        if kind == "weight":
+            return rng.uniform(-0.1, 0.1, shape).astype(dtype)
+        return _cell_bias(shape[0], dtype) if kind == "cell_bias" else np.zeros(shape, dtype)
+
+    return _build_params(config, buffer)
 
 
 def clone_params(params: ModelParams) -> ModelParams:
     """Deep copy of all parameter buffers (gradients are not copied)."""
-    mapping = {name: t.data.copy() for name, t in params.named()}
-    return params_from_arrays(_config_of(params), mapping)
 
+    def copy(t: Tensor) -> Tensor:
+        return Tensor(t.data.copy(), name=t.name)
 
-def _config_of(params: ModelParams) -> ModelConfig:
-    vs, se = params.src_embedding.data.shape
-    vt, te = params.tgt_embedding.data.shape
-    h = params.attention.score_weights.data.shape[0]
-    dec0_in = params.decoder[0].input_weights.data.shape[1]
-    return ModelConfig(
-        src_vocab_size=vs,
-        tgt_vocab_size=vt,
-        hidden_size=h,
-        src_embed=se,
-        tgt_embed=te,
-        enc_layers=len(params.encoder),
-        dec_layers=len(params.decoder),
-        dropout=0.0,
-        input_feeding=dec0_in > te,
+    def copy_cell(cell: CellParams) -> CellParams:
+        return CellParams(copy(cell.input_weights), copy(cell.recurrent_weights), copy(cell.bias))
+
+    attention = params.attention
+    return ModelParams(
+        src_embedding=copy(params.src_embedding),
+        tgt_embedding=copy(params.tgt_embedding),
+        encoder=[{d: copy_cell(cell) for d, cell in layer.items()} for layer in params.encoder],
+        decoder=[copy_cell(cell) for cell in params.decoder],
+        attention=AttentionParams(copy(attention.score_weights), copy(attention.output_weights),
+                                  copy(attention.output_bias)),
+        generator_weights=copy(params.generator_weights),
+        generator_bias=copy(params.generator_bias),
     )
 
 
 def params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
     """Rebuild ModelParams from named arrays (e.g. a loaded checkpoint)."""
-    dtype = next(iter(arrays.values())).dtype
-    params = init_params(config, seed=0, dtype=dtype)
-    for name, t in params.named():
+
+    def buffer(name: str, shape: tuple[int, ...], kind: str) -> np.ndarray:
         if name not in arrays:
             raise ValueError(f"missing tensor {name!r}")
-        if arrays[name].shape != t.data.shape:
-            raise ValueError(f"tensor {name!r}: expected shape {t.data.shape}, got {arrays[name].shape}")
-        t.data = np.ascontiguousarray(arrays[name])
-    return params
+        if arrays[name].shape != shape:
+            raise ValueError(f"tensor {name!r}: expected shape {shape}, got {arrays[name].shape}")
+        return np.ascontiguousarray(arrays[name])
+
+    return _build_params(config, buffer)
 
 
 # --- forward computation -----------------------------------------------------

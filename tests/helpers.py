@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences, scalar LSTM math, recursive edit distance."""
+"""Shared test oracles: finite differences, scalar LSTM math, a per-hypothesis
+beam search, recursive edit distance."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ import math
 import numpy as np
 
 from polyg2p import autodiff as ad
-from polyg2p.corpus import RESERVED, Vocabulary
-from polyg2p.model import ModelConfig, init_params
+from polyg2p.corpus import BOS_ID, EOS_ID, PAD_ID, RESERVED, UNK_ID, Vocabulary
+from polyg2p.decoding import NBestEntry
+from polyg2p.model import ModelConfig, decode_step, encode, init_params, initial_state
 
 
 def rel_err(a: np.ndarray, b: np.ndarray, guard: float = 1e-5) -> float:
@@ -163,6 +165,45 @@ class OracleModel:
             lse = peak + math.log(sum(math.exp(v - peak) for v in logits))
             out = [v - lse for v in logits]
         return out
+
+
+def reference_beam(src, params, config, vocab, width, max_len, length_normalize=False):
+    """Plain per-hypothesis beam search, the pruning reference for `beam_search`.
+
+    Each live hypothesis advances its own one-row decoder state. Candidates
+    tied with the width-th best score are kept; the earlier-finished
+    hypotheses and the candidates are sorted on the ranking contract key
+    (score, completion step, token ids) and cut to `width`."""
+
+    def key(hyp):
+        tokens, score, _, finish = hyp
+        if length_normalize:
+            score = score / (len(tokens) - 1)
+        return (-score, finish or max_len + 1, tokens)
+
+    with ad.inference_mode():
+        encoded = encode([src], params, config)
+        beam = [((BOS_ID,), 0.0, initial_state(encoded, config), None)]
+        for step in range(1, max_len + 1):
+            live = [hyp for hyp in beam if hyp[3] is None]
+            if not live:
+                break
+            candidates = []
+            for tokens, score, state, _ in live:
+                log_probs, new_state = decode_step([tokens[-1]], state, encoded, params, config)
+                for tok, lp in enumerate(log_probs.data[0].tolist()):
+                    if tok in (PAD_ID, BOS_ID, UNK_ID) or not math.isfinite(lp):
+                        continue
+                    finish = step if tok == EOS_ID else None
+                    candidates.append((tokens + (tok,), score + lp, new_state, finish))
+            if len(candidates) > width:
+                threshold = sorted(c[1] for c in candidates)[-width]
+                candidates = [c for c in candidates if c[1] >= threshold]
+            finished = [hyp for hyp in beam if hyp[3] is not None]
+            beam = sorted(finished + candidates, key=key)[:width]
+    return [NBestEntry(tuple(vocab.decode(tokens[1:-1] if finish else tokens[1:])), score,
+                       truncated=finish is None)
+            for tokens, score, _, finish in beam]
 
 
 def recursive_levenshtein(a, b) -> int:

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import tiny_model, toy_tgt_vocab
+from helpers import reference_beam, tiny_model, toy_tgt_vocab
 from polyg2p.corpus import BOS_ID, EOS_ID
 from polyg2p.decoding import (
     NBestEntry,
@@ -60,6 +60,49 @@ def test_beam_equals_exhaustive_enumeration():
         assert got.phonemes == want.phonemes
         assert got.truncated == want.truncated
         assert got.log_prob == pytest.approx(want.log_prob, abs=1e-9)
+
+
+def test_beam_matches_pruned_per_hypothesis_reference():
+    # widths below the search space prune, so this checks which candidates survive
+    vocab = toy_tgt_vocab(5)
+    for seed, src in ((21, [4, 6, 5]), (22, [7, 4])):
+        config, params = tiny_model(seed=seed, tgt_vocab=len(vocab), dtype=np.float64)
+        for width, max_len, length_normalize in itertools.product(
+                (1, 2, 5, 12, 100), (2, 3, 4), (False, True)):
+            got = beam_search(src, params, config, vocab, width=width, max_len=max_len,
+                              length_normalize=length_normalize)
+            want = reference_beam(src, params, config, vocab, width, max_len, length_normalize)
+            assert [(e.phonemes, e.truncated) for e in got] == \
+                [(e.phonemes, e.truncated) for e in want]
+            for g, w in zip(got, want):
+                assert g.log_prob == pytest.approx(w.log_prob, abs=1e-9)
+
+
+def test_exact_ties_rank_by_completion_step_then_token_ids():
+    # a zero generator gives every allowed token the same log-prob at every step
+    vocab = toy_tgt_vocab(4)
+    config, params = tiny_model(seed=13, tgt_vocab=len(vocab), dtype=np.float64)
+    params.generator_weights.data[:] = 0.0
+    params.generator_bias.data[:] = 0.0
+    nbest = beam_search([4, 5], params, config, vocab, width=4, max_len=3)
+    # every tie survives pruning; behind the step-1 EOS, the step-2 EOS endings
+    # outrank the live paths of equal score, in token order
+    assert [(e.phonemes, e.truncated) for e in nbest] == [
+        ((), False), (("p1",), False), (("p2",), False), (("p3",), False)]
+    nbest = beam_search([4, 5], params, config, vocab, width=4, max_len=1)
+    assert [(e.phonemes, e.truncated) for e in nbest] == [
+        ((), False), (("p1",), True), (("p2",), True), (("p3",), True)]
+
+    # with p2 likelier than p1, the beam holds p2 before p1, yet the exact tie
+    # between p1 p2 and p2 p1 still goes to the smaller token ids
+    vocab = toy_tgt_vocab(2)
+    config, params = tiny_model(seed=13, tgt_vocab=len(vocab), dtype=np.float64)
+    params.generator_weights.data[:] = 0.0
+    params.generator_bias.data[:] = [0.0, 0.0, -1.0, 0.0, 0.3, 1.0]
+    nbest = beam_search([4, 5], params, config, vocab, width=4, max_len=2)
+    assert [(e.phonemes, e.truncated) for e in nbest] == [
+        (("p2", "p2"), True), (("p1", "p2"), True), (("p2", "p1"), True), ((), False)]
+    assert nbest[1].log_prob == nbest[2].log_prob
 
 
 def test_top_score_non_decreasing_in_width():
@@ -136,6 +179,9 @@ def test_empty_source_errors():
         beam_search([], params, config, vocab)
     with pytest.raises(ValueError, match="empty source"):
         greedy_decode([], params, config, vocab)
+    for decode in (beam_search, greedy_decode):
+        with pytest.raises(ValueError, match="max_len"):
+            decode([4], params, config, vocab, max_len=0)
     with pytest.raises(ValueError, match="width"):
         beam_search([4], params, config, vocab, width=0)
 

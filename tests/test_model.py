@@ -18,6 +18,7 @@ from polyg2p.model import (
     forward_loss,
     init_params,
     initial_state,
+    params_from_arrays,
     train_model,
 )
 
@@ -320,6 +321,19 @@ def test_clone_params_is_independent_copy():
     params.src_embedding.data[0, 0] = 99.0
     assert copy.src_embedding.data[0, 0] != 99.0
     assert [n for n, _ in copy.named()] == [n for n, _ in params.named()]
+
+
+def test_params_from_arrays_rejects_missing_or_misshapen_tensor():
+    config, params = tiny_model(seed=19)
+    arrays = {name: t.data for name, t in params.named()}
+    rebuilt = params_from_arrays(config, arrays)
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(rebuilt.tensors(), params.tensors()))
+    missing = {k: v for k, v in arrays.items() if k != "decoder.l1.bias"}
+    with pytest.raises(ValueError, match="missing tensor 'decoder.l1.bias'"):
+        params_from_arrays(config, missing)
+    misshapen = {**arrays, "attention.score_weights": np.zeros((8, 7), np.float32)}
+    with pytest.raises(ValueError, match=r"'attention.score_weights': expected shape \(8, 8\)"):
+        params_from_arrays(config, misshapen)
 
 
 def test_dropout_changes_training_forward_only():
