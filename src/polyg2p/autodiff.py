@@ -4,6 +4,12 @@ Ops compute eagerly and, when a Tape is active on the current thread, append
 a node with its backward rule. Without an active tape (or inside
 `inference_mode`), ops are plain numpy math with no graph overhead.
 
+Weight matrices are stored [in x out], C-contiguous, so every product with
+a weight is `x @ w` with an untransposed right operand, the orientation BLAS
+runs fastest. Backward passes keep that: an input gradient is
+`(w @ g.T).T` (the transposed operand is the small gradient, not the
+weight) and a weight gradient is `x.T @ g`, already [in x out].
+
 The model's recurrent and attention math are fused ops with hand-written
 backward rules, so a training batch records a few nodes per timestep rather
 than one per elementwise operation:
@@ -11,8 +17,8 @@ than one per elementwise operation:
 - `lstm_sequence` runs one LSTM direction over a padded batch. The input
   projection of every timestep is one GEMM; padded rows keep their state;
   the only matrix product left in the backward loop over time is
-  `dpre_t @ w_rec`, and each weight gradient is one GEMM over the stacked
-  gate gradients.
+  `(w_rec @ dpre_t.T).T`, and each weight gradient is one GEMM over the
+  stacked gate gradients.
 - `lstm_step` is one LSTM cell update (the decoder, which input feeding keeps
   step by step).
 - `attention` is bilinear scoring, masked softmax and context for n queries
@@ -32,6 +38,7 @@ parameters as float64 propagates through every op for gradient checking.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -176,16 +183,16 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ w.T (+ bias): w is stored [out x in], bias [out]."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+    """x @ w (+ bias): x is [B x in], w is stored [in x out], bias [out]."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} x {w.data.shape}")
-    out = x.data @ w.data.T
+    out = x.data @ w.data
     if bias is not None:
         out = out + bias.data
 
     def backward(g):
-        _accumulate(x, g @ w.data)
-        _accumulate(w, g.T @ x.data)
+        _accumulate(x, (w.data @ g.T).T)
+        _accumulate(w, x.data.T @ g)
         if bias is not None:
             _accumulate(bias, g.sum(axis=0))
 
@@ -231,10 +238,15 @@ def log_softmax(x: Tensor) -> Tensor:
 # the candidate g).
 
 
-def _gate_constants(n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _gate_constants(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, offset) over the 4n gate axis, built once per (n, dtype) and
+    read-only, since every cell update of that size shares them."""
     scale = np.full(4 * n, 0.5, dtype=dtype)
     scale[2 * n : 3 * n] = 1.0
-    return scale, 1.0 - scale
+    offset = 1.0 - scale
+    scale.flags.writeable = offset.flags.writeable = False
+    return scale, offset
 
 
 def _cell(acts: np.ndarray, c: np.ndarray, c_new: np.ndarray, tanh_c: np.ndarray,
@@ -268,8 +280,8 @@ def _cell_partials(acts: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray):
 
 
 def _check_cell(x_shape, w_in: Tensor, w_rec: Tensor, bias: Tensor) -> int:
-    n = w_rec.data.shape[1]
-    if (w_rec.data.shape != (4 * n, n) or w_in.data.shape != (4 * n, x_shape[-1])
+    n = w_rec.data.shape[0]
+    if (w_rec.data.shape != (n, 4 * n) or w_in.data.shape != (x_shape[-1], 4 * n)
             or bias.data.shape != (4 * n,)):
         raise ValueError(f"LSTM shape mismatch: input {x_shape}, weights {w_in.data.shape} "
                          f"and {w_rec.data.shape}, bias {bias.data.shape}")
@@ -279,12 +291,13 @@ def _check_cell(x_shape, w_in: Tensor, w_rec: Tensor, bias: Tensor) -> int:
 def lstm_step(x: Tensor, h: Tensor, c: Tensor, w_in: Tensor, w_rec: Tensor,
               bias: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM update of a [B,in] input and [B,n] state: c' = f*c + i*g,
-    h' = o*tanh(c'). Weights are [4n x in] and [4n x n]. Returns (h', c')."""
+    h' = o*tanh(c'). Weights are stored [in x 4n] and [n x 4n], bias [4n].
+    Returns (h', c')."""
     n = _check_cell(x.data.shape, w_in, w_rec, bias)
     if h.data.shape != (x.data.shape[0], n) or c.data.shape != h.data.shape:
         raise ValueError(f"LSTM state shape mismatch: {h.data.shape}, {c.data.shape}")
-    acts = x.data @ w_in.data.T
-    recurrent = h.data @ w_rec.data.T
+    acts = x.data @ w_in.data
+    recurrent = h.data @ w_rec.data
     recurrent += bias.data
     acts += recurrent
     tanh_c = np.empty_like(c.data)
@@ -298,11 +311,11 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, w_in: Tensor, w_rec: Tensor,
         dc += g[:, n:]
         dpre = np.concatenate([dc, dc, dc, dh], axis=1)
         dpre *= gate_factor
-        _accumulate(x, dpre @ w_in.data)
-        _accumulate(h, dpre @ w_rec.data)
+        _accumulate(x, (w_in.data @ dpre.T).T)
+        _accumulate(h, (w_rec.data @ dpre.T).T)
         _accumulate(c, dc * acts[:, n : 2 * n])
-        _accumulate(w_in, dpre.T @ x.data)
-        _accumulate(w_rec, dpre.T @ h.data)
+        _accumulate(w_in, x.data.T @ dpre)
+        _accumulate(w_rec, h.data.T @ dpre)
         _accumulate(bias, dpre.sum(axis=0))
 
     packed = _record(packed_data, (x, h, c, w_in, w_rec, bias), backward)
@@ -314,6 +327,7 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bia
                   reverse: bool = False) -> tuple[Tensor, Tensor, Tensor]:
     """One LSTM direction over a padded batch xs [B,T,in], from a zero state.
 
+    Weights are stored [in x 4n] and [n x 4n], bias [4n], as in `lstm_step`.
     `mask` [B,T] is 1 at real positions; at a padded position a row keeps
     its previous state, and its output there is that state. `reverse` runs
     from T-1 down to 0. Returns (outputs [B,T,n], final h [B,n], final c [B,n])."""
@@ -329,12 +343,12 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bia
     full = keep.all(axis=(1, 2))                         # [T]: no padding at step p
     x_steps = np.ascontiguousarray(xs.data.transpose(1, 0, 2)[steps]).reshape(
         length * batch, -1)
-    acts = (x_steps @ w_in.data.T).reshape(length, batch, 4 * n)  # input projections first
+    acts = (x_steps @ w_in.data).reshape(length, batch, 4 * n)  # input projections first
     hs = np.zeros((length + 1, batch, n), dtype=dtype)   # hs[p]: state before step p
     cs = np.zeros((length + 1, batch, n), dtype=dtype)
     tanh_cs = np.empty((length, batch, n), dtype=dtype)
     for p in range(length):
-        recurrent = hs[p] @ w_rec.data.T
+        recurrent = hs[p] @ w_rec.data
         recurrent += bias.data
         acts[p] += recurrent
         _cell(acts[p], cs[p], cs[p + 1], tanh_cs[p], hs[p + 1])
@@ -361,7 +375,7 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bia
                         out=dpre[p])
             if not full[p]:
                 dpre[p] *= keep[p]
-            dh_prev = dpre[p] @ w_rec.data
+            dh_prev = (w_rec.data @ dpre[p].T).T
             dc_prev = dc_new * acts[p, :, n : 2 * n]
             if not full[p]:
                 padded = ~keep[p]
@@ -369,10 +383,10 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bia
                 np.copyto(dc_prev, dc, where=padded)
             dh, dc = dh_prev, dc_prev
         flat = dpre.reshape(length * batch, 4 * n)
-        dx = (flat @ w_in.data).reshape(length, batch, -1)[steps].transpose(1, 0, 2)
-        _accumulate(xs, dx)
-        _accumulate(w_in, flat.T @ x_steps)
-        _accumulate(w_rec, flat.T @ hs[:-1].reshape(length * batch, n))
+        dx = (w_in.data @ flat.T).reshape(-1, length, batch)  # [in, p, b]
+        _accumulate(xs, dx[:, steps].transpose(2, 1, 0))
+        _accumulate(w_in, x_steps.T @ flat)
+        _accumulate(w_rec, hs[:-1].reshape(length * batch, n).T @ flat)
         _accumulate(bias, flat.sum(axis=0))
 
     packed = _record(packed_data, (xs, w_in, w_rec, bias), backward)
@@ -416,7 +430,7 @@ def attention(top: Tensor, annotations: Tensor, mask_add, w_score: Tensor
         else:
             dann = weights[:, :, None] * g[:, None, :] + dscores[:, :, None] * query[:, None, :]
         _accumulate(annotations, dann)
-        _accumulate(top, dquery @ w_score.data.T)
+        _accumulate(top, (w_score.data @ dquery.T).T)
         _accumulate(w_score, top.data.T @ dquery)
 
     return _record(context, (top, annotations, w_score), backward), weights

@@ -12,20 +12,25 @@ Layout (all integers little-endian):
     meta    u64 length + utf-8 JSON (model config, gate order, lang_token,
             training languages, schedule snapshot)
 
+Every matrix is written in its canonical layout, weight matrices [out x in],
+whatever layout the model holds in memory (`model.TRANSPOSED`): the format
+does not depend on how the products are computed.
+
 Round trips are bit-exact: loading and re-saving reproduces the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import BinaryIO
 
 import numpy as np
 
 from .corpus import Vocabulary
-from .model import GATE_ORDER, ModelConfig, ModelParams, params_from_arrays
+from .model import GATE_ORDER, ModelConfig, ModelParams, canonical_arrays, params_from_arrays
 
 MAGIC = b"MG2P"
 VERSION = 1
@@ -72,9 +77,9 @@ def _read_vocab(fh: BinaryIO) -> Vocabulary:
 
 
 def save_checkpoint(path, bundle: ModelBundle) -> None:
-    named = list(bundle.params.named())
+    named = list(canonical_arrays(bundle.params).items())
     meta = dict(bundle.meta)
-    meta["model"] = bundle.config.to_dict()
+    meta["model"] = asdict(bundle.config)
     meta["gate_order"] = GATE_ORDER
     meta_json = json.dumps(meta, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
@@ -82,12 +87,12 @@ def save_checkpoint(path, bundle: ModelBundle) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(named)))
-        for name, tensor in named:
+        for name, array in named:
             _write_str(fh, name)
-            fh.write(struct.pack("<I", tensor.data.ndim))
-            fh.write(struct.pack(f"<{tensor.data.ndim}Q", *tensor.data.shape))
-        for _, tensor in named:
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+            fh.write(struct.pack("<I", array.ndim))
+            fh.write(struct.pack(f"<{array.ndim}Q", *array.shape))
+        for _, array in named:
+            fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
         _write_vocab(fh, bundle.src_vocab)
         _write_vocab(fh, bundle.tgt_vocab)
         raw = meta_json.encode("utf-8")
@@ -109,16 +114,18 @@ def load_checkpoint(path) -> ModelBundle:
             (rank,) = struct.unpack("<I", _read_exact(fh, 4))
             dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank))
             manifest.append((name, tuple(int(d) for d in dims)))
-        arrays: dict[str, np.ndarray] = {}
-        for name, dims in manifest:
-            n_items = int(np.prod(dims)) if dims else 1
-            raw = _read_exact(fh, 4 * n_items)
-            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        # one read for every tensor: the arrays are views of it, and
+        # params_from_arrays makes the only copy
+        sizes = [math.prod(dims) for _, dims in manifest]
+        data = np.frombuffer(_read_exact(fh, 4 * sum(sizes)), dtype="<f4")
+        ends = np.cumsum(sizes)
+        arrays = {name: data[end - size : end].reshape(dims)
+                  for (name, dims), size, end in zip(manifest, sizes, ends)}
         src_vocab = _read_vocab(fh)
         tgt_vocab = _read_vocab(fh)
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
         meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
 
-    config = ModelConfig.from_dict(meta.pop("model"))
+    config = ModelConfig(**meta.pop("model"))
     params = params_from_arrays(config, arrays)
     return ModelBundle(params, config, src_vocab, tgt_vocab, meta)

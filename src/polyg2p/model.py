@@ -56,27 +56,19 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {
-            "src_vocab_size": self.src_vocab_size,
-            "tgt_vocab_size": self.tgt_vocab_size,
-            "hidden_size": self.hidden_size,
-            "src_embed": self.src_embed,
-            "tgt_embed": self.tgt_embed,
-            "enc_layers": self.enc_layers,
-            "dec_layers": self.dec_layers,
-            "dropout": self.dropout,
-            "input_feeding": self.input_feeding,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+# Weight matrices that multiply activations, by name suffix. In memory they
+# are stored [in x out], C-contiguous, so every product is `x @ w`; their
+# canonical layout, the one checkpoints hold and `_build_params`'s `buffer`
+# hands out, is [out x in]. Every other tensor has one layout.
+TRANSPOSED = (".input_weights", ".recurrent_weights", "attention.output_weights",
+              "generator.weights")
 
 
 @dataclass
 class CellParams:
-    """One LSTM cell; weights are [4h x in] / [4h x h], gates ordered i,f,g,o."""
+    """One LSTM cell; weights are stored [in x 4h] / [h x 4h], gates ordered
+    i,f,g,o along the 4h axis."""
 
     input_weights: Tensor
     recurrent_weights: Tensor
@@ -85,8 +77,8 @@ class CellParams:
 
 @dataclass
 class AttentionParams:
-    score_weights: Tensor   # [h x h] bilinear score matrix
-    output_weights: Tensor  # [h x 2h], applied to [context; decoder_top]
+    score_weights: Tensor   # [h x h] bilinear score matrix, top @ W @ a_s
+    output_weights: Tensor  # stored [2h x h], applied to [context; decoder_top]
     output_bias: Tensor
 
 
@@ -97,7 +89,7 @@ class ModelParams:
     encoder: list[dict[str, CellParams]]  # per layer: {"fwd": ..., "bwd": ...}
     decoder: list[CellParams]
     attention: AttentionParams
-    generator_weights: Tensor
+    generator_weights: Tensor  # stored [h x Vt]
     generator_bias: Tensor
 
     def named(self):
@@ -123,9 +115,9 @@ class ModelParams:
         return [t for _, t in self.named()]
 
 
-def _cell_bias(four_h: int, dtype) -> np.ndarray:
+def _cell_bias(four_h: int) -> np.ndarray:
     # forget-gate slice initialized to 1.0 for stable early training
-    b = np.zeros(four_h, dtype=dtype)
+    b = np.zeros(four_h)
     h = four_h // 4
     b[h : 2 * h] = 1.0
     return b
@@ -133,16 +125,22 @@ def _cell_bias(four_h: int, dtype) -> np.ndarray:
 
 def _build_params(
     config: ModelConfig,
+    dtype,
     buffer: Callable[[str, tuple[int, ...], str], np.ndarray],
 ) -> ModelParams:
     """Assemble ModelParams from `buffer(name, shape, kind)`, called once per
-    tensor in the order `init_params` draws them. `kind` is "weight",
-    "cell_bias" (forget-gate slice 1.0 at initialization) or "bias"."""
+    tensor in the order `init_params` draws them, with the canonical shape.
+    `kind` is "weight", "cell_bias" (forget-gate slice 1.0 at initialization)
+    or "bias". Each tensor is a private C-contiguous `dtype` copy of its
+    buffer, transposed to [in x out] if its name is in `TRANSPOSED`."""
     h = config.hidden_size
     half = h // 2
 
     def tensor(name: str, shape: tuple[int, ...], kind: str = "weight") -> Tensor:
-        return Tensor(buffer(name, shape, kind), name=name)
+        data = buffer(name, shape, kind)
+        if name.endswith(TRANSPOSED):
+            data = data.T
+        return Tensor(data.astype(dtype, order="C"), name=name)
 
     def make_cell(prefix: str, in_size: int, hidden: int) -> CellParams:
         return CellParams(
@@ -186,10 +184,10 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
 
     def buffer(name: str, shape: tuple[int, ...], kind: str) -> np.ndarray:
         if kind == "weight":
-            return rng.uniform(-0.1, 0.1, shape).astype(dtype)
-        return _cell_bias(shape[0], dtype) if kind == "cell_bias" else np.zeros(shape, dtype)
+            return rng.uniform(-0.1, 0.1, shape)
+        return _cell_bias(shape[0]) if kind == "cell_bias" else np.zeros(shape)
 
-    return _build_params(config, buffer)
+    return _build_params(config, dtype, buffer)
 
 
 def clone_params(params: ModelParams) -> ModelParams:
@@ -215,16 +213,24 @@ def clone_params(params: ModelParams) -> ModelParams:
 
 
 def params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
-    """Rebuild ModelParams from named arrays (e.g. a loaded checkpoint)."""
+    """Rebuild float32 ModelParams from named arrays in the canonical layout
+    (e.g. a loaded checkpoint); the arrays are copied, not kept."""
 
     def buffer(name: str, shape: tuple[int, ...], kind: str) -> np.ndarray:
         if name not in arrays:
             raise ValueError(f"missing tensor {name!r}")
         if arrays[name].shape != shape:
             raise ValueError(f"tensor {name!r}: expected shape {shape}, got {arrays[name].shape}")
-        return np.ascontiguousarray(arrays[name])
+        return arrays[name]
 
-    return _build_params(config, buffer)
+    return _build_params(config, np.float32, buffer)
+
+
+def canonical_arrays(params: ModelParams) -> dict[str, np.ndarray]:
+    """Named parameter arrays in the canonical layout, as views: the inverse
+    of `params_from_arrays`."""
+    return {name: t.data.T if name.endswith(TRANSPOSED) else t.data
+            for name, t in params.named()}
 
 
 # --- forward computation -----------------------------------------------------

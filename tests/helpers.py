@@ -10,7 +10,14 @@ import numpy as np
 from polyg2p import autodiff as ad
 from polyg2p.corpus import BOS_ID, EOS_ID, PAD_ID, RESERVED, UNK_ID, Vocabulary
 from polyg2p.decoding import NBestEntry
-from polyg2p.model import ModelConfig, decode_step, encode, init_params, initial_state
+from polyg2p.model import (
+    TRANSPOSED,
+    ModelConfig,
+    decode_step,
+    encode,
+    init_params,
+    initial_state,
+)
 
 
 def rel_err(a: np.ndarray, b: np.ndarray, guard: float = 1e-5) -> float:
@@ -57,7 +64,8 @@ def _sig(x: float) -> float:
 
 
 def scalar_cell_step(x, h, c, w_in, w_rec, bias):
-    """LSTM step in plain python floats, gates ordered i,f,g,o."""
+    """LSTM step in plain python floats, gates ordered i,f,g,o; weights are
+    nested lists in the canonical [4h x in] and [4h x h] layout."""
     hidden = len(h)
     pre = []
     for r in range(4 * hidden):
@@ -85,27 +93,30 @@ class OracleModel:
 
     Reads parameter buffers into nested lists and recomputes encoder
     annotations, attention, and per-step output distributions with explicit
-    loops, for cross-checking the vectorized implementation.
+    loops, for cross-checking the vectorized implementation. Weight matrices
+    are read in the canonical [out x in] layout, the transpose of the
+    [in x out] arrays the model multiplies by.
     """
 
     def __init__(self, params, config):
         self.config = config
         as_list = lambda t: t.data.tolist()
+        canonical = lambda t: t.data.T.tolist()
         self.src_emb = as_list(params.src_embedding)
         self.tgt_emb = as_list(params.tgt_embedding)
         self.encoder = [
-            {d: (as_list(layer[d].input_weights), as_list(layer[d].recurrent_weights),
+            {d: (canonical(layer[d].input_weights), canonical(layer[d].recurrent_weights),
                  as_list(layer[d].bias)) for d in ("fwd", "bwd")}
             for layer in params.encoder
         ]
         self.decoder = [
-            (as_list(c.input_weights), as_list(c.recurrent_weights), as_list(c.bias))
+            (canonical(c.input_weights), canonical(c.recurrent_weights), as_list(c.bias))
             for c in params.decoder
         ]
         self.w_score = as_list(params.attention.score_weights)
-        self.w_out = as_list(params.attention.output_weights)
+        self.w_out = canonical(params.attention.output_weights)
         self.b_out = as_list(params.attention.output_bias)
-        self.w_gen = as_list(params.generator_weights)
+        self.w_gen = canonical(params.generator_weights)
         self.b_gen = as_list(params.generator_bias)
 
     def encode(self, src_ids):
@@ -242,6 +253,36 @@ def tiny_model(
         **kwargs,
     )
     return config, init_params(config, seed=seed, dtype=dtype)
+
+
+def in_x_out_shapes(config) -> dict[str, tuple[int, int]]:
+    """The in-memory [in x out] shape of every weight matrix that multiplies
+    activations; checkpoints hold each one as [out x in]."""
+    h, half = config.hidden_size, config.hidden_size // 2
+    shapes = {}
+    for layer in range(config.enc_layers):
+        in_size = config.src_embed if layer == 0 else h
+        for direction in ("fwd", "bwd"):
+            shapes[f"encoder.l{layer}.{direction}.input_weights"] = (in_size, 4 * half)
+            shapes[f"encoder.l{layer}.{direction}.recurrent_weights"] = (half, 4 * half)
+    for layer in range(config.dec_layers):
+        in_size = h if layer else config.tgt_embed + (h if config.input_feeding else 0)
+        shapes[f"decoder.l{layer}.input_weights"] = (in_size, 4 * h)
+        shapes[f"decoder.l{layer}.recurrent_weights"] = (h, 4 * h)
+    shapes["attention.output_weights"] = (2 * h, h)
+    shapes["generator.weights"] = (h, config.tgt_vocab_size)
+    return shapes
+
+
+def assert_in_x_out(params, config) -> None:
+    """Every weight matrix in `in_x_out_shapes` is C-contiguous [in x out],
+    and `model.TRANSPOSED` names exactly those."""
+    shapes = in_x_out_shapes(config)
+    named = dict(params.named())
+    assert {name for name in named if name.endswith(TRANSPOSED)} == set(shapes)
+    for name, shape in shapes.items():
+        assert named[name].data.shape == shape, name
+        assert named[name].data.flags.c_contiguous, name
 
 
 def toy_tgt_vocab(n_phonemes: int) -> Vocabulary:

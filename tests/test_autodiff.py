@@ -15,19 +15,25 @@ def f64(*shape, rng=None, scale=1.0):
     return Tensor(rng.uniform(-scale, scale, shape).astype(np.float64))
 
 
-# ad.linear (x @ w.T) is the general matrix product op
+def f64_weight(rows, cols, rng):
+    """The draws of f64(rows, cols) for an [out x in] weight, stored [in x out]
+    as `ad.linear` and the LSTM ops read it."""
+    return Tensor(np.ascontiguousarray(f64(rows, cols, rng=rng).data.T))
+
+
+# ad.linear (x @ w, w stored [in x out]) is the general matrix product op
 
 
 def test_matmul_identity():
     eye = Tensor(np.eye(2))
     m = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(ad.linear(eye, m).data, m.data.T)
+    assert np.array_equal(ad.linear(eye, m).data, m.data)
     assert np.array_equal(ad.linear(m, eye).data, m.data)
 
 
 def test_matmul_row_times_column():
     a = Tensor(np.array([[1.0, 2.0]]))
-    b = Tensor(np.array([[3.0, 4.0]]))  # the column [3, 4], stored as w's row
+    b = Tensor(np.array([[3.0], [4.0]]))  # the column [3, 4]
     assert ad.linear(a, b).data == np.array([[11.0]])
 
 
@@ -38,13 +44,13 @@ def test_matmul_shape_mismatch_names_shapes():
 
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
-    a, b = f64(3, 4, rng=rng), f64(2, 4, rng=rng)
+    a, b = f64(3, 4, rng=rng), f64_weight(2, 4, rng)
     with Tape() as tape:
         loss = weighted_sum((ad.tanh(ad.linear(a, b)), 1.0))
         tape.backward(loss)
 
     def loss_fn():
-        return float(np.tanh(a.data @ b.data.T).sum())
+        return float(np.tanh(a.data @ b.data).sum())
 
     assert rel_err(a.grad, finite_difference(loss_fn, a)) <= 1e-5
     assert rel_err(b.grad, finite_difference(loss_fn, b)) <= 1e-5
@@ -56,7 +62,7 @@ def test_tanh_and_sigmoid_at_zero():
     # candidate tanh(0) is 0: c' = 0.5*c and h' = 0.5*tanh(c')
     c = np.array([[0.8, -0.4]])
     zeros = lambda *shape: Tensor(np.zeros(shape))
-    h1, c1 = ad.lstm_step(zeros(1, 3), zeros(1, 2), Tensor(c), zeros(8, 3), zeros(8, 2), zeros(8))
+    h1, c1 = ad.lstm_step(zeros(1, 3), zeros(1, 2), Tensor(c), zeros(3, 8), zeros(2, 8), zeros(8))
     assert np.array_equal(c1.data, 0.5 * c)
     assert np.array_equal(h1.data, 0.5 * np.tanh(0.5 * c))
 
@@ -207,12 +213,14 @@ def test_backward_identity():
 
 
 def test_backward_sum_of_squares():
-    # x @ x.T reads x through both operands; both gradients accumulate
-    x = Tensor(np.array([[1.0, 2.0]]))
+    # x @ x reads x through both operands; both gradients accumulate. The
+    # gradient of sum(x @ x) at [a, b] is column sum a plus row sum b of x;
+    # x is not symmetric, so a transposed input or weight gradient fails
+    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with Tape() as tape:
         loss = weighted_sum((ad.linear(x, x), 1.0))
         tape.backward(loss)
-    assert np.allclose(x.grad, [[2.0, 4.0]])
+    assert np.allclose(x.grad, [[7.0, 11.0], [9.0, 13.0]])
 
 
 def test_backward_requires_scalar_loss():
@@ -252,13 +260,13 @@ def test_concat_gradients():
 
 def test_linear_matches_manual_composition():
     rng = np.random.default_rng(15)
-    x, w, b = f64(3, 4, rng=rng), f64(5, 4, rng=rng), f64(5, rng=rng)
+    x, w, b = f64(3, 4, rng=rng), f64_weight(5, 4, rng), f64(5, rng=rng)
     out = ad.linear(x, w, b)
-    assert np.allclose(out.data, x.data @ w.data.T + b.data)
+    assert np.allclose(out.data, x.data @ w.data + b.data)
     with Tape() as tape:
         loss = weighted_sum((ad.linear(x, w, b), 1.0))
         tape.backward(loss)
-    fd = finite_difference(lambda: float((x.data @ w.data.T + b.data).sum()), w)
+    fd = finite_difference(lambda: float((x.data @ w.data + b.data).sum()), w)
     assert rel_err(w.grad, fd) <= 1e-5
     assert np.allclose(b.grad, 3.0)
 
@@ -365,9 +373,11 @@ def _check_gradients(loss_of, tensors):
 
 
 def _cell_weights(rng, in_size, hidden):
+    """Weights drawn [4h x in] and [4h x h], stored [in x 4h] and [h x 4h]."""
     names = ("input_weights", "recurrent_weights", "bias")
     shapes = ((4 * hidden, in_size), (4 * hidden, hidden), (4 * hidden,))
-    return [Tensor(rng.uniform(-0.7, 0.7, s), name=n) for n, s in zip(names, shapes)]
+    return [Tensor(np.ascontiguousarray(rng.uniform(-0.7, 0.7, s).T), name=n)
+            for n, s in zip(names, shapes)]
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -441,12 +451,12 @@ def test_attention_shared_source_equals_repeated_source():
 
 def test_fused_ops_reject_mismatched_shapes():
     z = lambda *shape: Tensor(np.zeros(shape))
-    with pytest.raises(ValueError, match=r"LSTM shape mismatch.*\(8, 2\)"):
-        ad.lstm_step(z(1, 3), z(1, 2), z(1, 2), z(8, 2), z(8, 2), z(8))
+    with pytest.raises(ValueError, match=r"LSTM shape mismatch.*\(2, 8\)"):
+        ad.lstm_step(z(1, 3), z(1, 2), z(1, 2), z(2, 8), z(2, 8), z(8))
     with pytest.raises(ValueError, match="state shape"):
-        ad.lstm_step(z(1, 3), z(2, 2), z(2, 2), z(8, 3), z(8, 2), z(8))
+        ad.lstm_step(z(1, 3), z(2, 2), z(2, 2), z(3, 8), z(2, 8), z(8))
     with pytest.raises(ValueError, match="mask shape"):
-        ad.lstm_sequence(z(2, 4, 3), np.ones((2, 3)), z(8, 3), z(8, 2), z(8))
+        ad.lstm_sequence(z(2, 4, 3), np.ones((2, 3)), z(3, 8), z(2, 8), z(8))
     with pytest.raises(ValueError, match="attention shape mismatch"):
         ad.attention(z(3, 4), z(2, 5, 4), np.zeros((2, 5)), z(4, 4))
     with pytest.raises(ValueError, match="empty source"):

@@ -1,7 +1,12 @@
+import hashlib
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import tiny_model, toy_tgt_vocab
+from helpers import assert_in_x_out, in_x_out_shapes, tiny_model, toy_tgt_vocab
 from polyg2p.checkpoint import MAGIC, ModelBundle, load_checkpoint, save_checkpoint
 from polyg2p.corpus import RESERVED, Vocabulary
 
@@ -68,3 +73,39 @@ def test_checkpoint_version_guard(tmp_path):
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(bad)
     assert bytes(raw[:4]) == MAGIC
+
+
+def _manifest(raw: bytes) -> dict[str, tuple[int, ...]]:
+    """Tensor names and dims from a checkpoint's header."""
+    (count,) = struct.unpack_from("<I", raw, 8)
+    offset, manifest = 12, {}
+    for _ in range(count):
+        (length,) = struct.unpack_from("<I", raw, offset)
+        name = raw[offset + 4 : offset + 4 + length].decode("utf-8")
+        (rank,) = struct.unpack_from("<I", raw, offset + 4 + length)
+        offset += 8 + length
+        manifest[name] = struct.unpack_from(f"<{rank}Q", raw, offset)
+        offset += 8 * rank
+    return manifest
+
+
+def test_checkpoint_holds_weight_matrices_out_x_in(tmp_path):
+    bundle = _bundle(seed=5)
+    path = tmp_path / "model.mg2p"
+    save_checkpoint(path, bundle)
+    manifest = _manifest(path.read_bytes())
+    transposed = in_x_out_shapes(bundle.config)
+    assert list(manifest) == [name for name, _ in bundle.params.named()]
+    for name, tensor in bundle.params.named():
+        want = transposed[name][::-1] if name in transposed else tensor.data.shape
+        assert manifest[name] == want, name
+    loaded = load_checkpoint(path)
+    assert_in_x_out(loaded.params, loaded.config)
+
+
+def test_fixture_checkpoint_resaves_to_recorded_bytes(tmp_path):
+    fixture = Path(__file__).resolve().parent.parent / "bench" / "fixture"
+    record = json.loads((fixture / "fixture.json").read_text(encoding="utf-8"))
+    path = tmp_path / "resaved.mg2p"
+    save_checkpoint(path, load_checkpoint(fixture / record["checkpoint"]))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == record["sha256"]

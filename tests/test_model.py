@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from helpers import OracleModel, scalar_cell_step, tiny_model
+from helpers import OracleModel, assert_in_x_out, scalar_cell_step, tiny_model
 from polyg2p import autodiff as ad
 from polyg2p.autodiff import Tape, Tensor
 from polyg2p.corpus import EOS_ID, PAD_ID
@@ -12,6 +13,7 @@ from polyg2p.model import (
     ModelConfig,
     TrainingSchedule,
     attend,
+    canonical_arrays,
     clone_params,
     decode_step,
     encode,
@@ -25,8 +27,8 @@ from polyg2p.model import (
 
 def _zero_cell(in_size, hidden):
     return CellParams(
-        input_weights=Tensor(np.zeros((4 * hidden, in_size))),
-        recurrent_weights=Tensor(np.zeros((4 * hidden, hidden))),
+        input_weights=Tensor(np.zeros((in_size, 4 * hidden))),
+        recurrent_weights=Tensor(np.zeros((hidden, 4 * hidden))),
         bias=Tensor(np.zeros(4 * hidden)),
     )
 
@@ -54,9 +56,9 @@ def test_cell_step_saturated_gates_carry_memory():
 
 def test_cell_step_matches_scalar_oracle():
     rng = np.random.default_rng(5)
-    cell = CellParams(
-        input_weights=Tensor(rng.uniform(-0.5, 0.5, (16, 3))),
-        recurrent_weights=Tensor(rng.uniform(-0.5, 0.5, (16, 4))),
+    cell = CellParams(  # drawn [4h x in] and [4h x h], stored transposed
+        input_weights=Tensor(np.ascontiguousarray(rng.uniform(-0.5, 0.5, (16, 3)).T)),
+        recurrent_weights=Tensor(np.ascontiguousarray(rng.uniform(-0.5, 0.5, (16, 4)).T)),
         bias=Tensor(rng.uniform(-0.5, 0.5, 16)),
     )
     x = rng.uniform(-1, 1, 3)
@@ -65,8 +67,8 @@ def test_cell_step_matches_scalar_oracle():
     h1, c1 = ad.lstm_step(Tensor(x[None]), Tensor(h0[None]), Tensor(c0[None]),
                           cell.input_weights, cell.recurrent_weights, cell.bias)
     oh, oc = scalar_cell_step(x.tolist(), h0.tolist(), c0.tolist(),
-                              cell.input_weights.data.tolist(),
-                              cell.recurrent_weights.data.tolist(),
+                              cell.input_weights.data.T.tolist(),
+                              cell.recurrent_weights.data.T.tolist(),
                               cell.bias.data.tolist())
     assert np.allclose(h1.data[0], oh, atol=1e-6)
     assert np.allclose(c1.data[0], oc, atol=1e-6)
@@ -86,8 +88,8 @@ def test_encode_palindrome_symmetry():
     half = config.hidden_size // 2
     for layer_idx, layer in enumerate(params.encoder):
         if layer_idx > 0:
-            w = layer["fwd"].input_weights.data
-            w[:, half:] = w[:, :half]
+            w = layer["fwd"].input_weights.data  # [in x 4h]
+            w[half:] = w[:half]
         for field in ("input_weights", "recurrent_weights", "bias"):
             getattr(layer["bwd"], field).data = getattr(layer["fwd"], field).data.copy()
     encoded = encode([[4, 5, 4]], params, config)
@@ -162,7 +164,7 @@ def test_attend_matches_brute_force_sum():
 
     att = AttentionParams(
         score_weights=Tensor(rng.uniform(-1, 1, (h, h))),
-        output_weights=Tensor(rng.uniform(-1, 1, (h, 2 * h))),
+        output_weights=Tensor(rng.uniform(-1, 1, (2 * h, h))),
         output_bias=Tensor(np.zeros(h)),
     )
     ann = rng.uniform(-1, 1, (1, length, h))
@@ -325,7 +327,7 @@ def test_clone_params_is_independent_copy():
 
 def test_params_from_arrays_rejects_missing_or_misshapen_tensor():
     config, params = tiny_model(seed=19)
-    arrays = {name: t.data for name, t in params.named()}
+    arrays = canonical_arrays(params)
     rebuilt = params_from_arrays(config, arrays)
     assert all(np.array_equal(a.data, b.data) for a, b in zip(rebuilt.tensors(), params.tensors()))
     missing = {k: v for k, v in arrays.items() if k != "decoder.l1.bias"}
@@ -334,6 +336,48 @@ def test_params_from_arrays_rejects_missing_or_misshapen_tensor():
     misshapen = {**arrays, "attention.score_weights": np.zeros((8, 7), np.float32)}
     with pytest.raises(ValueError, match=r"'attention.score_weights': expected shape \(8, 8\)"):
         params_from_arrays(config, misshapen)
+
+
+def test_weight_matrices_are_stored_in_x_out():
+    for kwargs in ({}, {"enc_layers": 1, "dec_layers": 3, "input_feeding": False}):
+        for dtype in (np.float32, np.float64):
+            config, params = tiny_model(seed=19, dtype=dtype, **kwargs)
+            assert_in_x_out(params, config)
+            assert_in_x_out(clone_params(params), config)
+    config, params = tiny_model(seed=19)
+    pairs = [([4, 5], [4]), ([5, 6], [5, 6])]
+    result = train_model(pairs, pairs[:1], config,
+                         TrainingSchedule(epochs=1, batch_size=2, lr=0.5, seed=3), params=params)
+    assert_in_x_out(result.params, config)
+    assert_in_x_out(result.best_params, config)
+
+
+# SHA-256 of init_params(config, seed=7)'s canonical arrays (name, shape and
+# bytes of each, in `named` order), recorded before weights were stored
+# [in x out]: the layout must not change what a seed initializes.
+INIT_HASHES = {
+    ("small", "float32"): "b565d664fe6da43896fce7c9c97b3428b6415341daa0539b59d08cb538829606",
+    ("small", "float64"): "4dcdaeb0ed5b1521fe739b4595a209bf3899cc19e7f5cacdd8bbcc4294ce6cde",
+    ("deep", "float32"): "3f74bf63e155b1e1061798fe05f1bf9fa75c849592443ec37d79c609d7023c5a",
+    ("deep", "float64"): "86d0b90ee215b1b27881b2480851385348dbe4addc63289251bc4c252c9ccf1c",
+}
+
+
+@pytest.mark.parametrize("name,dtype", sorted(INIT_HASHES))
+def test_init_params_canonical_arrays_match_recorded_hashes(name, dtype):
+    fields = {
+        "small": dict(src_vocab_size=10, tgt_vocab_size=9, hidden_size=8, src_embed=6,
+                      tgt_embed=5),
+        "deep": dict(src_vocab_size=30, tgt_vocab_size=20, hidden_size=12, src_embed=7,
+                     tgt_embed=9, enc_layers=1, dec_layers=3, input_feeding=False),
+    }[name]
+    params = init_params(ModelConfig(**fields), seed=7, dtype=np.dtype(dtype))
+    digest = hashlib.sha256()
+    for tensor_name, array in canonical_arrays(params).items():
+        digest.update(tensor_name.encode())
+        digest.update(str(array.shape).encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == INIT_HASHES[name, dtype]
 
 
 def test_dropout_changes_training_forward_only():
