@@ -8,56 +8,17 @@ does not. Prints held-out WER per language for both. The token variant
 should solve the task; the blind variant cannot tell the languages apart.
 """
 
-import argparse
-
-from polyg2p.corpus import build_vocab, encode_pairs, split_train_val
-from polyg2p.decoding import greedy_decode
-from polyg2p.model import ModelConfig, TrainingSchedule, train_model
-from polyg2p.synth import conflicting_bilingual_corpus
-
-
-def run_variant(split, lang_token, args):
-    src_vocab = build_vocab(split.train, "source", lang_tokens=lang_token)
-    tgt_vocab = build_vocab(split.train, "target")
-    pairs = encode_pairs(split.train, src_vocab, tgt_vocab, lang_token)
-    val_pairs = encode_pairs(split.validation, src_vocab, tgt_vocab, lang_token)
-    config = ModelConfig(len(src_vocab), len(tgt_vocab), hidden_size=args.hidden,
-                         src_embed=args.hidden, tgt_embed=args.hidden, dropout=0.0)
-    schedule = TrainingSchedule(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
-                                clip=5.0, seed=args.seed)
-    result = train_model(pairs, val_pairs, config, schedule)
-
-    scores = {}
-    for lang in sorted({e.lang for e in split.validation}):
-        held_out = [e for e in split.validation if e.lang == lang]
-        wrong = sum(
-            greedy_decode(src_vocab.encode(e.source_tokens(lang_token)),
-                          result.params, config, tgt_vocab)[0] != e.phonemes
-            for e in held_out
-        )
-        scores[lang] = 100.0 * wrong / len(held_out)
-    return scores, result.history[-1]
+from polyg2p.synth import bilingual_split, held_out_wer, train_bilingual
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--words", type=int, default=200)
-    parser.add_argument("--hidden", type=int, default=64)
-    parser.add_argument("--epochs", type=int, default=150)
-    parser.add_argument("--batch", type=int, default=8)
-    parser.add_argument("--lr", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=29)
-    args = parser.parse_args()
-
-    entries = conflicting_bilingual_corpus(args.words, seed=7)
-    split = split_train_val(entries, val_fraction=0.1, seed=5)
+    split = bilingual_split()
     print(f"corpus: {len(split.train)} train / {len(split.validation)} held-out words")
-
-    print("variant      " + "".join(f"{lang:>10}" for lang in ("aaa", "bbb")) + "  final loss")
+    langs = sorted({e.lang for e in split.validation})
+    print("variant      " + "".join(f"{lang:>10}" for lang in langs))
     for label, lang_token in (("LangID", True), ("NoLangID", False)):
-        scores, last = run_variant(split, lang_token, args)
-        row = "".join(f"{scores[lang]:>9.1f}%" for lang in sorted(scores))
-        print(f"{label:<13}{row}  {last.train_loss:10.4f}")
+        scores = held_out_wer(train_bilingual(split, lang_token), split)
+        print(f"{label:<13}" + "".join(f"{scores[lang]:>9.1f}%" for lang in langs))
 
 
 if __name__ == "__main__":

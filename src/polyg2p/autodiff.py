@@ -28,8 +28,9 @@ An op with several outputs records one packed node whose data holds all of
 them, plus one view node per output. A view's backward scatters its gradient
 into the packed node's, which starts as zeros, so an output that gets no
 gradient (say a final cell state nothing reads) contributes zeros. Every node
-goes through `_record`, so `Tape(check_finite=True)` and `inference_mode`
-treat fused ops like any other.
+goes through `_record`, so `inference_mode` treats fused ops like any other.
+`log_softmax` is a plain array function, no node: the loss and inference
+decoding share it. `model.train_model` owns the non-finite check.
 
 A Tape is single-threaded; distinct tapes over shared read-only parameters
 may run on different threads. Training is float32 by default; building
@@ -79,9 +80,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor{label}(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -90,9 +88,8 @@ class Tensor:
 class Tape:
     """Append-only record of op nodes; backward walks it in reverse."""
 
-    def __init__(self, check_finite: bool = False):
+    def __init__(self):
         self.nodes: list[Tensor] = []
-        self.check_finite = check_finite
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -136,8 +133,6 @@ def _record(data: np.ndarray, inputs: tuple, backward: Callable) -> Tensor:
     out = Tensor(data)
     tape = active_tape()
     if tape is not None:
-        if tape.check_finite and not np.all(np.isfinite(data)):
-            raise FloatingPointError("non-finite values in forward op output")
         out._inputs = inputs
         out._backward = backward
         tape.nodes.append(out)
@@ -219,15 +214,11 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 # --- normalizations ----------------------------------------------------------
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of a plain array; records no node."""
+    z = x - x.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - lse
-
-    def backward(g):
-        _accumulate(x, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
-
-    return _record(out, (x,), backward)
+    return z - lse
 
 
 # --- recurrent cells and attention -------------------------------------------
@@ -462,14 +453,13 @@ def cross_entropy(logits: Tensor, targets, pad_index: int) -> Tensor:
     n_live = int(live.sum())
     if n_live == 0:
         raise ValueError("empty target: all positions are padding")
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    log_probs = log_softmax(logits.data)
     rows = np.arange(len(targets))
-    picked = z[rows, targets] - lse[:, 0]
+    picked = log_probs[rows, targets]
     loss = np.asarray(-picked[live].sum() / n_live, dtype=logits.data.dtype)
 
     def backward(g):
-        grad = np.exp(z - lse)
+        grad = np.exp(log_probs)
         grad[rows, targets] -= 1.0
         grad[~live] = 0.0
         _accumulate(logits, grad * (g / n_live))
@@ -516,11 +506,9 @@ def clip_gradients(tensors: Sequence[Tensor], max_norm: float) -> float:
                 t.grad *= scale
     return norm
 
+
 def sgd_step(tensors: Sequence[Tensor], lr: float) -> None:
-    """In-place w <- w - lr*g. Aborts (no tensor touched) on non-finite grads."""
-    for t in tensors:
-        if t.grad is not None and not np.all(np.isfinite(t.grad)):
-            raise RuntimeError(f"non-finite gradient in {t.name or 'unnamed tensor'}; step aborted")
+    """In-place w <- w - lr*g."""
     for t in tensors:
         if t.grad is not None:
             t.data -= lr * t.grad

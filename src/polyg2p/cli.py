@@ -16,7 +16,8 @@ from pathlib import Path
 
 from . import analysis, metrics
 from .checkpoint import ModelBundle, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, apply_overrides, load_config, write_manifest
+from .config import (FIELDS, ConfigError, RunConfig, apply_overrides, comma_list, load_config,
+                     parse_bool, write_manifest)
 from .corpus import (
     DatasetSplit,
     LexiconEntry,
@@ -44,34 +45,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _comma_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """Every RunConfig field becomes an override flag; None means 'not given'."""
     parser.add_argument("--config", help="key = value config file or run manifest")
-    for field in dataclasses.fields(RunConfig):
-        flag = "--" + field.name.replace("_", "-")
-        hint = str(field.type)
-        if field.name == "language_filter":
-            parser.add_argument(flag, dest=field.name, type=_comma_list, default=None,
-                                help="comma-separated ISO 639-3 codes")
-        elif "bool" in hint:
-            parser.add_argument(flag, dest=field.name, action=argparse.BooleanOptionalAction,
+    for name, spec in FIELDS.items():
+        flag = "--" + name.replace("_", "-")
+        if spec.parse is parse_bool:
+            parser.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction,
                                 default=None)
-        elif "int" in hint:
-            parser.add_argument(flag, dest=field.name, type=int, default=None)
-        elif "float" in hint:
-            parser.add_argument(flag, dest=field.name, type=float, default=None)
         else:
-            parser.add_argument(flag, dest=field.name, default=None)
+            parser.add_argument(flag, dest=name, type=spec.parse, default=None)
 
 
 def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
-    return apply_overrides(config, overrides)
+    return apply_overrides(config, {name: getattr(args, name) for name in FIELDS})
 
 
 def _read_lexicon_file(path) -> tuple[list[LexiconEntry], int]:
@@ -330,21 +318,21 @@ def cmd_analyze(args) -> int:
         if args.mode == "phonemes":
             if not args.query:
                 raise UserError("phonemes mode needs --query")
-            for symbol in _comma_list(args.query):
+            for symbol in comma_list(args.query):
                 result = analysis.nearest_phonemes(symbol, args.k, bundle)
                 line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
                 out_fh.write(f"{symbol}\t{line}\n")
         elif args.mode == "languages":
             if not args.query:
                 raise UserError("languages mode needs --query")
-            for code in _comma_list(args.query):
+            for code in comma_list(args.query):
                 result = analysis.nearest_languages(code, args.k, bundle)
                 line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
                 out_fh.write(f"{code}\t{line}\n")
         elif args.mode == "crosstoken":
             if not args.word or not args.langs:
                 raise UserError("crosstoken mode needs --word and --langs")
-            table = analysis.translate_as(args.word, _comma_list(args.langs), bundle,
+            table = analysis.translate_as(args.word, comma_list(args.langs), bundle,
                                           width=args.width if args.width is not None else 10)
             for lang, phones in table.items():
                 out_fh.write(f"{lang}\t{' '.join(phones)}\n")

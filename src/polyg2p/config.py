@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .model import ModelConfig, TrainingSchedule
 
@@ -74,41 +75,52 @@ class RunConfig:
             lr_decay_start=self.lr_decay_start,
         )
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-
 
 class ConfigError(ValueError):
     pass
 
 
+def parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "1", "on"):
+        return True
+    if raw.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def comma_list(raw: str) -> list[str]:
+    return [part.strip() for part in raw.split(",") if part.strip()]
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    parse: Callable[[str], object]  # raises ValueError on a malformed value
+    optional: bool                  # whether `none` (or an empty value) clears it
+
+
+_PARSERS = {"int": int, "float": float, "bool": parse_bool, "str": str, "list[str]": comma_list}
+
+# One row per RunConfig field, read by `load_config` and by the CLI's flags.
+FIELDS = {
+    f.name: FieldSpec(_PARSERS[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
+    for f in dataclasses.fields(RunConfig)
+}
+
+
 def _parse_value(name: str, raw: str):
     """Coerce a raw string to the field's type; 'none' clears optional fields."""
-    if name not in _FIELDS:
+    if name not in FIELDS:
         raise ConfigError(f"unknown config key {name!r}")
+    spec = FIELDS[name]
     raw = raw.strip()
     if raw.lower() in ("none", ""):
+        if not spec.optional:
+            raise ConfigError(f"{name}: needs a value, got {raw!r}")
         return None
-    if name == "language_filter":
-        return [part.strip() for part in raw.split(",") if part.strip()]
-    hint = _FIELDS[name].type
-    if "bool" in hint:
-        if raw.lower() in ("true", "yes", "1", "on"):
-            return True
-        if raw.lower() in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
     try:
-        if "int" in hint:
-            return int(raw)
-        if "float" in hint:
-            return float(raw)
+        return spec.parse(raw)
     except ValueError:
         raise ConfigError(f"{name}: cannot parse {raw!r}") from None
-    return raw
 
 
 def load_config(path) -> RunConfig:
@@ -117,9 +129,12 @@ def load_config(path) -> RunConfig:
     if text.lstrip().startswith("{"):
         data = json.loads(text)
         values = data.get("config", data)
-        unknown = set(values) - set(_FIELDS)
+        unknown = set(values) - set(FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        cleared = sorted(k for k, v in values.items() if v is None and not FIELDS[k].optional)
+        if cleared:
+            raise ConfigError(f"{path}: keys that need a value: {cleared}")
         return RunConfig(**values)
     config = RunConfig()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -130,7 +145,10 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
         name, _, value = line.partition("=")
         name = name.strip()
-        setattr(config, name, _parse_value(name, value))
+        try:
+            setattr(config, name, _parse_value(name, value))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from None
     return config
 
 
@@ -157,7 +175,7 @@ def write_manifest(path, command: str, config: RunConfig, inputs: dict[str, str]
 
     manifest = {
         "command": command,
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "inputs": {name: file_sha256(p) for name, p in inputs.items()},
         "outputs": outputs,
         "version": __version__,

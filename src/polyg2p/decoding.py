@@ -1,8 +1,9 @@
 """Greedy and beam-search decoding with n-best output.
 
 Hypotheses are ranked by cumulative log-probability with no length
-normalization. Ties are broken by earlier completion step, then
-lexicographically by token ids, so n-best lists are deterministic.
+normalization, the paper's one ranking rule. Ties are broken by earlier
+completion step, then lexicographically by token ids, so n-best lists are
+deterministic.
 PAD/BOS/UNK are never proposed; a hypothesis finishes when it emits EOS and
 is finalized as-is (flagged truncated) if it reaches max_len first.
 
@@ -14,7 +15,8 @@ keeps every candidate tied with the width-th best score, and ranks the
 finished rows and the candidates with one `np.lexsort` on the ranking
 contract; the next state is the new state gathered at the survivors' parent
 rows. `greedy_decode` is a separate argmax loop, the independent width-1
-reference that tests compare `beam_search` against.
+reference that tests compare `beam_search` against. All three decoders, with
+`score_sequence`, run `decode_step` under `ad.inference_mode`.
 """
 
 from __future__ import annotations
@@ -64,12 +66,8 @@ def beam_search(
     tgt_vocab: Vocabulary,
     width: int = 100,
     max_len: int | None = None,
-    length_normalize: bool = False,
 ) -> list[NBestEntry]:
-    """N-best beam search over phoneme sequences for one source sequence.
-
-    With `length_normalize`, pruning and ranking use log_prob per generated
-    token instead of the raw sum; reported log_probs stay cumulative."""
+    """N-best beam search over phoneme sequences for one source sequence."""
     if not src_ids:
         raise ValueError("empty source")
     if width < 1:
@@ -97,7 +95,7 @@ def beam_search(
             # the one-row encoding serves every live hypothesis
             log_probs, new_state = decode_step(paths[live, step - 1], state, encoded,
                                                params, config)
-            cand = log_probs.data + scores[live, None]
+            cand = log_probs + scores[live, None]
             cand[:, list(_BANNED)] = -np.inf
 
             flat = cand.ravel()
@@ -116,12 +114,9 @@ def beam_search(
             pool_done = np.concatenate(
                 [done[finished], np.where(token == EOS_ID, step, live_done)])
 
-            rank_scores = pool_scores
-            if length_normalize:  # per generated token: a live row has generated `step`
-                rank_scores = pool_scores / np.minimum(pool_done, step)
             # ranking contract: score, then completion step, then token ids; paths of
             # equal completion step have equal length, so columns 1..step decide
-            order = np.lexsort((*pool_paths[:, step:0:-1].T, pool_done, -rank_scores))[:width]
+            order = np.lexsort((*pool_paths[:, step:0:-1].T, pool_done, -pool_scores))[:width]
             paths, scores, done = pool_paths[order], pool_scores[order], pool_done[order]
             # live survivors are all candidates, which follow the finished rows in the pool
             state = _gather(new_state, parent[order[done == live_done] - finished.size])
@@ -156,7 +151,7 @@ def greedy_decode(
         total = 0.0
         for _ in range(max_len):
             log_probs, state = decode_step(prev, state, encoded, params, config)
-            row = log_probs.data[0].copy()
+            row = log_probs[0]
             row[list(_BANNED)] = -np.inf
             tok = int(row.argmax())
             total += float(row[tok])
@@ -186,7 +181,7 @@ def score_sequence(
         for gold in golds:
             log_probs, state = decode_step(np.array([prev], dtype=np.intp), state, encoded,
                                            params, config)
-            total += float(log_probs.data[0, gold])
+            total += float(log_probs[0, gold])
             prev = gold
     return total
 

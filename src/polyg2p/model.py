@@ -12,17 +12,18 @@ one `lstm_sequence` over the whole padded batch, after a single embedding
 lookup of the [B,S] id matrix. Input feeding keeps the decoder step by step:
 per step, one `lstm_step` per layer and one `attention`. `forward_loss` then
 runs the generator and the loss once over all steps' attentional vectors.
-`decode_step` runs the same `_decoder_step` as training, so inference has no
-second code path; a one-row `EncodedSource` can serve any number of decoder
-rows, since `attention` broadcasts it. Beam search passes all its live
-hypotheses as the rows of one `DecoderState` and reorders that state by
-gathering rows, so the model knows nothing of the beam.
+`decode_step` runs the same `_decoder_step` as training, without dropout, and
+the loss's `ad.log_softmax`, so inference has no second code path; a one-row
+`EncodedSource` can serve any number of decoder rows, since `attention`
+broadcasts it. Beam search passes all its live hypotheses as the rows of one
+`DecoderState` and reorders that state by gathering rows, so the model knows
+nothing of the beam.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .autodiff import Tensor
 from .corpus import BOS_ID, EOS_ID, PAD_ID
 
 GATE_ORDER = "input,forget,cell,output"
+POOL_FACTOR = 20  # batches per length-sorting window in `make_batches`
 
 
 @dataclass
@@ -366,17 +368,16 @@ def decode_step(
     encoded: EncodedSource,
     params: ModelParams,
     config: ModelConfig,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, DecoderState]:
-    """One decoder step; returns (log_probs [B, Vt], new state).
+) -> tuple[np.ndarray, DecoderState]:
+    """One inference step, without dropout, run under `ad.inference_mode`;
+    returns (log_probs [B, Vt] as a plain array, new state).
 
     `encoded` may hold one source row for all B decoder rows (a beam)."""
     prev_ids = np.asarray(prev_ids, dtype=np.intp)
     if prev_ids.size and prev_ids.max() >= config.tgt_vocab_size:
         raise IndexError("target id out of range")
-    new_state = _decoder_step(prev_ids, state, encoded, params, config, training, rng)
-    return ad.log_softmax(_generator(new_state.attn, params)), new_state
+    new_state = _decoder_step(prev_ids, state, encoded, params, config)
+    return ad.log_softmax(_generator(new_state.attn, params).data), new_state
 
 
 def forward_loss(
@@ -452,12 +453,11 @@ def make_batches(
     pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
     batch_size: int,
     rng: np.random.Generator,
-    pool_factor: int = 20,
 ) -> list[list[int]]:
-    """Shuffle, then sort by source length within windows of batch_size*pool_factor
+    """Shuffle, then sort by source length within windows of batch_size*POOL_FACTOR
     to limit padding while keeping batch composition stochastic."""
     order = list(rng.permutation(len(pairs)))
-    window = batch_size * pool_factor
+    window = batch_size * POOL_FACTOR
     batches: list[list[int]] = []
     for start in range(0, len(order), window):
         chunk = sorted(order[start : start + window], key=lambda i: len(pairs[i][0]))
@@ -503,7 +503,9 @@ def train_model(
     epoch_callback: Callable[[int, ModelParams, EpochStats], None] | None = None,
 ) -> TrainResult:
     """SGD training with per-epoch shuffling, length-bucketed batches, global-norm
-    gradient clipping, and an optional learning-rate decay.
+    gradient clipping, and an optional learning-rate decay. A batch whose loss
+    or global gradient norm is not finite raises RuntimeError naming the epoch
+    and batch, before the update, so no parameter is touched.
 
     Keeps (a copy of) the parameters with the best validation loss alongside the
     final ones. Deterministic for a fixed seed, config, and data.
@@ -529,10 +531,11 @@ def train_model(
             batch = [train_pairs[i] for i in batch_idx]
             with ad.Tape() as tape:
                 loss = forward_loss(batch, params, config, training=True, rng=dropout_rng)
-                if not np.isfinite(loss.data):
-                    raise RuntimeError(f"non-finite loss at epoch {epoch}, batch {batch_no}")
                 tape.backward(loss)
-            ad.clip_gradients(tensors, schedule.clip)
+            norm = ad.clip_gradients(tensors, schedule.clip)
+            if not (np.isfinite(loss.data) and math.isfinite(norm)):
+                raise RuntimeError(f"non-finite loss or gradient at epoch {epoch}, "
+                                   f"batch {batch_no}; no parameter was updated")
             ad.sgd_step(tensors, lr)
             ad.zero_grads(tensors)
             n = target_token_count(batch)

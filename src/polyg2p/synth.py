@@ -1,16 +1,22 @@
-"""Synthetic lexicons for desk-scale experiments.
+"""Synthetic lexicons and the desk-scale language-ID experiment.
 
 Two generators: a single-language memorization corpus (random spellings with
 random pronunciations) and a bilingual corpus in which both languages share
 the same spellings but map every letter to a different phoneme, so the
-pronunciation is ambiguous without knowing the language.
+pronunciation is ambiguous without knowing the language. The language-ID
+experiment on the latter, run by criterion 3 and
+`scripts/run_langid_experiment.py`, lives here too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .corpus import LexiconEntry, tokenize_graphemes
+from .checkpoint import ModelBundle
+from .corpus import (DatasetSplit, LexiconEntry, build_vocab, encode_pairs, split_train_val,
+                     tokenize_graphemes)
+from .decoding import greedy_decode
+from .model import ModelConfig, TrainingSchedule, train_model
 
 LETTERS = tuple("abcdefgh")
 PHONES_A = ("ɑ", "β", "ʃ", "ð", "ɛ", "ɸ", "ɣ", "χ")
@@ -60,3 +66,38 @@ def memorization_corpus(n_words: int = 50, seed: int = 11, lang: str = "mem") ->
         phones = tuple(PHONES_A[i] for i in rng.integers(0, len(PHONES_A), n_phones))
         entries.append(LexiconEntry(lang, tokenize_graphemes(word, lang, False), phones))
     return entries
+
+
+def bilingual_split() -> DatasetSplit:
+    """The language-ID experiment's data: 200 shared spellings in two languages,
+    10% of the entries held out."""
+    return split_train_val(conflicting_bilingual_corpus(200, seed=7), val_fraction=0.1, seed=5)
+
+
+def train_bilingual(split: DatasetSplit, lang_token: bool) -> ModelBundle:
+    """Train the experiment's model, with or without the `<lang>` source token:
+    h=64, no dropout, 150 epochs of batch-8 SGD at lr 1.0, clip 5, seed 29,
+    no validation set."""
+    src_vocab = build_vocab(split.train, "source", lang_tokens=lang_token)
+    tgt_vocab = build_vocab(split.train, "target")
+    pairs = encode_pairs(split.train, src_vocab, tgt_vocab, lang_token)
+    config = ModelConfig(len(src_vocab), len(tgt_vocab), hidden_size=64, src_embed=64,
+                         tgt_embed=64, dropout=0.0)
+    schedule = TrainingSchedule(epochs=150, batch_size=8, lr=1.0, clip=5.0, seed=29)
+    result = train_model(pairs, [], config, schedule)
+    return ModelBundle(result.params, config, src_vocab, tgt_vocab, {"lang_token": lang_token})
+
+
+def held_out_wer(bundle: ModelBundle, split: DatasetSplit) -> dict[str, float]:
+    """Greedy-decoding WER (%) on the held-out words, per language."""
+    use_lang = bundle.meta["lang_token"]
+    scores = {}
+    for lang in sorted({e.lang for e in split.validation}):
+        held_out = [e for e in split.validation if e.lang == lang]
+        wrong = 0
+        for entry in held_out:
+            src = bundle.src_vocab.encode(entry.source_tokens(use_lang))
+            tokens, _ = greedy_decode(src, bundle.params, bundle.config, bundle.tgt_vocab)
+            wrong += tokens != entry.phonemes
+        scores[lang] = 100.0 * wrong / len(held_out)
+    return scores

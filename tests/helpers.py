@@ -178,7 +178,7 @@ class OracleModel:
         return out
 
 
-def reference_beam(src, params, config, vocab, width, max_len, length_normalize=False):
+def reference_beam(src, params, config, vocab, width, max_len):
     """Plain per-hypothesis beam search, the pruning reference for `beam_search`.
 
     Each live hypothesis advances its own one-row decoder state. Candidates
@@ -188,8 +188,6 @@ def reference_beam(src, params, config, vocab, width, max_len, length_normalize=
 
     def key(hyp):
         tokens, score, _, finish = hyp
-        if length_normalize:
-            score = score / (len(tokens) - 1)
         return (-score, finish or max_len + 1, tokens)
 
     with ad.inference_mode():
@@ -202,7 +200,7 @@ def reference_beam(src, params, config, vocab, width, max_len, length_normalize=
             candidates = []
             for tokens, score, state, _ in live:
                 log_probs, new_state = decode_step([tokens[-1]], state, encoded, params, config)
-                for tok, lp in enumerate(log_probs.data[0].tolist()):
+                for tok, lp in enumerate(log_probs[0].tolist()):
                     if tok in (PAD_ID, BOS_ID, UNK_ID) or not math.isfinite(lp):
                         continue
                     finish = step if tok == EOS_ID else None

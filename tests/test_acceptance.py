@@ -25,8 +25,10 @@ from polyg2p.synth import (
     LETTERS,
     PHONES_A,
     PHONES_B,
-    conflicting_bilingual_corpus,
+    bilingual_split,
+    held_out_wer,
     memorization_corpus,
+    train_bilingual,
 )
 from polyg2p.analysis import translate_as
 
@@ -85,52 +87,21 @@ def test_criterion2_overfit_oracle():
 # --- criterion 3: the language-ID token resolves conflicting spelling rules ---
 
 
-def _train_bilingual(split, lang_token: bool):
-    src_vocab = build_vocab(split.train, "source", lang_tokens=lang_token)
-    tgt_vocab = build_vocab(split.train, "target")
-    pairs = encode_pairs(split.train, src_vocab, tgt_vocab, lang_token)
-    config = ModelConfig(len(src_vocab), len(tgt_vocab), hidden_size=64, src_embed=64,
-                         tgt_embed=64, dropout=0.0)
-    schedule = TrainingSchedule(epochs=150, batch_size=8, lr=1.0, clip=5.0, seed=29)
-    result = train_model(pairs, [], config, schedule)
-    return {
-        "config": config,
-        "params": result.params,
-        "src_vocab": src_vocab,
-        "tgt_vocab": tgt_vocab,
-        "lang_token": lang_token,
-    }
-
-
-def _held_out_wer(model, split):
-    scores = {}
-    for lang in ("aaa", "bbb"):
-        held_out = [e for e in split.validation if e.lang == lang]
-        wrong = 0
-        for entry in held_out:
-            src = model["src_vocab"].encode(entry.source_tokens(model["lang_token"]))
-            tokens, _ = greedy_decode(src, model["params"], model["config"], model["tgt_vocab"])
-            wrong += tokens != entry.phonemes
-        scores[lang] = 100.0 * wrong / len(held_out)
-    return scores
-
-
 @pytest.fixture(scope="session")
 def bilingual_experiment():
-    entries = conflicting_bilingual_corpus(200, seed=7)
-    split = split_train_val(entries, val_fraction=0.1, seed=5)
+    split = bilingual_split()
     return {
         "split": split,
-        "langid": _train_bilingual(split, True),
-        "nolangid": _train_bilingual(split, False),
+        "langid": train_bilingual(split, True),
+        "nolangid": train_bilingual(split, False),
     }
 
 
 def test_criterion3_langid_disambiguation(bilingual_experiment):
     started = time.monotonic()
     split = bilingual_experiment["split"]
-    with_token = _held_out_wer(bilingual_experiment["langid"], split)
-    without_token = _held_out_wer(bilingual_experiment["nolangid"], split)
+    with_token = held_out_wer(bilingual_experiment["langid"], split)
+    without_token = held_out_wer(bilingual_experiment["nolangid"], split)
 
     assert with_token["aaa"] <= 5.0 and with_token["bbb"] <= 5.0, with_token
     assert max(without_token.values()) >= 40.0, without_token
@@ -269,10 +240,8 @@ def test_criterion6_determinism_and_serialization(tmp_path):
 
 
 def test_criterion7_cross_token_translation(bilingual_experiment):
-    model = bilingual_experiment["langid"]
+    bundle = bilingual_experiment["langid"]
     split = bilingual_experiment["split"]
-    bundle = ModelBundle(model["params"], model["config"], model["src_vocab"],
-                         model["tgt_vocab"], {"lang_token": True})
     map_a = dict(zip(LETTERS, PHONES_A))
     map_b = dict(zip(LETTERS, PHONES_B))
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from polyg2p.cli import main
-from polyg2p.config import RunConfig, load_config
+from polyg2p.config import ConfigError, RunConfig, load_config
 
 LEXICON = (
     "aaa\tbaba\tβ ɑ β ɑ\n"
@@ -239,9 +239,31 @@ def test_config_file_roundtrip(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not_a_key = 1\n", encoding="utf-8")
-    with pytest.raises(Exception, match="unknown config key"):
+    cfg.write_text("# comment\nnot_a_key = 1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown config key") as err:
         load_config(cfg)
+    assert str(err.value).startswith(f"{cfg}:2: ")
+
+
+def test_config_parse_error_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("epochs = 2\nhidden_size = abc\n", encoding="utf-8")
+    assert main(["prepare", "--config", str(cfg), "--out", str(tmp_path / "prep")]) == 1
+    assert f"{cfg}:2: hidden_size: cannot parse 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("epochs", "epochs = none\n"),
+    ("checkpoint_dir", "checkpoint_dir = none\n"),
+    ("epochs", '{"config": {"epochs": null}}\n'),
+])
+def test_config_none_rejected_for_required_field(tmp_path, lexicon, capsys, name, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--train-lexicon", str(lexicon)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and name in err
 
 
 def test_manifest_is_a_valid_config(tmp_path, lexicon):

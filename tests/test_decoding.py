@@ -67,11 +67,9 @@ def test_beam_matches_pruned_per_hypothesis_reference():
     vocab = toy_tgt_vocab(5)
     for seed, src in ((21, [4, 6, 5]), (22, [7, 4])):
         config, params = tiny_model(seed=seed, tgt_vocab=len(vocab), dtype=np.float64)
-        for width, max_len, length_normalize in itertools.product(
-                (1, 2, 5, 12, 100), (2, 3, 4), (False, True)):
-            got = beam_search(src, params, config, vocab, width=width, max_len=max_len,
-                              length_normalize=length_normalize)
-            want = reference_beam(src, params, config, vocab, width, max_len, length_normalize)
+        for width, max_len in itertools.product((1, 2, 5, 12, 100), (2, 3, 4)):
+            got = beam_search(src, params, config, vocab, width=width, max_len=max_len)
+            want = reference_beam(src, params, config, vocab, width, max_len)
             assert [(e.phonemes, e.truncated) for e in got] == \
                 [(e.phonemes, e.truncated) for e in want]
             for g, w in zip(got, want):
@@ -184,25 +182,6 @@ def test_empty_source_errors():
             decode([4], params, config, vocab, max_len=0)
     with pytest.raises(ValueError, match="width"):
         beam_search([4], params, config, vocab, width=0)
-
-
-def test_length_normalized_ranking():
-    vocab = toy_tgt_vocab(4)
-    config, params = tiny_model(seed=11, tgt_vocab=len(vocab))
-    entries = beam_search([4, 5], params, config, vocab, width=12, max_len=4,
-                          length_normalize=True)
-
-    def normalized(entry):
-        steps = len(entry.phonemes) + (0 if entry.truncated else 1)
-        return entry.log_prob / max(steps, 1)
-
-    for a, b in zip(entries, entries[1:]):
-        assert normalized(a) >= normalized(b) - 1e-9
-    # raw scores are still reported, so they match rescoring as usual
-    for entry in entries:
-        rescored = score_sequence([4, 5], vocab.encode(entry.phonemes), params, config,
-                                  include_eos=not entry.truncated)
-        assert entry.log_prob == pytest.approx(rescored, abs=1e-5)
 
 
 def test_concurrent_decoding_over_shared_parameters():

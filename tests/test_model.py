@@ -8,6 +8,7 @@ from helpers import OracleModel, assert_in_x_out, scalar_cell_step, tiny_model
 from polyg2p import autodiff as ad
 from polyg2p.autodiff import Tape, Tensor
 from polyg2p.corpus import EOS_ID, PAD_ID
+from polyg2p.decoding import score_sequence
 from polyg2p.model import (
     CellParams,
     ModelConfig,
@@ -21,6 +22,7 @@ from polyg2p.model import (
     init_params,
     initial_state,
     params_from_arrays,
+    target_token_count,
     train_model,
 )
 
@@ -194,7 +196,7 @@ def test_decode_step_distribution_normalizes():
     config, params = tiny_model(seed=8)
     encoded = encode([[4, 5]], params, config)
     log_probs, _ = decode_step([2], initial_state(encoded, config), encoded, params, config)
-    assert np.exp(log_probs.data).sum() == pytest.approx(1.0, abs=1e-6)
+    assert np.exp(log_probs).sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_decode_step_zero_generator_gives_uniform():
@@ -203,7 +205,7 @@ def test_decode_step_zero_generator_gives_uniform():
     params.generator_bias.data[:] = 0.0
     encoded = encode([[4]], params, config)
     log_probs, _ = decode_step([2], initial_state(encoded, config), encoded, params, config)
-    assert np.allclose(log_probs.data, -math.log(7), atol=1e-6)
+    assert np.allclose(log_probs, -math.log(7), atol=1e-6)
 
 
 def test_decode_step_matches_unrolled_oracle():
@@ -217,7 +219,7 @@ def test_decode_step_matches_unrolled_oracle():
     log_probs = None
     for token in prefix:
         log_probs, state = decode_step([token], state, encoded, params, config)
-    assert np.allclose(log_probs.data[0], oracle.log_probs(src, prefix), atol=1e-6)
+    assert np.allclose(log_probs[0], oracle.log_probs(src, prefix), atol=1e-6)
 
 
 def test_fresh_model_loss_is_near_log_vocab():
@@ -307,6 +309,36 @@ def test_train_aborts_on_non_finite_loss():
     with pytest.raises(RuntimeError, match="epoch 1, batch 0"):
         train_model([([4], [4])], [], config,
                     TrainingSchedule(epochs=1, batch_size=1, lr=0.1, seed=1), params=params)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("name, index, value", [
+    ("src_embedding", (4, 0), np.nan),                # the loss is NaN
+    ("decoder.l1.input_weights", (0, 0), np.inf),     # the loss is finite, a gradient is NaN
+])
+def test_train_aborts_on_non_finite_value_before_any_update(name, index, value):
+    config, params = tiny_model(seed=17)
+    dict(params.named())[name].data[index] = value
+    pairs = [([4], [4])]
+    loss = float(forward_loss(pairs, params, config).data)
+    assert math.isfinite(loss) == (value == np.inf)
+    before = {n: t.data.tobytes() for n, t in params.named()}
+    with pytest.raises(RuntimeError, match="epoch 1, batch 0"):
+        train_model(pairs, [], config,
+                    TrainingSchedule(epochs=1, batch_size=1, lr=0.1, seed=1), params=params)
+    for n, t in params.named():
+        assert t.data.tobytes() == before[n], n
+
+
+def test_forward_loss_equals_summed_score_sequence():
+    # ties training to decoding: without dropout the token-weighted loss of a
+    # batch is minus the teacher-forced log-probabilities of its pairs
+    config, params = tiny_model(seed=17, src_vocab=12, tgt_vocab=10, hidden=8,
+                                src_embed=7, tgt_embed=6, dtype=np.float64)
+    batch = [([4, 11, 5, 6, 7], [4, 9, 5, 8]), ([5, 6], [7, 4, 6]), ([8, 9, 10], [9])]
+    loss = float(forward_loss(batch, params, config).data) * target_token_count(batch)
+    scored = sum(score_sequence(src, tgt, params, config) for src, tgt in batch)
+    assert loss == pytest.approx(-scored, abs=1e-9)
 
 
 def test_train_lr_decay_halves_after_start_epoch():
