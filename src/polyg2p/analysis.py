@@ -63,6 +63,9 @@ def nearest_languages(lang: str, k: int, bundle: ModelBundle) -> NeighborList:
 def translate_as(word: str, langs: list[str], bundle: ModelBundle,
                  width: int = 10) -> dict[str, tuple[str, ...]]:
     """Pronounce one spelling under several language-ID tokens (top-1 each)."""
+    if not bundle.meta.get("lang_token", True):
+        raise ValueError("cross-token translation needs a model trained with language "
+                         "tokens; this one was trained without them")
     results: dict[str, tuple[str, ...]] = {}
     for lang in langs:
         tokens = tokenize_graphemes(word, lang, use_lang_token=True)

@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over dense numpy buffers.
 
 Ops compute eagerly and, when a Tape is active on the current thread, append
-a node with its backward rule. Without an active tape (or inside
+an entry with their backward rule. Without an active tape (or inside
 `inference_mode`), ops are plain numpy math with no graph overhead.
 
 Weight matrices are stored [in x out], C-contiguous, so every product with
@@ -11,8 +11,8 @@ runs fastest. Backward passes keep that: an input gradient is
 weight) and a weight gradient is `x.T @ g`, already [in x out].
 
 The model's recurrent and attention math are fused ops with hand-written
-backward rules, so a training batch records a few nodes per timestep rather
-than one per elementwise operation:
+backward rules, so a training batch records a few tape entries per timestep
+rather than one per elementwise operation:
 
 - `lstm_sequence` runs one LSTM direction over a padded batch. The input
   projection of every timestep is one GEMM; padded rows keep their state;
@@ -24,12 +24,12 @@ than one per elementwise operation:
 - `attention` is bilinear scoring, masked softmax and context for n queries
   over a source batch of n rows, or of one row shared by all n.
 
-An op with several outputs records one packed node whose data holds all of
-them, plus one view node per output. A view's backward scatters its gradient
-into the packed node's, which starts as zeros, so an output that gets no
-gradient (say a final cell state nothing reads) contributes zeros. Every node
-goes through `_record`, so `inference_mode` treats fused ops like any other.
-`log_softmax` is a plain array function, no node: the loss and inference
+The tape holds one entry per op call: the call's output tensors and one
+backward function taking a gradient per output. `Tape.backward` calls it once
+some output has a gradient, passing zeros for any output that has none (say a
+final cell state nothing reads). Every op records through `_record`, so
+`inference_mode` treats fused ops like any other.
+`log_softmax` is a plain array function, not an op: the loss and inference
 decoding share it. `model.train_model` owns the non-finite check.
 
 A Tape is single-threaded; distinct tapes over shared read-only parameters
@@ -61,16 +61,14 @@ def active_tape():
 
 
 class Tensor:
-    """A dense array node. Leaves (parameters, constants) have no backward."""
+    """A dense array and, once a backward pass reaches it, its gradient."""
 
-    __slots__ = ("data", "grad", "name", "_inputs", "_backward")
+    __slots__ = ("data", "grad", "name")
 
     def __init__(self, data, name: str | None = None):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.name = name
-        self._inputs: tuple = ()
-        self._backward: Callable | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -86,10 +84,11 @@ class Tensor:
 
 
 class Tape:
-    """Append-only record of op nodes; backward walks it in reverse."""
+    """Append-only record of op calls, each (outputs, backward); backward
+    walks it in reverse."""
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[tuple[tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -100,14 +99,15 @@ class Tape:
         assert popped is self
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate gradients of `loss` into every node that feeds it."""
+        """Accumulate gradients of `loss` into every tensor that feeds it."""
         if loss.data.shape != ():
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            if node.grad is None or node._backward is None:
-                continue
-            node._backward(node.grad)
+        for outputs, backward in reversed(self.nodes):
+            grads = [t.grad for t in outputs]
+            if any(g is not None for g in grads):
+                backward(*(np.zeros_like(t.data) if g is None else g
+                           for t, g in zip(outputs, grads)))
 
 
 class inference_mode:
@@ -129,27 +129,14 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _record(data: np.ndarray, inputs: tuple, backward: Callable) -> Tensor:
-    out = Tensor(data)
+def _record(backward: Callable, *outputs: np.ndarray) -> tuple[Tensor, ...]:
+    """Wrap an op call's output arrays as tensors and, under an active tape,
+    record the call: `backward` takes one gradient per output."""
+    tensors = tuple(Tensor(data) for data in outputs)
     tape = active_tape()
     if tape is not None:
-        out._inputs = inputs
-        out._backward = backward
-        tape.nodes.append(out)
-    return out
-
-
-def _views(packed: Tensor, indices: Sequence) -> list[Tensor]:
-    """One view node per output of a packed multi-output op."""
-    outs = []
-    for index in indices:
-        def backward(g, index=index):
-            if packed.grad is None:
-                packed.grad = np.zeros_like(packed.data)
-            packed.grad[index] += g
-
-        outs.append(_record(packed.data[index], (packed,), backward))
-    return outs
+        tape.nodes.append((tensors, backward))
+    return tensors
 
 
 # --- elementwise -------------------------------------------------------------
@@ -162,7 +149,7 @@ def mul_const(x: Tensor, c) -> Tensor:
     def backward(g):
         _accumulate(x, g * c)
 
-    return _record(x.data * c, (x,), backward)
+    return _record(backward, x.data * c)[0]
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -171,7 +158,7 @@ def tanh(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, g * (1.0 - t * t))
 
-    return _record(t, (x,), backward)
+    return _record(backward, t)[0]
 
 
 # --- linear algebra ----------------------------------------------------------
@@ -191,8 +178,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None:
             _accumulate(bias, g.sum(axis=0))
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _record(out, inputs, backward)
+    return _record(backward, out)[0]
 
 
 # --- shape manipulation ------------------------------------------------------
@@ -208,14 +194,14 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
             index[axis] = slice(lo, hi)
             _accumulate(p, g[tuple(index)])
 
-    return _record(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
+    return _record(backward, np.concatenate([p.data for p in parts], axis=axis))[0]
 
 
 # --- normalizations ----------------------------------------------------------
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis of a plain array; records no node."""
+    """Log-softmax over the last axis of a plain array; records nothing."""
     z = x - x.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return z - lse
@@ -291,15 +277,13 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, w_in: Tensor, w_rec: Tensor,
     recurrent = h.data @ w_rec.data
     recurrent += bias.data
     acts += recurrent
-    tanh_c = np.empty_like(c.data)
-    packed_data = np.empty((x.data.shape[0], 2 * n), dtype=acts.dtype)  # [h' | c']
-    _cell(acts, c.data, packed_data[:, n:], tanh_c, packed_data[:, :n])
+    tanh_c, h_new, c_new = (np.empty_like(c.data) for _ in range(3))
+    _cell(acts, c.data, c_new, tanh_c, h_new)
 
-    def backward(g):
+    def backward(dh, dc_new):
         gate_factor, c_factor = _cell_partials(acts, c.data, tanh_c)
-        dh = g[:, :n]
         dc = dh * c_factor
-        dc += g[:, n:]
+        dc += dc_new
         dpre = np.concatenate([dc, dc, dc, dh], axis=1)
         dpre *= gate_factor
         _accumulate(x, (w_in.data @ dpre.T).T)
@@ -309,9 +293,7 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, w_in: Tensor, w_rec: Tensor,
         _accumulate(w_rec, h.data.T @ dpre)
         _accumulate(bias, dpre.sum(axis=0))
 
-    packed = _record(packed_data, (x, h, c, w_in, w_rec, bias), backward)
-    h_out, c_out = _views(packed, (np.s_[:, :n], np.s_[:, n:]))
-    return h_out, c_out
+    return _record(backward, h_new, c_new)
 
 
 def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bias: Tensor,
@@ -347,17 +329,13 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bia
             padded = ~keep[p]
             np.copyto(hs[p + 1], hs[p], where=padded)
             np.copyto(cs[p + 1], cs[p], where=padded)
-    packed_data = np.empty((batch, length + 2, n), dtype=dtype)  # outputs, h_T, c_T
-    packed_data[:, :length] = hs[1:][steps].transpose(1, 0, 2)
-    packed_data[:, length] = hs[length]
-    packed_data[:, length + 1] = cs[length]
 
-    def backward(g):
+    def backward(g_outputs, g_h, g_c):
         gate_factor, c_factor = _cell_partials(acts, cs[:-1], tanh_cs)
-        d_outputs = g[:, :length].transpose(1, 0, 2)[steps]
+        d_outputs = g_outputs.transpose(1, 0, 2)[steps]
         dpre = np.empty_like(acts)
-        dh = g[:, length].copy()
-        dc = g[:, length + 1].copy()
+        dh = g_h.copy()  # accumulates in place; dc is only rebound
+        dc = g_c
         for p in range(length - 1, -1, -1):
             dh += d_outputs[p]
             dc_new = dh * c_factor[p]
@@ -380,10 +358,8 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bia
         _accumulate(w_rec, hs[:-1].reshape(length * batch, n).T @ flat)
         _accumulate(bias, flat.sum(axis=0))
 
-    packed = _record(packed_data, (xs, w_in, w_rec, bias), backward)
-    outputs, h_final, c_final = _views(
-        packed, (np.s_[:, :length], np.s_[:, length], np.s_[:, length + 1]))
-    return outputs, h_final, c_final
+    # outputs [B,T,n] in time order, and the final state: views of hs and cs
+    return _record(backward, hs[1:][steps].transpose(1, 0, 2), hs[length], cs[length])
 
 
 def attention(top: Tensor, annotations: Tensor, mask_add, w_score: Tensor
@@ -424,7 +400,7 @@ def attention(top: Tensor, annotations: Tensor, mask_add, w_score: Tensor
         _accumulate(top, (w_score.data @ dquery.T).T)
         _accumulate(w_score, top.data.T @ dquery)
 
-    return _record(context, (top, annotations, w_score), backward), weights
+    return _record(backward, context)[0], weights
 
 
 # --- lookups and losses -------------------------------------------------------
@@ -441,7 +417,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids, g)
 
-    return _record(table.data[ids], (table,), backward)
+    return _record(backward, table.data[ids])[0]
 
 
 def cross_entropy(logits: Tensor, targets, pad_index: int) -> Tensor:
@@ -464,7 +440,7 @@ def cross_entropy(logits: Tensor, targets, pad_index: int) -> Tensor:
         grad[~live] = 0.0
         _accumulate(logits, grad * (g / n_live))
 
-    return _record(loss, (logits,), backward)
+    return _record(backward, loss)[0]
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,

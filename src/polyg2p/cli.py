@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     except (UserError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # OSError: a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -123,20 +123,36 @@ def _parse_value(name: str, raw: str):
         raise ConfigError(f"{name}: cannot parse {raw!r}") from None
 
 
+def _json_raw(name: str, value) -> str:
+    """A JSON manifest value as the text of a `key = value` line, so that both
+    formats go through `_parse_value`."""
+    if value is None:
+        return "none"
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return ",".join(value)
+    if isinstance(value, (str, int, float)):  # bool is an int
+        return str(value)
+    raise ConfigError(f"{name}: cannot parse {json.dumps(value)}")
+
+
 def load_config(path) -> RunConfig:
     """Read `key = value` lines (or a run manifest's JSON) into a RunConfig."""
     text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        data = json.loads(text)
-        values = data.get("config", data)
-        unknown = set(values) - set(FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cleared = sorted(k for k, v in values.items() if v is None and not FIELDS[k].optional)
-        if cleared:
-            raise ConfigError(f"{path}: keys that need a value: {cleared}")
-        return RunConfig(**values)
     config = RunConfig()
+    if text.lstrip().startswith("{"):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        values = data.get("config", data)
+        if not isinstance(values, dict):
+            raise ConfigError(f"{path}: expected a JSON object of config keys")
+        for name, value in values.items():
+            try:
+                setattr(config, name, _parse_value(name, _json_raw(name, value)))
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+        return config
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

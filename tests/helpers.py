@@ -56,7 +56,7 @@ def weighted_sum(*terms):
         for x, w in zip(tensors, weights):
             ad._accumulate(x, g * w)
 
-    return ad._record(np.asarray(total, dtype=tensors[0].data.dtype), tuple(tensors), backward)
+    return ad._record(backward, np.asarray(total, dtype=tensors[0].data.dtype))[0]
 
 
 def _sig(x: float) -> float:

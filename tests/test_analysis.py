@@ -74,3 +74,10 @@ def test_translate_as_is_deterministic_and_keyed_by_language():
     assert first == second
     assert set(first) == {"aaa", "bbb"}
     assert all(isinstance(v, tuple) for v in first.values())
+
+
+def test_translate_as_rejects_model_without_language_tokens():
+    bundle = _bundle()
+    bundle.meta["lang_token"] = False
+    with pytest.raises(ValueError, match="language tokens"):
+        translate_as("ab", ["aaa", "bbb"], bundle)

@@ -321,8 +321,27 @@ def test_dropout_scales_kept_entries():
 
 def test_ops_without_tape_build_no_graph():
     x = Tensor(np.ones(3))
-    y = ad.tanh(x)
-    assert y._backward is None and y._inputs == ()
+    y = ad.tanh(x)  # outside any tape: nothing links y back to x
+    with Tape() as tape:
+        loss = weighted_sum((y, 1.0))
+        tape.backward(loss)
+    assert y.grad is not None and x.grad is None
+
+
+def test_each_op_call_records_one_tape_entry():
+    rng = np.random.default_rng(24)
+    x, h, c = (Tensor(rng.uniform(-1, 1, (2, n))) for n in (3, 4, 4))
+    xs = Tensor(rng.uniform(-1, 1, (2, 5, 3)))
+    weights = _cell_weights(rng, 3, 4)
+    annotations = Tensor(rng.uniform(-1, 1, (2, 5, 4)))
+    w_score = Tensor(rng.uniform(-1, 1, (4, 4)))
+    calls = (lambda: ad.lstm_step(x, h, c, *weights),
+             lambda: ad.lstm_sequence(xs, np.ones((2, 5)), *weights),
+             lambda: ad.attention(h, annotations, np.zeros((2, 5)), w_score))
+    for call in calls:
+        with Tape() as tape:
+            call()
+        assert len(tape.nodes) == 1
 
 
 def test_inference_mode_masks_active_tape():
@@ -393,7 +412,7 @@ def test_lstm_step_gradient(c_in_loss):
 
     def loss_of():
         h1, c1 = ad.lstm_step(x, h, c, *weights)
-        # without c' in the loss, its view node gets no gradient at all
+        # without c' in the loss, c' gets no gradient and its backward is passed zeros
         return weighted_sum((h1, w_h), (c1, w_c)) if c_in_loss else weighted_sum((h1, w_h))
 
     _check_gradients(loss_of, [x, h, c, *weights])

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -151,6 +153,12 @@ def test_translate_missing_checkpoint_is_user_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_translate_directory_checkpoint_is_user_error(tmp_path, capsys):
+    code = main(["translate", "--checkpoint", str(tmp_path), "--word", "x", "--lang", "aaa"])
+    assert code == 1
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:WER 100")
 def test_evaluate_writes_reports(run_dir, lexicon, tmp_path, capsys):
     out = tmp_path / "eval"
@@ -250,6 +258,10 @@ def test_config_parse_error_names_file_and_line(tmp_path, capsys):
     cfg.write_text("epochs = 2\nhidden_size = abc\n", encoding="utf-8")
     assert main(["prepare", "--config", str(cfg), "--out", str(tmp_path / "prep")]) == 1
     assert f"{cfg}:2: hidden_size: cannot parse 'abc'" in capsys.readouterr().err
+    manifest = tmp_path / "bad.json"
+    manifest.write_text('{"config": {\n"epochs": 2,\n}}\n', encoding="utf-8")
+    assert main(["prepare", "--config", str(manifest), "--out", str(tmp_path / "prep")]) == 1
+    assert f"{manifest}:3: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, text", [
@@ -274,6 +286,32 @@ def test_manifest_is_a_valid_config(tmp_path, lexicon):
     assert config.train_lexicon == str(lexicon)
 
 
+def test_manifest_round_trips_every_value(tmp_path, lexicon):
+    out = tmp_path / "prep"
+    assert main(["prepare", "--train-lexicon", str(lexicon), "--out", str(out),
+                 "--language-filter", "aaa,bbb", "--val-fraction", "0.2",
+                 "--lr-decay-factor", "0.5", "--no-lang-token"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert dataclasses.asdict(load_config(out / "run_manifest.json")) == manifest["config"]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("hidden_size", '"abc"'),
+    ("epochs", "2.5"),
+    ("lang_token", '"maybe"'),
+    ("language_filter", "[1, 2]"),
+    ("dropout", '{"rate": 0.3}'),
+])
+def test_manifest_value_of_wrong_type_is_config_error(tmp_path, lexicon, capsys, name, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(f'{{"config": {{"{name}": {value}}}}}\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg))}: {name}: cannot parse"):
+        load_config(cfg)
+    assert main(["train", "--config", str(cfg), "--train-lexicon", str(lexicon)]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and name in err
+
+
 def test_cli_flag_overrides_config_file(tmp_path, lexicon):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("val_fraction = 0.2\nseed = 9\n", encoding="utf-8")
@@ -286,7 +324,7 @@ def test_cli_flag_overrides_config_file(tmp_path, lexicon):
     assert manifest["config"]["val_fraction"] == 0.2
 
 
-def test_nolangid_mode_translates_without_lang(tmp_path, lexicon):
+def test_nolangid_mode_translates_without_lang(tmp_path, lexicon, capsys):
     out = tmp_path / "nolang"
     code = main(["train", "--train-lexicon", str(lexicon), "--checkpoint-dir", str(out),
                  "--no-lang-token"] + FAST)
@@ -294,3 +332,10 @@ def test_nolangid_mode_translates_without_lang(tmp_path, lexicon):
     code = main(["translate", "--checkpoint", str(out / "final.mg2p"), "--word", "ba",
                  "--width", "2"])
     assert code == 0
+    capsys.readouterr()
+    # every language would encode as UNK, so cross-token rows would mean nothing
+    code = main(["analyze", "--checkpoint", str(out / "final.mg2p"), "--mode", "crosstoken",
+                 "--word", "ba", "--langs", "aaa,bbb"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "language tokens" in captured.err and captured.out == ""
