@@ -11,18 +11,22 @@ runs fastest. Backward passes keep that: an input gradient is
 weight) and a weight gradient is `x.T @ g`, already [in x out].
 
 The model's recurrent and attention math are fused ops with hand-written
-backward rules, so a training batch records a few tape entries per timestep
-rather than one per elementwise operation:
+backward rules, so a training batch records a fixed number of tape entries,
+whatever its lengths:
 
 - `lstm_sequence` runs one LSTM direction over a padded batch. The input
   projection of every timestep is one GEMM; padded rows keep their state;
   the only matrix product left in the backward loop over time is
   `(w_rec @ dpre_t.T).T`, and each weight gradient is one GEMM over the
   stacked gate gradients.
-- `lstm_step` is one LSTM cell update (the decoder, which input feeding keeps
-  step by step).
-- `attention` is bilinear scoring, masked softmax and context for n queries
-  over a source batch of n rows, or of one row shared by all n.
+- `decoder_sequence` is the whole teacher-forced decoder: every target step
+  of the stacked LSTM layers, bilinear attention, the attentional vector and
+  the dropout between layers. Input feeding keeps its forward pass step by
+  step; each step runs `decoder_step`, a plain-array kernel that inference
+  decoding calls too, so training and decoding share one copy of the math.
+  Its backward loop over time keeps only the products that carry a gradient
+  to the previous step; every weight gradient is one GEMM over the stacked
+  steps and the annotation gradient one batched product.
 
 The tape holds one entry per op call: the call's output tensors and one
 backward function taking a gradient per output. `Tape.backward` calls it once
@@ -152,15 +156,6 @@ def mul_const(x: Tensor, c) -> Tensor:
     return _record(backward, x.data * c)[0]
 
 
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def backward(g):
-        _accumulate(x, g * (1.0 - t * t))
-
-    return _record(backward, t)[0]
-
-
 # --- linear algebra ----------------------------------------------------------
 
 
@@ -265,42 +260,11 @@ def _check_cell(x_shape, w_in: Tensor, w_rec: Tensor, bias: Tensor) -> int:
     return n
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, w_in: Tensor, w_rec: Tensor,
-              bias: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM update of a [B,in] input and [B,n] state: c' = f*c + i*g,
-    h' = o*tanh(c'). Weights are stored [in x 4n] and [n x 4n], bias [4n].
-    Returns (h', c')."""
-    n = _check_cell(x.data.shape, w_in, w_rec, bias)
-    if h.data.shape != (x.data.shape[0], n) or c.data.shape != h.data.shape:
-        raise ValueError(f"LSTM state shape mismatch: {h.data.shape}, {c.data.shape}")
-    acts = x.data @ w_in.data
-    recurrent = h.data @ w_rec.data
-    recurrent += bias.data
-    acts += recurrent
-    tanh_c, h_new, c_new = (np.empty_like(c.data) for _ in range(3))
-    _cell(acts, c.data, c_new, tanh_c, h_new)
-
-    def backward(dh, dc_new):
-        gate_factor, c_factor = _cell_partials(acts, c.data, tanh_c)
-        dc = dh * c_factor
-        dc += dc_new
-        dpre = np.concatenate([dc, dc, dc, dh], axis=1)
-        dpre *= gate_factor
-        _accumulate(x, (w_in.data @ dpre.T).T)
-        _accumulate(h, (w_rec.data @ dpre.T).T)
-        _accumulate(c, dc * acts[:, n : 2 * n])
-        _accumulate(w_in, x.data.T @ dpre)
-        _accumulate(w_rec, h.data.T @ dpre)
-        _accumulate(bias, dpre.sum(axis=0))
-
-    return _record(backward, h_new, c_new)
-
-
 def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bias: Tensor,
                   reverse: bool = False) -> tuple[Tensor, Tensor, Tensor]:
     """One LSTM direction over a padded batch xs [B,T,in], from a zero state.
 
-    Weights are stored [in x 4n] and [n x 4n], bias [4n], as in `lstm_step`.
+    Weights are stored [in x 4n] and [n x 4n], bias [4n].
     `mask` [B,T] is 1 at real positions; at a padded position a row keeps
     its previous state, and its output there is that state. `reverse` runs
     from T-1 down to 0. Returns (outputs [B,T,n], final h [B,n], final c [B,n])."""
@@ -362,45 +326,207 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bia
     return _record(backward, hs[1:][steps].transpose(1, 0, 2), hs[length], cs[length])
 
 
-def attention(top: Tensor, annotations: Tensor, mask_add, w_score: Tensor
-              ) -> tuple[Tensor, np.ndarray]:
-    """Bilinear attention of n queries `top` [n,h] over `annotations` [B,S,h],
-    where B is n or 1 (one source shared by every query).
+def attend(top: np.ndarray, annotations: np.ndarray, mask_add: np.ndarray, w_score: np.ndarray,
+           query: np.ndarray | None = None, weights: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear attention on plain arrays: n queries `top` [n,h] over
+    `annotations` [B,S,h], where B is n or 1 (one source shared by every query).
 
     weights = softmax(top @ w_score @ a_s + mask_add) over s, context =
-    sum_s weights_s a_s. `mask_add` [B,S] is a constant; large negative
-    entries give exactly-zero weights. Returns (context [n,h], weights [n,S]);
-    the weights are a plain array, not a differentiable output."""
-    n, h = top.data.shape
-    rows, length, ann_h = annotations.data.shape
-    if rows not in (1, n) or ann_h != h or w_score.data.shape != (h, h):
-        raise ValueError(f"attention shape mismatch: queries {top.data.shape}, annotations "
-                         f"{annotations.data.shape}, score weights {w_score.data.shape}")
-    if length == 0:
-        raise ValueError("attention over an empty source")
-    ann = annotations.data
-    query = top.data @ w_score.data
+    sum_s weights_s a_s. `mask_add` [B,S] holds 0 at real positions and a
+    large negative number at padding, which gets an exactly-zero weight.
+    `query` [n,h] and `weights` [n,S], if given, receive top @ w_score and the
+    weights. Returns (context [n,h], weights [n,S])."""
+    n, h = top.shape
+    length = annotations.shape[1]
+    query = np.matmul(top, w_score, out=query)
     # reshape (not None-indexing) keeps these stacks BLAS-eligible for numpy's matmul
-    scores = (ann @ query.reshape(n, h, 1)).reshape(n, length)  # ann broadcasts over n
+    scores = (annotations @ query.reshape(n, h, 1)).reshape(n, length)  # broadcasts over n
     z = scores + np.asarray(mask_add, dtype=scores.dtype)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    weights = e / e.sum(axis=-1, keepdims=True)
-    context = (weights.reshape(n, 1, length) @ ann).reshape(n, h)
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z, out=z)
+    weights = np.divide(e, e.sum(axis=-1, keepdims=True), out=weights)
+    return (weights.reshape(n, 1, length) @ annotations).reshape(n, h), weights
+
+
+class DecoderBuffers:
+    """The activations of `steps` decoder steps over `batch` rows, step-major,
+    as `decoder_step` writes them and `decoder_sequence`'s backward reads them."""
+
+    __slots__ = ("dropped", "h", "c", "acts", "tanh_c", "query", "weights", "cat", "attn")
+
+    def __init__(self, steps: int, batch: int, layers: int, n: int, length: int, dtype,
+                 dropout: bool = False):
+        shape = (steps, batch, n)
+        # dropped[l-1, t]: the dropped-out input of layer l > 0
+        self.dropped = np.empty((layers - 1, *shape), dtype) if dropout else None
+        self.h = np.empty((layers, steps + 1, batch, n), dtype)  # h[l, t]: state before step t
+        self.c = np.empty_like(self.h)
+        self.acts = np.empty((layers, steps, batch, 4 * n), dtype)  # gate activations
+        self.tanh_c = np.empty((layers, *shape), dtype)
+        self.query = np.empty(shape, dtype)                 # top @ w_score
+        self.weights = np.empty((steps, batch, length), dtype)
+        self.cat = np.empty((steps, batch, 2 * n), dtype)   # [context; top]
+        self.attn = np.empty((steps + 1, batch, n), dtype)  # attn[t]: input-fed vector of step t
+
+
+def decoder_step(buf: DecoderBuffers, t: int, x0: np.ndarray,
+                 prev: Sequence[tuple[np.ndarray, np.ndarray]],
+                 cells: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 attention: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 annotations: np.ndarray, mask_add: np.ndarray,
+                 keep: np.ndarray | None = None) -> None:
+    """Step t of the stacked attentional decoder on plain arrays, the one copy
+    of its math that training (`decoder_sequence`) and inference share.
+
+    `x0` [B,in] is layer 0's input, `prev` each layer's (h, c) [B,n] before
+    the step, `cells` each layer's (w_in [in x 4n], w_rec [n x 4n], bias [4n])
+    and `attention` (w_score [n x n], w_out [2n x n], b_out [n]). `keep`
+    [layers-1, B, n] scales each upper layer's input (inverted dropout).
+    Per layer, acts = x @ w_in + (h @ w_rec + bias) and the cell update; then
+    attention of the top state over `annotations` [B or 1, S, n] and the
+    attentional vector tanh([context; top] @ w_out + b_out), into buf.attn[t+1].
+    The new state is buf.h[:, t+1] and buf.c[:, t+1]."""
+    x = x0
+    for layer, ((w_in, w_rec, bias), (h, c)) in enumerate(zip(cells, prev)):
+        if layer and keep is not None:
+            x = np.multiply(x, keep[layer - 1], out=buf.dropped[layer - 1, t])
+        acts = np.matmul(x, w_in, out=buf.acts[layer, t])
+        recurrent = h @ w_rec
+        recurrent += bias
+        acts += recurrent
+        x = buf.h[layer, t + 1]
+        _cell(acts, c, buf.c[layer, t + 1], buf.tanh_c[layer, t], x)
+    w_score, w_out, b_out = attention
+    n = x.shape[1]
+    cat = buf.cat[t]
+    cat[:, :n] = attend(x, annotations, mask_add, w_score, buf.query[t], buf.weights[t])[0]
+    cat[:, n:] = x
+    u = cat @ w_out
+    u += b_out
+    np.tanh(u, out=buf.attn[t + 1])
+
+
+def decoder_sequence(emb: Tensor, initial: Sequence[tuple[Tensor, Tensor]],
+                     annotations: Tensor, mask_add: np.ndarray,
+                     cells: Sequence[tuple[Tensor, Tensor, Tensor]],
+                     w_score: Tensor, w_out: Tensor, b_out: Tensor,
+                     keep: np.ndarray | None = None, input_feeding: bool = True) -> Tensor:
+    """The teacher-forced decoder over every target step, as one op.
+
+    `emb` [T,B,e] holds each step's previous-token embedding, `initial` each
+    layer's start state (h0, c0) [B,n] (one pair may start several layers),
+    `annotations` [B,S,n] the source, with the constant `mask_add` [B,S] as in
+    `attend`. With `input_feeding`, layer 0 reads [emb_t; attn_{t-1}], from a
+    zero attn_{-1}. `keep` [T, layers-1, B, n] is a constant inverted-dropout
+    scale on the inputs of the upper layers. Each step runs `decoder_step`.
+    Returns the attentional vectors [T*B, n], step-major.
+
+    The backward pass through time keeps only what depends on the next
+    step's gradient inside its loop: the products with w_out, w_score, each
+    w_rec, the upper layers' w_in and the input-fed rows of layer 0's w_in.
+    Every weight and bias gradient is one GEMM or sum over the stacked T*B
+    rows, and the annotation gradient one batched product over the steps."""
+    steps, batch, e = emb.data.shape
+    layers = len(cells)
+    n = cells[0][1].data.shape[0]
+    rows, length, ann_h = annotations.data.shape
+    in_size = e + n if input_feeding else e
+    for layer, (w_in, w_rec, bias) in enumerate(cells):
+        _check_cell((steps, batch, in_size if layer == 0 else n), w_in, w_rec, bias)
+    if (rows != batch or ann_h != n or length == 0 or mask_add.shape != (batch, length)
+            or len(initial) != layers or w_score.data.shape != (n, n)
+            or w_out.data.shape != (2 * n, n) or b_out.data.shape != (n,)
+            or any(s.data.shape != (batch, n) for pair in initial for s in pair)
+            or (keep is not None and keep.shape != (steps, layers - 1, batch, n))):
+        raise ValueError(f"decoder shape mismatch: {steps} steps of {batch} rows, hidden {n}, "
+                         f"annotations {annotations.data.shape}, mask {mask_add.shape}")
+    dtype = emb.data.dtype
+    buf = DecoderBuffers(steps, batch, layers, n, length, dtype, dropout=keep is not None)
+    if input_feeding:
+        x0 = np.empty((steps, batch, in_size), dtype)
+        x0[:, :, :e] = emb.data
+    else:
+        x0 = emb.data
+    for layer, (h0, c0) in enumerate(initial):
+        buf.h[layer, 0] = h0.data
+        buf.c[layer, 0] = c0.data
+    buf.attn[0] = 0.0
+    ann = annotations.data
+    weights = [tuple(t.data for t in cell) for cell in cells]
+    attention = (w_score.data, w_out.data, b_out.data)
+    for t in range(steps):
+        if input_feeding:
+            x0[t, :, e:] = buf.attn[t]
+        decoder_step(buf, t, x0[t], [(buf.h[l, t], buf.c[l, t]) for l in range(layers)],
+                     weights, attention, ann, mask_add, None if keep is None else keep[t])
 
     def backward(g):
-        dweights = (ann @ g.reshape(n, h, 1)).reshape(n, length)
-        dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
-        dquery = (dscores.reshape(n, 1, length) @ ann).reshape(n, h)
-        if rows == 1:
-            dann = (weights.T @ g + dscores.T @ query)[None]
-        else:
-            dann = weights[:, :, None] * g[:, None, :] + dscores[:, :, None] * query[:, None, :]
-        _accumulate(annotations, dann)
-        _accumulate(top, (w_score.data @ dquery.T).T)
-        _accumulate(w_score, top.data.T @ dquery)
+        d_attn = g.reshape(steps, batch, n)
+        d_u = 1.0 - buf.attn[1:] * buf.attn[1:]  # tanh' now, times the gradient in the loop
+        d_ctx = np.empty_like(buf.query)
+        d_query = np.empty_like(buf.query)
+        d_scores = np.empty_like(buf.weights)
+        d_pre = np.empty_like(buf.acts)
+        dh = [np.zeros((batch, n), dtype) for _ in range(layers)]
+        dc = [np.zeros((batch, n), dtype) for _ in range(layers)]
+        w_fed = weights[0][0][e:]  # layer 0's input-fed rows
+        d_fed = 0.0
+        for t in range(steps - 1, -1, -1):
+            du = d_u[t]
+            du *= d_attn[t] + d_fed
+            d_cat = (w_out.data @ du.T).T
+            d_ctx[t] = d_cat[:, :n]
+            d_weights = (ann @ d_ctx[t].reshape(batch, n, 1)).reshape(batch, length)
+            w_t = buf.weights[t]
+            np.multiply(w_t, d_weights - (d_weights * w_t).sum(axis=-1, keepdims=True),
+                        out=d_scores[t])
+            d_query[t] = (d_scores[t].reshape(batch, 1, length) @ ann).reshape(batch, n)
+            d_in = d_cat[:, n:] + (w_score.data @ d_query[t].T).T  # gradient of the top h
+            for l in range(layers - 1, -1, -1):
+                gate_factor, c_factor = _cell_partials(buf.acts[l, t], buf.c[l, t],
+                                                       buf.tanh_c[l, t])
+                w_in, w_rec, _ = weights[l]
+                dh_l = dh[l] + d_in
+                dc_new = dh_l * c_factor
+                dc_new += dc[l]
+                dpre = np.multiply(np.concatenate([dc_new, dc_new, dc_new, dh_l], axis=1),
+                                   gate_factor, out=d_pre[l, t])
+                dh[l] = (w_rec @ dpre.T).T
+                dc[l] = dc_new * buf.acts[l, t, :, n : 2 * n]
+                if l:
+                    d_in = (w_in @ dpre.T).T
+                    if keep is not None:
+                        d_in *= keep[t, l - 1]
+                elif input_feeding:
+                    d_fed = (w_fed @ dpre.T).T
 
-    return _record(backward, context)[0], weights
+        def stacked(a):
+            return a.reshape(steps * batch, a.shape[-1])
+
+        for l, (w_in, w_rec, bias) in enumerate(cells):
+            dpre = stacked(d_pre[l])
+            if l == 0:
+                x = x0
+            else:
+                x = buf.h[l - 1, 1:] if keep is None else buf.dropped[l - 1]
+            _accumulate(w_in, stacked(x).T @ dpre)
+            _accumulate(w_rec, stacked(buf.h[l, :-1]).T @ dpre)
+            _accumulate(bias, dpre.sum(axis=0))
+        for (h0, c0), dh0, dc0 in zip(initial, dh, dc):
+            _accumulate(h0, dh0)
+            _accumulate(c0, dc0)
+        d_emb = weights[0][0][:e] @ stacked(d_pre[0]).T  # [e, T*B]
+        _accumulate(emb, d_emb.T.reshape(steps, batch, e))
+        _accumulate(w_out, stacked(buf.cat).T @ stacked(d_u))
+        _accumulate(b_out, stacked(d_u).sum(axis=0))
+        _accumulate(w_score, stacked(buf.h[-1, 1:]).T @ stacked(d_query))
+        # d annotations[b] = sum_t weights[t,b]^T d_ctx[t,b] + d_scores[t,b]^T query[t,b]
+        over_s = np.concatenate([buf.weights, d_scores]).transpose(1, 2, 0)  # [B,S,2T]
+        over_h = np.concatenate([d_ctx, buf.query]).transpose(1, 0, 2)       # [B,2T,n]
+        _accumulate(annotations, over_s @ over_h)
+
+    return _record(backward, buf.attn[1:].reshape(steps * batch, n))[0]
 
 
 # --- lookups and losses -------------------------------------------------------
@@ -465,10 +591,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
 
 
 def global_grad_norm(tensors: Iterable[Tensor]) -> float:
+    """The L2 norm of all gradients, summed in float64 with one float64
+    temporary per tensor."""
     total = 0.0
     for t in tensors:
         if t.grad is not None:
-            total += float((t.grad.astype(np.float64) ** 2).sum())
+            total += float(np.square(t.grad, dtype=np.float64).sum())
     return float(np.sqrt(total))
 
 

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -77,27 +79,39 @@ def _read_vocab(fh: BinaryIO) -> Vocabulary:
 
 
 def save_checkpoint(path, bundle: ModelBundle) -> None:
+    """Write `bundle` to `path` atomically: the bytes go to a temporary file in
+    the same directory, which replaces `path` only once it is complete, so a
+    crash mid-write leaves any earlier checkpoint at `path` as it was."""
     named = list(canonical_arrays(bundle.params).items())
     meta = dict(bundle.meta)
     meta["model"] = asdict(bundle.config)
     meta["gate_order"] = GATE_ORDER
     meta_json = json.dumps(meta, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(named)))
-        for name, array in named:
-            _write_str(fh, name)
-            fh.write(struct.pack("<I", array.ndim))
-            fh.write(struct.pack(f"<{array.ndim}Q", *array.shape))
-        for _, array in named:
-            fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
-        _write_vocab(fh, bundle.src_vocab)
-        _write_vocab(fh, bundle.tgt_vocab)
-        raw = meta_json.encode("utf-8")
-        fh.write(struct.pack("<Q", len(raw)))
-        fh.write(raw)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(named)))
+            for name, array in named:
+                _write_str(fh, name)
+                fh.write(struct.pack("<I", array.ndim))
+                fh.write(struct.pack(f"<{array.ndim}Q", *array.shape))
+            for _, array in named:
+                fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
+            _write_vocab(fh, bundle.src_vocab)
+            _write_vocab(fh, bundle.tgt_vocab)
+            raw = meta_json.encode("utf-8")
+            fh.write(struct.pack("<Q", len(raw)))
+            fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> ModelBundle:

@@ -9,14 +9,16 @@ is finalized as-is (flagged truncated) if it reaches max_len first.
 
 `beam_search` holds the beam as arrays: token paths [rows, max_len+1],
 cumulative float64 scores, and each row's completion step (max_len+1 while
-live). The decoder state of the live rows is one `DecoderState` of [live, h]
-arrays in beam order. Each step runs one `decode_step` over the live rows,
-keeps every candidate tied with the width-th best score, and ranks the
+live). The decoder state of the live rows is one `DecoderState` of plain
+[live, h] arrays in beam order. Each step runs one `decode_step` over the
+live rows (the per-step kernel that training runs too), keeps every
+candidate tied with the width-th best score, and ranks the
 finished rows and the candidates with one `np.lexsort` on the ranking
 contract; the next state is the new state gathered at the survivors' parent
 rows. `greedy_decode` is a separate argmax loop, the independent width-1
-reference that tests compare `beam_search` against. All three decoders, with
-`score_sequence`, run `decode_step` under `ad.inference_mode`.
+reference that tests compare `beam_search` against. `decode_step` records no
+tape entries; the decoders and `score_sequence` run `encode` under
+`ad.inference_mode`, so inference builds no graph at all.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
 from .model import (
     DecoderState,
@@ -54,8 +55,8 @@ def default_max_len(src_len: int) -> int:
 
 def _gather(state: DecoderState, rows: np.ndarray) -> DecoderState:
     return DecoderState(
-        layers=[(Tensor(h.data[rows]), Tensor(c.data[rows])) for h, c in state.layers],
-        attn=Tensor(state.attn.data[rows]),
+        layers=[(h[rows], c[rows]) for h, c in state.layers],
+        attn=state.attn[rows],
     )
 
 

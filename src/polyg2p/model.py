@@ -9,15 +9,22 @@ concatenated with the previous attentional vector (input feeding).
 
 The math runs as fused autodiff ops. Each encoder direction of each layer is
 one `lstm_sequence` over the whole padded batch, after a single embedding
-lookup of the [B,S] id matrix. Input feeding keeps the decoder step by step:
-per step, one `lstm_step` per layer and one `attention`. `forward_loss` then
-runs the generator and the loss once over all steps' attentional vectors.
-`decode_step` runs the same `_decoder_step` as training, without dropout, and
-the loss's `ad.log_softmax`, so inference has no second code path; a one-row
-`EncodedSource` can serve any number of decoder rows, since `attention`
-broadcasts it. Beam search passes all its live hypotheses as the rows of one
-`DecoderState` and reorders that state by gathering rows, so the model knows
-nothing of the beam.
+lookup of the [B,S] id matrix. The decoder is one `ad.decoder_sequence` over
+every target step, after a single lookup of the [T,B] previous-token ids;
+`forward_loss` then runs the generator and the loss once over all steps'
+attentional vectors. A training batch records the same number of tape
+entries for any source or target length. The decoder's dropout masks are
+drawn once per batch as [T, layers-1, B, h], the random stream of one [B,h]
+draw per step and upper layer.
+
+`decode_step` is inference only and works on plain arrays: it runs
+`ad.decoder_step`, the per-step kernel of `decoder_sequence`, without
+dropout, and the loss's `ad.log_softmax`, so inference has no second copy of
+the math and records nothing. A one-row `EncodedSource` can serve any number
+of decoder rows, since the kernel's attention broadcasts it. Beam search
+passes all its live hypotheses as the rows of one `DecoderState` and
+reorders that state by gathering rows, so the model knows nothing of the
+beam.
 """
 
 from __future__ import annotations
@@ -247,8 +254,10 @@ class EncodedSource:
 
 @dataclass
 class DecoderState:
-    layers: list[tuple[Tensor, Tensor]]  # per layer (h, c), each [B, h]
-    attn: Tensor                         # previous attentional vector [B, h]
+    """Inference-time decoder state of B rows, as plain arrays."""
+
+    layers: list[tuple[np.ndarray, np.ndarray]]  # per layer (h, c), each [B, h]
+    attn: np.ndarray                             # previous attentional vector [B, h]
 
 
 def pad_batch(rows: Sequence[Sequence[int]], pad_id: int = PAD_ID) -> tuple[np.ndarray, np.ndarray]:
@@ -261,10 +270,6 @@ def pad_batch(rows: Sequence[Sequence[int]], pad_id: int = PAD_ID) -> tuple[np.n
         ids[i, : len(r)] = r
         mask[i, : len(r)] = 1.0
     return ids, mask
-
-
-def _zeros(b: int, n: int, dtype) -> Tensor:
-    return Tensor(np.zeros((b, n), dtype=dtype))
 
 
 def _trim_pads(row: Sequence[int]) -> Sequence[int]:
@@ -306,56 +311,40 @@ def encode(
     return EncodedSource(x, mask, final_states)
 
 
+def _start_layers(encoded: EncodedSource, config: ModelConfig) -> list[tuple[Tensor, Tensor]]:
+    """Each decoder layer's start state: the encoder final state of the same
+    layer, or of the top encoder layer for the decoder layers above it."""
+    finals = encoded.final_states
+    return [finals[min(i, len(finals) - 1)] for i in range(config.dec_layers)]
+
+
 def initial_state(encoded: EncodedSource, config: ModelConfig) -> DecoderState:
     """Decoder start state: encoder final states per layer, zero attentional vector."""
+    layers = [(h.data, c.data) for h, c in _start_layers(encoded, config)]
     batch = encoded.mask.shape[0]
-    dtype = encoded.annotations.data.dtype
-    layers = [encoded.final_states[min(i, len(encoded.final_states) - 1)]
-              for i in range(config.dec_layers)]
-    return DecoderState(layers=list(layers), attn=_zeros(batch, config.hidden_size, dtype))
+    attn = np.zeros((batch, config.hidden_size), dtype=encoded.annotations.data.dtype)
+    return DecoderState(layers=layers, attn=attn)
 
 
 _MASK_SCALE = 1e9
 
 
+def _mask_add(mask: np.ndarray) -> np.ndarray:
+    """0 at real source positions, -1e9 at padding: `ad.attend`'s `mask_add`."""
+    return (mask - 1.0) * _MASK_SCALE
+
+
 def attend(
-    decoder_top_h: Tensor,
-    annotations: Tensor,
+    decoder_top_h: np.ndarray,
+    annotations: np.ndarray,
     mask: np.ndarray,
     attention: AttentionParams,
-) -> tuple[Tensor, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear attention: weights = softmax(h^T W a_s) over unmasked positions,
-    context = sum_s weights_s * a_s. Annotations and mask may be a single row
-    shared by every query. Returns (context [B,h], weights [B,S] as an array)."""
-    return ad.attention(decoder_top_h, annotations, (mask - 1.0) * _MASK_SCALE,
-                        attention.score_weights)
-
-
-def _decoder_step(
-    prev_ids: np.ndarray,
-    state: DecoderState,
-    encoded: EncodedSource,
-    params: ModelParams,
-    config: ModelConfig,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> DecoderState:
-    """One decoder step from raw previous-token ids; the new state's `attn` is
-    the attentional vector the generator reads."""
-    emb = ad.embedding_lookup(params.tgt_embedding, prev_ids)
-    x = ad.concat([emb, state.attn]) if config.input_feeding else emb
-    new_layers: list[tuple[Tensor, Tensor]] = []
-    for layer_idx, cell in enumerate(params.decoder):
-        if layer_idx > 0 and training and config.dropout > 0:
-            x = ad.dropout(x, config.dropout, rng)
-        h, c = ad.lstm_step(x, *state.layers[layer_idx], cell.input_weights,
-                            cell.recurrent_weights, cell.bias)
-        new_layers.append((h, c))
-        x = h
-    context, _ = attend(x, encoded.annotations, encoded.mask, params.attention)
-    attn_vec = ad.tanh(ad.linear(ad.concat([context, x]), params.attention.output_weights,
-                                 params.attention.output_bias))
-    return DecoderState(new_layers, attn_vec)
+    context = sum_s weights_s * a_s, on plain arrays. Annotations and mask may
+    be a single row shared by every query. Returns (context [B,h], weights [B,S])."""
+    return ad.attend(decoder_top_h, annotations, _mask_add(mask),
+                     attention.score_weights.data)
 
 
 def _generator(attn_vecs: Tensor, params: ModelParams) -> Tensor:
@@ -369,15 +358,32 @@ def decode_step(
     params: ModelParams,
     config: ModelConfig,
 ) -> tuple[np.ndarray, DecoderState]:
-    """One inference step, without dropout, run under `ad.inference_mode`;
-    returns (log_probs [B, Vt] as a plain array, new state).
+    """One inference step, without dropout, on plain arrays; returns
+    (log_probs [B, Vt], new state). It runs `ad.decoder_step`, the step
+    kernel of training's `ad.decoder_sequence`, and records nothing.
 
     `encoded` may hold one source row for all B decoder rows (a beam)."""
     prev_ids = np.asarray(prev_ids, dtype=np.intp)
-    if prev_ids.size and prev_ids.max() >= config.tgt_vocab_size:
+    if prev_ids.size and (prev_ids.min() < 0 or prev_ids.max() >= config.tgt_vocab_size):
         raise IndexError("target id out of range")
-    new_state = _decoder_step(prev_ids, state, encoded, params, config)
-    return ad.log_softmax(_generator(new_state.attn, params).data), new_state
+    emb = params.tgt_embedding.data[prev_ids]
+    x0 = np.concatenate([emb, state.attn], axis=1) if config.input_feeding else emb
+    ann = encoded.annotations.data
+    buf = ad.DecoderBuffers(1, len(prev_ids), config.dec_layers, config.hidden_size,
+                            ann.shape[1], ann.dtype)
+    cells = [(c.input_weights.data, c.recurrent_weights.data, c.bias.data)
+             for c in params.decoder]
+    attention = params.attention
+    ad.decoder_step(buf, 0, x0, state.layers, cells,
+                    (attention.score_weights.data, attention.output_weights.data,
+                     attention.output_bias.data),
+                    ann, _mask_add(encoded.mask))
+    attn = buf.attn[1]
+    logits = attn @ params.generator_weights.data
+    logits += params.generator_bias.data
+    new_state = DecoderState([(buf.h[l, 1], buf.c[l, 1]) for l in range(config.dec_layers)],
+                             attn)
+    return ad.log_softmax(logits), new_state
 
 
 def forward_loss(
@@ -390,26 +396,34 @@ def forward_loss(
     """Teacher-forced cross-entropy over a batch of (src_ids, tgt_ids) pairs.
 
     Targets are wrapped as BOS ... EOS internally; PAD positions contribute
-    no loss, and attention never sees padded source positions. The generator
-    and loss run once over every step's attentional vectors.
+    no loss, and attention never sees padded source positions. The decoder
+    runs as one `ad.decoder_sequence` over all steps, and the generator and
+    loss run once over every step's attentional vectors.
     """
     if not batch:
         raise ValueError("empty batch")
     src_rows = [pair[0] for pair in batch]
     tgt_rows = [pair[1] for pair in batch]
     encoded = encode(src_rows, params, config, training=training, rng=rng)
-    state = initial_state(encoded, config)
 
     dec_inputs, _ = pad_batch([[BOS_ID] + list(t) for t in tgt_rows])
     golds, _ = pad_batch([list(t) + [EOS_ID] for t in tgt_rows])
     steps = golds.shape[1]
+    dtype = params.tgt_embedding.data.dtype
+    keep = None
+    if training and config.dropout > 0 and config.dec_layers > 1:
+        # one [B,h] draw per step and upper layer, in the order a step-by-step decoder draws
+        uniform = rng.random((steps, config.dec_layers - 1, len(batch), config.hidden_size))
+        keep = (uniform >= config.dropout).astype(dtype) / (1.0 - config.dropout)
 
-    attn_vecs = []
-    for t in range(steps):
-        state = _decoder_step(dec_inputs[:, t], state, encoded, params, config,
-                              training=training, rng=rng)
-        attn_vecs.append(state.attn)
-    logits = _generator(ad.concat(attn_vecs, axis=0), params)  # [steps*B, Vt], step-major
+    emb = ad.embedding_lookup(params.tgt_embedding, dec_inputs.T)  # [steps, B, e]
+    attention = params.attention
+    attn_vecs = ad.decoder_sequence(
+        emb, _start_layers(encoded, config), encoded.annotations, _mask_add(encoded.mask),
+        [(c.input_weights, c.recurrent_weights, c.bias) for c in params.decoder],
+        attention.score_weights, attention.output_weights, attention.output_bias,
+        keep=keep, input_feeding=config.input_feeding)
+    logits = _generator(attn_vecs, params)  # [steps*B, Vt], step-major
     flat_targets = golds.T.reshape(-1)
     return ad.cross_entropy(logits, flat_targets, PAD_ID)
 

@@ -45,44 +45,35 @@ def test_matmul_shape_mismatch_names_shapes():
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     a, b = f64(3, 4, rng=rng), f64_weight(2, 4, rng)
+    w = rng.uniform(-1, 1, (3, 2))
     with Tape() as tape:
-        loss = weighted_sum((ad.tanh(ad.linear(a, b)), 1.0))
+        loss = weighted_sum((ad.linear(a, b), w))
         tape.backward(loss)
 
     def loss_fn():
-        return float(np.tanh(a.data @ b.data).sum())
+        return float((a.data @ b.data * w).sum())
 
     assert rel_err(a.grad, finite_difference(loss_fn, a)) <= 1e-5
     assert rel_err(b.grad, finite_difference(loss_fn, b)) <= 1e-5
 
 
 def test_tanh_and_sigmoid_at_zero():
-    assert ad.tanh(Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
-    # with zero weights every LSTM gate is sigmoid(0), exactly 0.5, and the
-    # candidate tanh(0) is 0: c' = 0.5*c and h' = 0.5*tanh(c')
+    # with zero pre-activations every LSTM gate is sigmoid(0), exactly 0.5, and
+    # the candidate tanh(0) is 0: c' = 0.5*c and h' = 0.5*tanh(c')
     c = np.array([[0.8, -0.4]])
-    zeros = lambda *shape: Tensor(np.zeros(shape))
-    h1, c1 = ad.lstm_step(zeros(1, 3), zeros(1, 2), Tensor(c), zeros(3, 8), zeros(2, 8), zeros(8))
-    assert np.array_equal(c1.data, 0.5 * c)
-    assert np.array_equal(h1.data, 0.5 * np.tanh(0.5 * c))
-
-
-def test_tanh_gradient_at_point_three():
-    x = Tensor(np.array([0.3]))
-    with Tape() as tape:
-        loss = weighted_sum((ad.tanh(x), 1.0))
-        tape.backward(loss)
-    fd = finite_difference(lambda: float(np.tanh(x.data).sum()), x)
-    assert rel_err(x.grad, fd) <= 1e-5
+    c1, tanh_c, h1 = (np.empty_like(c) for _ in range(3))
+    ad._cell(np.zeros((1, 8)), c, c1, tanh_c, h1)
+    assert np.array_equal(c1, 0.5 * c)
+    assert np.array_equal(h1, 0.5 * np.tanh(0.5 * c))
 
 
 def _attention_weights(scores):
-    """Softmax weights of `ad.attention` for given raw scores: with h=1, a unit
+    """Softmax weights of `ad.attend` for given raw scores: with h=1, a unit
     query and a unit score matrix, the score of position s is annotation s."""
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     n, length = scores.shape
-    _, weights = ad.attention(Tensor(np.ones((n, 1))), Tensor(scores[:, :, None]),
-                              np.zeros((n, length)), Tensor(np.ones((1, 1))))
+    _, weights = ad.attend(np.ones((n, 1)), scores[:, :, None], np.zeros((n, length)),
+                           np.ones((1, 1)))
     return weights
 
 
@@ -108,25 +99,6 @@ def test_softmax_sums_to_one_and_shift_invariant(values, shift):
     b = _attention_weights(x + shift)
     assert abs(a.sum() - 1.0) <= 1e-6
     assert np.allclose(a, b, atol=1e-9)
-
-
-def test_softmax_gradient():
-    # h=1: each annotation is both a score and a value, so the gradient of the
-    # context runs through the softmax
-    ann = f64(2, 5, 1, rng=np.random.default_rng(9))
-    w = np.random.default_rng(10).uniform(-1, 1, (2, 1))
-    top, w_score = Tensor(np.ones((2, 1))), Tensor(np.ones((1, 1)))
-    with Tape() as tape:
-        context, _ = ad.attention(top, ann, np.zeros((2, 5)), w_score)
-        loss = weighted_sum((context, w))
-        tape.backward(loss)
-
-    def loss_fn():
-        a = ann.data[:, :, 0]
-        e = np.exp(a - a.max(axis=-1, keepdims=True))
-        return float(((e / e.sum(axis=-1, keepdims=True) * a).sum(axis=-1) * w[:, 0]).sum())
-
-    assert rel_err(ann.grad, finite_difference(loss_fn, ann)) <= 1e-5
 
 
 def test_log_softmax_normalizes():
@@ -225,7 +197,7 @@ def test_backward_sum_of_squares():
 def test_backward_requires_scalar_loss():
     x = Tensor(np.zeros(3))
     with Tape() as tape:
-        y = ad.tanh(x)
+        y = ad.mul_const(x, 2.0)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
@@ -233,7 +205,7 @@ def test_backward_requires_scalar_loss():
 def test_backward_ignored_node_gets_no_gradient():
     x, unused = Tensor(np.ones(2)), Tensor(np.ones(2))
     with Tape() as tape:
-        ad.tanh(unused)  # on the tape but not feeding the loss
+        ad.mul_const(unused, 2.0)  # on the tape but not feeding the loss
         loss = weighted_sum((x, 1.0))
         tape.backward(loss)
     assert unused.grad is None
@@ -245,13 +217,13 @@ def test_concat_gradients():
     w = rng.uniform(-1, 1, (4, 8))
     with Tape() as tape:
         glued = ad.concat([b, a])
-        stacked = ad.concat([glued, ad.tanh(glued)], axis=0)
+        stacked = ad.concat([glued, ad.mul_const(glued, -3.0)], axis=0)
         loss = weighted_sum((stacked, w))
         tape.backward(loss)
 
     def loss_fn():
         glued = np.concatenate([b.data, a.data], axis=1)
-        return float((np.concatenate([glued, np.tanh(glued)]) * w).sum())
+        return float((np.concatenate([glued, -3.0 * glued]) * w).sum())
 
     assert rel_err(a.grad, finite_difference(loss_fn, a)) <= 1e-5
     assert rel_err(b.grad, finite_difference(loss_fn, b)) <= 1e-5
@@ -300,6 +272,16 @@ def test_clip_halves_gradients_at_double_norm():
     assert np.allclose(a.grad, [3.0, 4.0])
 
 
+def test_global_grad_norm_is_bit_identical_to_squaring_a_float64_copy():
+    rng = np.random.default_rng(26)
+    tensors = [Tensor(np.zeros(shape, np.float32)) for shape in ((600, 150), (150,), (7, 3, 5))]
+    for t in tensors:
+        t.grad = rng.normal(0, 0.3, t.data.shape).astype(np.float32)
+    expected = math.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum()) for t in tensors))
+    assert ad.global_grad_norm(tensors) == expected
+    assert ad.global_grad_norm(tensors + [Tensor(np.zeros(2))]) == expected  # no gradient
+
+
 def test_clip_leaves_small_gradients():
     a = Tensor(np.zeros(2))
     a.grad = np.array([0.3, 0.4])
@@ -321,7 +303,7 @@ def test_dropout_scales_kept_entries():
 
 def test_ops_without_tape_build_no_graph():
     x = Tensor(np.ones(3))
-    y = ad.tanh(x)  # outside any tape: nothing links y back to x
+    y = ad.mul_const(x, 2.0)  # outside any tape: nothing links y back to x
     with Tape() as tape:
         loss = weighted_sum((y, 1.0))
         tape.backward(loss)
@@ -330,14 +312,11 @@ def test_ops_without_tape_build_no_graph():
 
 def test_each_op_call_records_one_tape_entry():
     rng = np.random.default_rng(24)
-    x, h, c = (Tensor(rng.uniform(-1, 1, (2, n))) for n in (3, 4, 4))
     xs = Tensor(rng.uniform(-1, 1, (2, 5, 3)))
     weights = _cell_weights(rng, 3, 4)
-    annotations = Tensor(rng.uniform(-1, 1, (2, 5, 4)))
-    w_score = Tensor(rng.uniform(-1, 1, (4, 4)))
-    calls = (lambda: ad.lstm_step(x, h, c, *weights),
-             lambda: ad.lstm_sequence(xs, np.ones((2, 5)), *weights),
-             lambda: ad.attention(h, annotations, np.zeros((2, 5)), w_score))
+    inputs = _decoder_inputs(rng, steps=3, batch=2, layers=2)
+    calls = (lambda: ad.lstm_sequence(xs, np.ones((2, 5)), *weights),
+             lambda: ad.decoder_sequence(**inputs))
     for call in calls:
         with Tape() as tape:
             call()
@@ -348,7 +327,7 @@ def test_inference_mode_masks_active_tape():
     x = Tensor(np.ones(3))
     with Tape() as tape:
         with ad.inference_mode():
-            ad.tanh(x)
+            ad.mul_const(x, 2.0)
         assert tape.nodes == []
 
 
@@ -402,65 +381,128 @@ def test_lstm_sequence_gradient(reverse):
     assert np.all(xs.grad[mask == 0] == 0.0)  # padded inputs feed nothing
 
 
-@pytest.mark.parametrize("c_in_loss", [True, False])
-def test_lstm_step_gradient(c_in_loss):
+def test_backward_passes_zeros_for_output_without_gradient():
+    # only the outputs reach the loss: the final h and c get no gradient, and
+    # the tape passes zeros for them to lstm_sequence's backward
     rng = np.random.default_rng(22)
-    x, h, c = (Tensor(rng.uniform(-1, 1, (2, n)), name=name)
-               for n, name in ((3, "x"), (4, "h"), (4, "c")))
+    xs = Tensor(rng.uniform(-1, 1, (2, 3, 3)), name="xs")
     weights = _cell_weights(rng, 3, 4)
-    w_h, w_c = rng.uniform(-1, 1, (2, 2, 4))
+    w_out = rng.uniform(-1, 1, (2, 3, 4))
 
     def loss_of():
-        h1, c1 = ad.lstm_step(x, h, c, *weights)
-        # without c' in the loss, c' gets no gradient and its backward is passed zeros
-        return weighted_sum((h1, w_h), (c1, w_c)) if c_in_loss else weighted_sum((h1, w_h))
+        outputs, _, _ = ad.lstm_sequence(xs, np.ones((2, 3)), *weights)
+        return weighted_sum((outputs, w_out))
 
-    _check_gradients(loss_of, [x, h, c, *weights])
+    _check_gradients(loss_of, [xs, *weights])
 
 
-@pytest.mark.parametrize("source_rows", [3, 1])
-def test_attention_gradient_with_masked_position(source_rows):
-    rng = np.random.default_rng(23)
-    queries, length, hidden = 3, 4, 5
-    top = Tensor(rng.uniform(-1, 1, (queries, hidden)), name="top")
-    annotations = Tensor(rng.uniform(-1, 1, (source_rows, length, hidden)), name="annotations")
-    w_score = Tensor(rng.uniform(-1, 1, (hidden, hidden)), name="w_score")
-    mask_add = np.zeros((source_rows, length))
-    mask_add[0, 2] = -1e9
-    w_ctx = rng.uniform(-1, 1, (queries, hidden))
+def _decoder_inputs(rng, steps, batch, layers, emb_size=3, hidden=4, length=5,
+                    input_feeding=True, shared_start=False, dropout=False):
+    """Random float64 inputs of `ad.decoder_sequence`. Source row b has
+    length - b real positions (at least 1); the rest is masked."""
+    t = lambda *shape, name=None: Tensor(rng.uniform(-1, 1, shape), name=name)
+    starts = [(t(batch, hidden, name=f"h0.{l}"), t(batch, hidden, name=f"c0.{l}"))
+              for l in range(1 if shared_start else layers)]
+    mask_add = np.zeros((batch, length))
+    for b in range(batch):
+        mask_add[b, max(length - b, 1):] = -1e9
+    cells = [tuple(_cell_weights(rng, (emb_size + hidden if input_feeding else emb_size)
+                                 if l == 0 else hidden, hidden)) for l in range(layers)]
+    for l, cell in enumerate(cells):
+        for w in cell:
+            w.name = f"l{l}.{w.name}"
+    keep = None
+    if dropout:
+        keep = (rng.random((steps, layers - 1, batch, hidden)) >= 0.5) / 0.5
+    return dict(
+        emb=t(steps, batch, emb_size, name="emb"),
+        initial=[starts[min(l, len(starts) - 1)] for l in range(layers)],
+        annotations=t(batch, length, hidden, name="annotations"),
+        mask_add=mask_add,
+        cells=cells,
+        w_score=t(hidden, hidden, name="w_score"),
+        w_out=Tensor(np.ascontiguousarray(rng.uniform(-1, 1, (hidden, 2 * hidden)).T),
+                     name="w_out"),
+        b_out=t(hidden, name="b_out"),
+        keep=keep,
+        input_feeding=input_feeding,
+    )
+
+
+def _decoder_tensors(inputs):
+    """Every differentiable input of `ad.decoder_sequence`, each once, though
+    one start state may serve several layers."""
+    tensors = [inputs["emb"], inputs["annotations"], inputs["w_score"], inputs["w_out"],
+               inputs["b_out"], *(s for pair in inputs["initial"] for s in pair),
+               *(w for cell in inputs["cells"] for w in cell)]
+    return list({id(t): t for t in tensors}.values())
+
+
+@pytest.mark.parametrize("case", ["padded", "dropout", "one_row", "shared_start",
+                                  "no_feeding"])
+def test_decoder_sequence_gradient(case):
+    rng = np.random.default_rng(25)
+    steps, batch, layers = 4, 3, 2
+    kwargs = {}
+    if case == "dropout":
+        kwargs["dropout"] = True
+    elif case == "one_row":
+        batch = 1
+    elif case == "shared_start":
+        layers, kwargs["shared_start"] = 3, True  # enc_layers=1 feeding dec_layers=3
+    elif case == "no_feeding":
+        kwargs["input_feeding"] = False
+    inputs = _decoder_inputs(rng, steps, batch, layers, **kwargs)
+    # padded target rows: row b ends after steps - b steps, and the loss, like
+    # cross_entropy at PAD targets, sends its later steps no gradient
+    w_loss = rng.uniform(-1, 1, (steps, batch, 4))
+    for b in range(batch):
+        w_loss[steps - b:, b] = 0.0
+    w_loss = w_loss.reshape(steps * batch, 4)
 
     def loss_of():
-        context, _ = ad.attention(top, annotations, mask_add, w_score)
-        return weighted_sum((context, w_ctx))
+        return weighted_sum((ad.decoder_sequence(**inputs), w_loss))
 
-    _check_gradients(loss_of, [top, annotations, w_score])
-    assert np.all(annotations.grad[0, 2] == 0.0)
-    _, weights = ad.attention(top, annotations, mask_add, w_score)
-    assert np.all(weights[: 1 if source_rows > 1 else queries, 2] == 0.0)
+    _check_gradients(loss_of, _decoder_tensors(inputs))
+    masked = inputs["mask_add"] < 0
+    assert np.all(inputs["annotations"].grad[masked] == 0.0)  # padded source feeds nothing
 
 
 def test_attention_shared_source_equals_repeated_source():
+    # the decode-time rule: one annotation row serves every decoder row, with
+    # the same bits as that row repeated
     rng = np.random.default_rng(24)
-    top = Tensor(rng.uniform(-1, 1, (4, 6)).astype(np.float32))
-    one = rng.uniform(-1, 1, (1, 5, 6)).astype(np.float32)
-    w_score = Tensor(rng.uniform(-1, 1, (6, 6)).astype(np.float32))
+    f32 = lambda *shape: rng.uniform(-1, 1, shape).astype(np.float32)
+    rows, n, length = 4, 6, 5
+    one = f32(1, length, n)
     mask_add = np.array([[0, 0, 0, -1e9, -1e9]], dtype=np.float32)
-    shared = ad.attention(top, Tensor(one), mask_add, w_score)
-    repeated = ad.attention(top, Tensor(np.repeat(one, 4, axis=0)), np.repeat(mask_add, 4, axis=0),
-                            w_score)
-    assert np.array_equal(shared[0].data, repeated[0].data)
-    assert np.array_equal(shared[1], repeated[1])
+    cells = [(f32(in_size, 4 * n), f32(n, 4 * n), f32(4 * n)) for in_size in (3 + n, n)]
+    attention = (f32(n, n), f32(2 * n, n), f32(n))
+    x0, prev = f32(rows, 3 + n), [(f32(rows, n), f32(rows, n)) for _ in cells]
+    bufs = []
+    for ann, mask in ((one, mask_add),
+                      (np.repeat(one, rows, axis=0), np.repeat(mask_add, rows, axis=0))):
+        buf = ad.DecoderBuffers(1, rows, 2, n, length, np.float32)
+        ad.decoder_step(buf, 0, x0, prev, cells, attention, ann, mask)
+        bufs.append(buf)
+    shared, repeated = bufs
+    assert np.array_equal(shared.weights, repeated.weights)
+    assert np.all(shared.weights[..., 3:] == 0.0)
+    assert np.array_equal(shared.attn[1], repeated.attn[1])
+    assert np.array_equal(shared.h[:, 1], repeated.h[:, 1])
 
 
 def test_fused_ops_reject_mismatched_shapes():
     z = lambda *shape: Tensor(np.zeros(shape))
-    with pytest.raises(ValueError, match=r"LSTM shape mismatch.*\(2, 8\)"):
-        ad.lstm_step(z(1, 3), z(1, 2), z(1, 2), z(2, 8), z(2, 8), z(8))
-    with pytest.raises(ValueError, match="state shape"):
-        ad.lstm_step(z(1, 3), z(2, 2), z(2, 2), z(3, 8), z(2, 8), z(8))
     with pytest.raises(ValueError, match="mask shape"):
         ad.lstm_sequence(z(2, 4, 3), np.ones((2, 3)), z(3, 8), z(2, 8), z(8))
-    with pytest.raises(ValueError, match="attention shape mismatch"):
-        ad.attention(z(3, 4), z(2, 5, 4), np.zeros((2, 5)), z(4, 4))
-    with pytest.raises(ValueError, match="empty source"):
-        ad.attention(z(1, 4), z(1, 0, 4), np.zeros((1, 0)), z(4, 4))
+    inputs = _decoder_inputs(np.random.default_rng(0), steps=2, batch=2, layers=2)
+    cells = inputs["cells"]
+    with pytest.raises(ValueError, match=r"LSTM shape mismatch.*\(3, 16\)"):
+        ad.decoder_sequence(**{**inputs, "cells": [(z(3, 16), *cells[0][1:]), cells[1]]})
+    with pytest.raises(ValueError, match="decoder shape mismatch"):
+        ad.decoder_sequence(**{**inputs, "annotations": z(1, 5, 4)})
+    with pytest.raises(ValueError, match="decoder shape mismatch"):
+        ad.decoder_sequence(**{**inputs, "annotations": z(2, 0, 4), "mask_add": np.zeros((2, 0))})
+    with pytest.raises(ValueError, match="decoder shape mismatch"):
+        ad.decoder_sequence(**{**inputs, "keep": np.ones((2, 2, 2, 4))})

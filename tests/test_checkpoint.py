@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_in_x_out, in_x_out_shapes, tiny_model, toy_tgt_vocab
+from polyg2p import checkpoint
 from polyg2p.checkpoint import MAGIC, ModelBundle, load_checkpoint, save_checkpoint
 from polyg2p.corpus import RESERVED, Vocabulary
 
@@ -43,6 +44,25 @@ def test_checkpoint_save_load_save_is_bit_exact(tmp_path):
     save_checkpoint(first, bundle)
     save_checkpoint(second, load_checkpoint(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_write_that_fails_midway_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.mg2p"
+    save_checkpoint(path, _bundle(seed=1))
+    before = path.read_bytes()
+
+    def fail(fh, vocab):  # after the header and every tensor are written
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "_write_vocab", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, _bundle(seed=2))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.mg2p"]  # no temporary file left
+    monkeypatch.undo()
+    save_checkpoint(path, _bundle(seed=2))
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.mg2p"]
 
 
 def test_checkpoint_magic_guard(tmp_path):

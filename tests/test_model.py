@@ -35,13 +35,23 @@ def _zero_cell(in_size, hidden):
     )
 
 
+def _cell_step(x, h, c, cell):
+    """One LSTM update of [B,in] input and [B,n] state through the decoder's
+    step kernel, as a one-layer decoder; returns (h', c')."""
+    batch, n = h.shape
+    buf = ad.DecoderBuffers(1, batch, 1, n, 1, x.dtype)
+    no_attention = (np.zeros((n, n)), np.zeros((2 * n, n)), np.zeros(n))
+    ad.decoder_step(buf, 0, x, [(h, c)],
+                    [(cell.input_weights.data, cell.recurrent_weights.data, cell.bias.data)],
+                    no_attention, np.zeros((1, 1, n)), np.zeros((1, 1)))
+    return buf.h[0, 1], buf.c[0, 1]
+
+
 def test_cell_step_all_zero_parameters_give_zero_state():
     cell = _zero_cell(3, 4)
-    h, c = ad.lstm_step(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))),
-                        Tensor(np.zeros((2, 4))), cell.input_weights, cell.recurrent_weights,
-                        cell.bias)
-    assert np.allclose(h.data, 0.0)
-    assert np.allclose(c.data, 0.0)
+    h, c = _cell_step(np.ones((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)), cell)
+    assert np.allclose(h, 0.0)
+    assert np.allclose(c, 0.0)
 
 
 def test_cell_step_saturated_gates_carry_memory():
@@ -51,9 +61,8 @@ def test_cell_step_saturated_gates_carry_memory():
     bias[0:4] = -50.0   # input gate
     bias[4:8] = 50.0    # forget gate
     c0 = np.array([[0.3, -0.7, 1.2, 0.0]])
-    _, c1 = ad.lstm_step(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), Tensor(c0),
-                         cell.input_weights, cell.recurrent_weights, cell.bias)
-    assert np.allclose(c1.data, c0, atol=1e-6)
+    _, c1 = _cell_step(np.ones((1, 3)), np.zeros((1, 4)), c0, cell)
+    assert np.allclose(c1, c0, atol=1e-6)
 
 
 def test_cell_step_matches_scalar_oracle():
@@ -66,14 +75,13 @@ def test_cell_step_matches_scalar_oracle():
     x = rng.uniform(-1, 1, 3)
     h0 = rng.uniform(-1, 1, 4)
     c0 = rng.uniform(-1, 1, 4)
-    h1, c1 = ad.lstm_step(Tensor(x[None]), Tensor(h0[None]), Tensor(c0[None]),
-                          cell.input_weights, cell.recurrent_weights, cell.bias)
+    h1, c1 = _cell_step(x[None], h0[None], c0[None], cell)
     oh, oc = scalar_cell_step(x.tolist(), h0.tolist(), c0.tolist(),
                               cell.input_weights.data.T.tolist(),
                               cell.recurrent_weights.data.T.tolist(),
                               cell.bias.data.tolist())
-    assert np.allclose(h1.data[0], oh, atol=1e-6)
-    assert np.allclose(c1.data[0], oc, atol=1e-6)
+    assert np.allclose(h1[0], oh, atol=1e-6)
+    assert np.allclose(c1[0], oc, atol=1e-6)
 
 
 def test_encode_single_token_annotation_shape_default_config():
@@ -125,6 +133,18 @@ def test_encode_tape_nodes_do_not_grow_with_source_length():
     assert nodes(3) == nodes(12)
 
 
+def test_forward_loss_tape_entries_do_not_grow_with_target_length():
+    config, params = tiny_model(seed=3, dropout=0.3)
+
+    def entries(length):
+        batch = [([4, 5, 6], [4 + i % 5 for i in range(length - 1)]), ([5, 6], [7])]
+        with Tape() as tape:
+            forward_loss(batch, params, config, training=True, rng=np.random.default_rng(0))
+        return len(tape.nodes)
+
+    assert entries(2) == entries(10) < 20
+
+
 def test_encode_rejects_empty_input():
     config, params = tiny_model()
     with pytest.raises(ValueError, match="empty source"):
@@ -142,19 +162,19 @@ def test_encode_rejects_out_of_range_ids():
 def test_attend_single_position_takes_the_annotation():
     config, params = tiny_model(seed=4)
     h = config.hidden_size
-    ann = Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 1, h)).astype(np.float32))
-    top = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, h)).astype(np.float32))
+    ann = np.random.default_rng(0).uniform(-1, 1, (1, 1, h)).astype(np.float32)
+    top = np.random.default_rng(1).uniform(-1, 1, (1, h)).astype(np.float32)
     context, weights = attend(top, ann, np.ones((1, 1), dtype=np.float32), params.attention)
     assert np.allclose(weights, [[1.0]])
-    assert np.allclose(context.data, ann.data[:, 0, :])
+    assert np.allclose(context, ann[:, 0, :])
 
 
 def test_attend_zero_score_matrix_gives_uniform_weights():
     config, params = tiny_model(seed=4)
     params.attention.score_weights.data[:] = 0.0
     h = config.hidden_size
-    ann = Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 5, h)).astype(np.float32))
-    top = Tensor(np.ones((1, h), dtype=np.float32))
+    ann = np.random.default_rng(0).uniform(-1, 1, (1, 5, h)).astype(np.float32)
+    top = np.ones((1, h), dtype=np.float32)
     _, weights = attend(top, ann, np.ones((1, 5), dtype=np.float32), params.attention)
     assert np.allclose(weights, 0.2, atol=1e-7)
 
@@ -171,21 +191,21 @@ def test_attend_matches_brute_force_sum():
     )
     ann = rng.uniform(-1, 1, (1, length, h))
     top = rng.uniform(-1, 1, (1, h))
-    context, weights = attend(Tensor(top), Tensor(ann), np.ones((1, length)), att)
+    context, weights = attend(top, ann, np.ones((1, length)), att)
 
     scores = [float(top[0] @ att.score_weights.data @ ann[0, s]) for s in range(length)]
     exps = [math.exp(s - max(scores)) for s in scores]
     expected_w = [e / sum(exps) for e in exps]
     expected_ctx = sum(w * ann[0, s] for s, w in enumerate(expected_w))
     assert np.allclose(weights[0], expected_w, atol=1e-6)
-    assert np.allclose(context.data[0], expected_ctx, atol=1e-6)
+    assert np.allclose(context[0], expected_ctx, atol=1e-6)
 
 
 def test_attention_masks_padding_to_exactly_zero():
     config, params = tiny_model(seed=7)
     h = config.hidden_size
-    ann = Tensor(np.random.default_rng(2).uniform(-1, 1, (2, 4, h)).astype(np.float32))
-    top = Tensor(np.random.default_rng(3).uniform(-1, 1, (2, h)).astype(np.float32))
+    ann = np.random.default_rng(2).uniform(-1, 1, (2, 4, h)).astype(np.float32)
+    top = np.random.default_rng(3).uniform(-1, 1, (2, h)).astype(np.float32)
     mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=np.float32)
     _, weights = attend(top, ann, mask, params.attention)
     assert np.all(weights[0, 2:] == 0.0)
