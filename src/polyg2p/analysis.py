@@ -29,6 +29,8 @@ def _cosine_to_row(table: np.ndarray, row: int) -> np.ndarray:
 
 def _nearest(table: np.ndarray, tokens: tuple[str, ...], query: str, k: int,
              candidates: set[str]) -> NeighborList:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     row = tokens.index(query)
     if not np.any(table[row]):
         raise ValueError(f"{query!r} has a zero embedding")

@@ -14,11 +14,12 @@ The model's recurrent and attention math are fused ops with hand-written
 backward rules, so a training batch records a fixed number of tape entries,
 whatever its lengths:
 
-- `lstm_sequence` runs one LSTM direction over a padded batch. The input
-  projection of every timestep is one GEMM; padded rows keep their state;
-  the only matrix product left in the backward loop over time is
-  `(w_rec @ dpre_t.T).T`, and each weight gradient is one GEMM over the
-  stacked gate gradients.
+- `encoder_sequence` is the whole stacked bidirectional encoder: both
+  directions of every layer, their concatenation and the dropout between
+  layers. In each direction the input projection of every step is one GEMM;
+  padded rows keep their state; the only matrix product left in the backward
+  loop over time is `(w_rec @ dpre_t.T).T`, and each weight gradient is one
+  GEMM over the stacked gate gradients.
 - `decoder_sequence` is the whole teacher-forced decoder: every target step
   of the stacked LSTM layers, bilinear attention, the attentional vector and
   the dropout between layers. Input feeding keeps its forward pass step by
@@ -27,6 +28,8 @@ whatever its lengths:
   Its backward loop over time keeps only the products that carry a gradient
   to the previous step; every weight gradient is one GEMM over the stacked
   steps and the annotation gradient one batched product.
+
+Both recurrent ops step back through a cell with one `_cell_backward`.
 
 The tape holds one entry per op call: the call's output tensors and one
 backward function taking a gradient per output. `Tape.backward` calls it once
@@ -73,14 +76,6 @@ class Tensor:
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.name = name
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -143,19 +138,6 @@ def _record(backward: Callable, *outputs: np.ndarray) -> tuple[Tensor, ...]:
     return tensors
 
 
-# --- elementwise -------------------------------------------------------------
-
-
-def mul_const(x: Tensor, c) -> Tensor:
-    """Multiply by a non-differentiable constant (broadcasting allowed)."""
-    c = np.asarray(c, dtype=x.data.dtype)
-
-    def backward(g):
-        _accumulate(x, g * c)
-
-    return _record(backward, x.data * c)[0]
-
-
 # --- linear algebra ----------------------------------------------------------
 
 
@@ -174,22 +156,6 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
             _accumulate(bias, g.sum(axis=0))
 
     return _record(backward, out)[0]
-
-
-# --- shape manipulation ------------------------------------------------------
-
-
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(index)])
-
-    return _record(backward, np.concatenate([p.data for p in parts], axis=axis))[0]
 
 
 # --- normalizations ----------------------------------------------------------
@@ -260,33 +226,44 @@ def _check_cell(x_shape, w_in: Tensor, w_rec: Tensor, bias: Tensor) -> int:
     return n
 
 
-def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bias: Tensor,
-                  reverse: bool = False) -> tuple[Tensor, Tensor, Tensor]:
-    """One LSTM direction over a padded batch xs [B,T,in], from a zero state.
+def _cell_backward(dh: np.ndarray, dc: np.ndarray, acts: np.ndarray, gate_factor: np.ndarray,
+                   c_factor: np.ndarray, w_rec: np.ndarray, dpre: np.ndarray):
+    """One step back through `_cell` and the recurrent product h @ w_rec: from
+    the gradients dh of the step's new h and dc of its new c, write the
+    pre-activation gradient into `dpre` [B,4n] and return the previous
+    state's (dh, dc). `gate_factor` and `c_factor` are `_cell_partials`'."""
+    n = dh.shape[1]
+    dc_new = dh * c_factor
+    dc_new += dc
+    np.multiply(np.concatenate([dc_new, dc_new, dc_new, dh], axis=1), gate_factor, out=dpre)
+    return (w_rec @ dpre.T).T, dc_new * acts[:, n : 2 * n]
 
-    Weights are stored [in x 4n] and [n x 4n], bias [4n].
+
+def _lstm_direction(xs: np.ndarray, mask: np.ndarray, w_in: np.ndarray, w_rec: np.ndarray,
+                    bias: np.ndarray, reverse: bool):
+    """One LSTM direction over a padded batch xs [B,T,in], from a zero state,
+    on plain arrays. Weights are stored [in x 4n] and [n x 4n], bias [4n].
+
     `mask` [B,T] is 1 at real positions; at a padded position a row keeps
     its previous state, and its output there is that state. `reverse` runs
-    from T-1 down to 0. Returns (outputs [B,T,n], final h [B,n], final c [B,n])."""
-    batch, length = xs.data.shape[:2]
-    n = _check_cell(xs.data.shape, w_in, w_rec, bias)
-    if mask.shape != (batch, length):
-        raise ValueError(f"mask shape {mask.shape} does not match input {xs.data.shape}")
-    dtype = xs.data.dtype
+    from T-1 down to 0. The input projection of every step is one GEMM.
+    Returns (outputs [B,T,n], final h [B,n], final c [B,n], backward), where
+    backward(g_outputs, g_h, g_c) returns (dx, dw_in, dw_rec, dbias)."""
+    batch, length = xs.shape[:2]
+    n = w_rec.shape[0]
     # internal buffers run in processing order p (t = T-1-p when reversed),
     # so every per-step slice is contiguous
     steps = np.s_[::-1] if reverse else np.s_[:]
     keep = mask.T[steps, :, None].astype(bool)           # [T,B,1]
     full = keep.all(axis=(1, 2))                         # [T]: no padding at step p
-    x_steps = np.ascontiguousarray(xs.data.transpose(1, 0, 2)[steps]).reshape(
-        length * batch, -1)
-    acts = (x_steps @ w_in.data).reshape(length, batch, 4 * n)  # input projections first
-    hs = np.zeros((length + 1, batch, n), dtype=dtype)   # hs[p]: state before step p
-    cs = np.zeros((length + 1, batch, n), dtype=dtype)
-    tanh_cs = np.empty((length, batch, n), dtype=dtype)
+    x_steps = np.ascontiguousarray(xs.transpose(1, 0, 2)[steps]).reshape(length * batch, -1)
+    acts = (x_steps @ w_in).reshape(length, batch, 4 * n)  # input projections first
+    hs = np.zeros((length + 1, batch, n), dtype=xs.dtype)  # hs[p]: state before step p
+    cs = np.zeros_like(hs)
+    tanh_cs = np.empty((length, batch, n), dtype=xs.dtype)
     for p in range(length):
-        recurrent = hs[p] @ w_rec.data
-        recurrent += bias.data
+        recurrent = hs[p] @ w_rec
+        recurrent += bias
         acts[p] += recurrent
         _cell(acts[p], cs[p], cs[p + 1], tanh_cs[p], hs[p + 1])
         if not full[p]:
@@ -302,28 +279,73 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, w_in: Tensor, w_rec: Tensor, bia
         dc = g_c
         for p in range(length - 1, -1, -1):
             dh += d_outputs[p]
-            dc_new = dh * c_factor[p]
-            dc_new += dc
-            np.multiply(np.concatenate([dc_new, dc_new, dc_new, dh], axis=1), gate_factor[p],
-                        out=dpre[p])
-            if not full[p]:
+            dh_prev, dc_prev = _cell_backward(dh, dc, acts[p], gate_factor[p], c_factor[p],
+                                              w_rec, dpre[p])
+            if not full[p]:  # padded rows pass their gradient straight through
                 dpre[p] *= keep[p]
-            dh_prev = (w_rec.data @ dpre[p].T).T
-            dc_prev = dc_new * acts[p, :, n : 2 * n]
-            if not full[p]:
                 padded = ~keep[p]
                 np.copyto(dh_prev, dh, where=padded)
                 np.copyto(dc_prev, dc, where=padded)
             dh, dc = dh_prev, dc_prev
         flat = dpre.reshape(length * batch, 4 * n)
-        dx = (w_in.data @ flat.T).reshape(-1, length, batch)  # [in, p, b]
-        _accumulate(xs, dx[:, steps].transpose(2, 1, 0))
-        _accumulate(w_in, x_steps.T @ flat)
-        _accumulate(w_rec, hs[:-1].reshape(length * batch, n).T @ flat)
-        _accumulate(bias, flat.sum(axis=0))
+        dx = (w_in @ flat.T).reshape(-1, length, batch)  # [in, p, b]
+        return (dx[:, steps].transpose(2, 1, 0), x_steps.T @ flat,
+                hs[:-1].reshape(length * batch, n).T @ flat, flat.sum(axis=0))
 
     # outputs [B,T,n] in time order, and the final state: views of hs and cs
-    return _record(backward, hs[1:][steps].transpose(1, 0, 2), hs[length], cs[length])
+    return hs[1:][steps].transpose(1, 0, 2), hs[length], cs[length], backward
+
+
+def encoder_sequence(xs: Tensor, mask: np.ndarray,
+                     layers: Sequence[Sequence[tuple[Tensor, Tensor, Tensor]]],
+                     keep: np.ndarray | None = None
+                     ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+    """The stacked bidirectional LSTM encoder over a padded batch, as one op.
+
+    `xs` [B,S,e] is the embedded source and `mask` [B,S] 1 at real positions.
+    `layers` holds each layer's forward and backward cell (w_in, w_rec, bias),
+    both of hidden size n; a layer's output is its two directions' outputs
+    concatenated, [B,S,2n], and the input of the next. `keep`
+    [layers-1, B, S, 2n] is a constant inverted-dropout scale on the inputs of
+    the upper layers. Returns the top layer's annotations [B,S,2n] and each
+    layer's final (h, c), the directions concatenated, [B,2n]."""
+    batch, length = xs.data.shape[:2]
+    n = layers[0][0][1].data.shape[0]
+    in_shapes = [xs.data.shape] + [(batch, length, 2 * n)] * (len(layers) - 1)
+    if (mask.shape != (batch, length)
+            or any(_check_cell(shape, *cell) != n
+                   for shape, cells in zip(in_shapes, layers) for cell in cells)
+            or (keep is not None and keep.shape != (len(layers) - 1, batch, length, 2 * n))):
+        raise ValueError(f"encoder shape mismatch: {len(layers)} layers of hidden {n}, input "
+                         f"{xs.data.shape}, mask {mask.shape}")
+    x = xs.data
+    backwards, finals = [], []
+    for l, cells in enumerate(layers):
+        if l and keep is not None:
+            x = x * keep[l - 1]
+        (out_f, h_f, c_f, back_f), (out_b, h_b, c_b, back_b) = (
+            _lstm_direction(x, mask, *(t.data for t in cell), reverse)
+            for cell, reverse in zip(cells, (False, True)))
+        backwards.append((back_f, back_b))
+        x = np.concatenate([out_f, out_b], axis=-1)
+        finals += [np.concatenate([h_f, h_b], axis=-1), np.concatenate([c_f, c_b], axis=-1)]
+
+    def backward(g_annotations, *g_finals):
+        dx = g_annotations
+        for l in range(len(layers) - 1, -1, -1):
+            if l + 1 < len(layers) and keep is not None:
+                dx = dx * keep[l]
+            g_h, g_c = g_finals[2 * l : 2 * l + 2]
+            (dx_f, *dw_f), (dx_b, *dw_b) = (
+                back(dx[half], g_h[half], g_c[half])
+                for back, half in zip(backwards[l], (np.s_[..., :n], np.s_[..., n:])))
+            for w, d_w in zip((*layers[l][0], *layers[l][1]), (*dw_f, *dw_b)):
+                _accumulate(w, d_w)
+            dx = dx_f + dx_b
+        _accumulate(xs, dx)
+
+    annotations, *states = _record(backward, x, *finals)
+    return annotations, list(zip(states[::2], states[1::2]))
 
 
 def attend(top: np.ndarray, annotations: np.ndarray, mask_add: np.ndarray, w_score: np.ndarray,
@@ -487,13 +509,9 @@ def decoder_sequence(emb: Tensor, initial: Sequence[tuple[Tensor, Tensor]],
                 gate_factor, c_factor = _cell_partials(buf.acts[l, t], buf.c[l, t],
                                                        buf.tanh_c[l, t])
                 w_in, w_rec, _ = weights[l]
-                dh_l = dh[l] + d_in
-                dc_new = dh_l * c_factor
-                dc_new += dc[l]
-                dpre = np.multiply(np.concatenate([dc_new, dc_new, dc_new, dh_l], axis=1),
-                                   gate_factor, out=d_pre[l, t])
-                dh[l] = (w_rec @ dpre.T).T
-                dc[l] = dc_new * buf.acts[l, t, :, n : 2 * n]
+                dpre = d_pre[l, t]
+                dh[l], dc[l] = _cell_backward(dh[l] + d_in, dc[l], buf.acts[l, t], gate_factor,
+                                              c_factor, w_rec, dpre)
                 if l:
                     d_in = (w_in @ dpre.T).T
                     if keep is not None:
@@ -567,24 +585,6 @@ def cross_entropy(logits: Tensor, targets, pad_index: int) -> Tensor:
         _accumulate(logits, grad * (g / n_live))
 
     return _record(backward, loss)[0]
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator,
-            draw_order: tuple[int, ...] | None = None) -> Tensor:
-    """Inverted dropout; identity when rate is 0.
-
-    The keep mask is drawn from `rng` over x's axes taken in `draw_order`
-    (default: x's own order), so a [B,T,d] input with draw_order (1, 0, 2)
-    consumes the stream as T successive [B,d] draws would."""
-    if rate == 0.0:
-        return x
-    if draw_order is None:
-        uniform = rng.random(x.data.shape)
-    else:
-        uniform = rng.random(tuple(x.data.shape[a] for a in draw_order))
-        uniform = uniform.transpose(np.argsort(draw_order))
-    keep = (uniform >= rate).astype(x.data.dtype)
-    return mul_const(x, keep / (1.0 - rate))
 
 
 # --- optimizer ---------------------------------------------------------------

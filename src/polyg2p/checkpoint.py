@@ -140,6 +140,11 @@ def load_checkpoint(path) -> ModelBundle:
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
         meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
 
-    config = ModelConfig(**meta.pop("model"))
-    params = params_from_arrays(config, arrays)
+    try:
+        config = ModelConfig(**meta.pop("model"))
+        params = params_from_arrays(config, arrays)
+    except KeyError:
+        raise ValueError(f"{path}: checkpoint meta has no model config") from None
+    except (TypeError, ValueError) as exc:  # an unknown field, or tensors that do not fit
+        raise ValueError(f"{path}: {exc}") from None
     return ModelBundle(params, config, src_vocab, tgt_vocab, meta)

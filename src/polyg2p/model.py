@@ -7,15 +7,15 @@ global attention over encoder annotations, and a softmax generator over the
 phoneme vocabulary. The decoder input is the previous target embedding
 concatenated with the previous attentional vector (input feeding).
 
-The math runs as fused autodiff ops. Each encoder direction of each layer is
-one `lstm_sequence` over the whole padded batch, after a single embedding
-lookup of the [B,S] id matrix. The decoder is one `ad.decoder_sequence` over
-every target step, after a single lookup of the [T,B] previous-token ids;
-`forward_loss` then runs the generator and the loss once over all steps'
-attentional vectors. A training batch records the same number of tape
-entries for any source or target length. The decoder's dropout masks are
-drawn once per batch as [T, layers-1, B, h], the random stream of one [B,h]
-draw per step and upper layer.
+The math runs as fused autodiff ops. The encoder is one `ad.encoder_sequence`
+over every layer and direction, after a single embedding lookup of the [B,S]
+id matrix. The decoder is one `ad.decoder_sequence` over every target step,
+after a single lookup of the [T,B] previous-token ids; `forward_loss` then
+runs the generator and the loss once over all steps' attentional vectors. A
+training batch records six tape entries for any source or target length.
+Dropout masks are drawn once per batch, the encoder's as [layers-1, S, B, h]
+and the decoder's as [T, layers-1, B, h]: the random stream of one [B,h] draw
+per step and upper layer.
 
 `decode_step` is inference only and works on plain arrays: it runs
 `ad.decoder_step`, the per-step kernel of `decoder_sequence`, without
@@ -272,6 +272,14 @@ def pad_batch(rows: Sequence[Sequence[int]], pad_id: int = PAD_ID) -> tuple[np.n
     return ids, mask
 
 
+def _keep_scale(shape, config: ModelConfig, training: bool, rng, dtype) -> np.ndarray | None:
+    """Inverted-dropout scale, 0 or 1/(1-rate), drawn from `rng` in `shape`'s
+    order; None when training drops nothing."""
+    if not training or config.dropout == 0 or 0 in shape:
+        return None
+    return (rng.random(shape) >= config.dropout).astype(dtype) / (1.0 - config.dropout)
+
+
 def _trim_pads(row: Sequence[int]) -> Sequence[int]:
     end = len(row)
     while end > 0 and row[end - 1] == PAD_ID:
@@ -296,19 +304,15 @@ def encode(
     ids, mask = pad_batch(src_rows)
     mask = mask.astype(dtype)
 
-    x = ad.embedding_lookup(params.src_embedding, ids)  # [B, S, e]
-    final_states: list[tuple[Tensor, Tensor]] = []
-    for layer_idx, layer in enumerate(params.encoder):
-        if layer_idx > 0 and training and config.dropout > 0:
-            # drawn in [S,B,e] order: the random stream of one [B,e] draw per step
-            x = ad.dropout(x, config.dropout, rng, draw_order=(1, 0, 2))
-        (out_f, h_f, c_f), (out_b, h_b, c_b) = (
-            ad.lstm_sequence(x, mask, cell.input_weights, cell.recurrent_weights, cell.bias,
-                             reverse=reverse)
-            for cell, reverse in ((layer["fwd"], False), (layer["bwd"], True)))
-        x = ad.concat([out_f, out_b])
-        final_states.append((ad.concat([h_f, h_b]), ad.concat([c_f, c_b])))
-    return EncodedSource(x, mask, final_states)
+    # one [B,h] draw per step and upper layer: [S,B,h] per layer, in layer order
+    keep = _keep_scale((config.enc_layers - 1, ids.shape[1], len(src_rows), config.hidden_size),
+                       config, training, rng, dtype)
+    annotations, final_states = ad.encoder_sequence(
+        ad.embedding_lookup(params.src_embedding, ids), mask,
+        [[(c.input_weights, c.recurrent_weights, c.bias) for c in (layer["fwd"], layer["bwd"])]
+         for layer in params.encoder],
+        keep=None if keep is None else keep.transpose(0, 2, 1, 3))
+    return EncodedSource(annotations, mask, final_states)
 
 
 def _start_layers(encoded: EncodedSource, config: ModelConfig) -> list[tuple[Tensor, Tensor]]:
@@ -345,10 +349,6 @@ def attend(
     be a single row shared by every query. Returns (context [B,h], weights [B,S])."""
     return ad.attend(decoder_top_h, annotations, _mask_add(mask),
                      attention.score_weights.data)
-
-
-def _generator(attn_vecs: Tensor, params: ModelParams) -> Tensor:
-    return ad.linear(attn_vecs, params.generator_weights, params.generator_bias)
 
 
 def decode_step(
@@ -410,11 +410,9 @@ def forward_loss(
     golds, _ = pad_batch([list(t) + [EOS_ID] for t in tgt_rows])
     steps = golds.shape[1]
     dtype = params.tgt_embedding.data.dtype
-    keep = None
-    if training and config.dropout > 0 and config.dec_layers > 1:
-        # one [B,h] draw per step and upper layer, in the order a step-by-step decoder draws
-        uniform = rng.random((steps, config.dec_layers - 1, len(batch), config.hidden_size))
-        keep = (uniform >= config.dropout).astype(dtype) / (1.0 - config.dropout)
+    # one [B,h] draw per step and upper layer, in the order a step-by-step decoder draws
+    keep = _keep_scale((steps, config.dec_layers - 1, len(batch), config.hidden_size),
+                       config, training, rng, dtype)
 
     emb = ad.embedding_lookup(params.tgt_embedding, dec_inputs.T)  # [steps, B, e]
     attention = params.attention
@@ -423,7 +421,8 @@ def forward_loss(
         [(c.input_weights, c.recurrent_weights, c.bias) for c in params.decoder],
         attention.score_weights, attention.output_weights, attention.output_bias,
         keep=keep, input_feeding=config.input_feeding)
-    logits = _generator(attn_vecs, params)  # [steps*B, Vt], step-major
+    # the generator, [steps*B, Vt], step-major
+    logits = ad.linear(attn_vecs, params.generator_weights, params.generator_bias)
     flat_targets = golds.T.reshape(-1)
     return ad.cross_entropy(logits, flat_targets, PAD_ID)
 
@@ -480,20 +479,6 @@ def make_batches(
     return batches
 
 
-def _epoch_loss(
-    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-    batches: Sequence[Sequence[int]],
-    loss_of_batch: Callable[[list], float],
-) -> float:
-    total, tokens = 0.0, 0
-    for batch_idx in batches:
-        batch = [pairs[i] for i in batch_idx]
-        n = target_token_count(batch)
-        total += loss_of_batch(batch) * n
-        tokens += n
-    return total / tokens
-
-
 def validation_loss(
     pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
     params: ModelParams,
@@ -502,9 +487,14 @@ def validation_loss(
 ) -> float:
     """Token-weighted mean loss; independent of batching."""
     order = sorted(range(len(pairs)), key=lambda i: len(pairs[i][0]))
-    batches = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
+    total, tokens = 0.0, 0
     with ad.inference_mode():
-        return _epoch_loss(pairs, batches, lambda b: float(forward_loss(b, params, config).data))
+        for start in range(0, len(order), batch_size):
+            batch = [pairs[i] for i in order[start : start + batch_size]]
+            n = target_token_count(batch)
+            total += float(forward_loss(batch, params, config).data) * n
+            tokens += n
+    return total / tokens
 
 
 def train_model(
@@ -535,10 +525,12 @@ def train_model(
     result = TrainResult(params=params, best_params=None, best_epoch=None)
     best_val = math.inf
     lr = schedule.lr
-    for epoch in range(start_epoch, schedule.epochs + 1):
+    for epoch in range(1, schedule.epochs + 1):
         if (schedule.lr_decay_factor is not None and schedule.lr_decay_start is not None
                 and epoch >= schedule.lr_decay_start):
             lr *= schedule.lr_decay_factor
+        if epoch < start_epoch:  # a resumed run replays the decay of the epochs it skips
+            continue
         batches = make_batches(train_pairs, schedule.batch_size, shuffle_rng)
         total, tokens = 0.0, 0
         for batch_no, batch_idx in enumerate(batches):

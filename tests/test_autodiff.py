@@ -195,38 +195,20 @@ def test_backward_sum_of_squares():
 
 
 def test_backward_requires_scalar_loss():
-    x = Tensor(np.zeros(3))
+    x = Tensor(np.zeros((1, 3)))
     with Tape() as tape:
-        y = ad.mul_const(x, 2.0)
+        y = ad.linear(x, Tensor(np.ones((3, 2))))
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
 
 def test_backward_ignored_node_gets_no_gradient():
-    x, unused = Tensor(np.ones(2)), Tensor(np.ones(2))
+    x, unused = Tensor(np.ones(2)), Tensor(np.ones((1, 2)))
     with Tape() as tape:
-        ad.mul_const(unused, 2.0)  # on the tape but not feeding the loss
+        ad.linear(unused, Tensor(np.ones((2, 2))))  # on the tape but not feeding the loss
         loss = weighted_sum((x, 1.0))
         tape.backward(loss)
     assert unused.grad is None
-
-
-def test_concat_gradients():
-    rng = np.random.default_rng(12)
-    a, b = f64(2, 3, rng=rng), f64(2, 5, rng=rng)
-    w = rng.uniform(-1, 1, (4, 8))
-    with Tape() as tape:
-        glued = ad.concat([b, a])
-        stacked = ad.concat([glued, ad.mul_const(glued, -3.0)], axis=0)
-        loss = weighted_sum((stacked, w))
-        tape.backward(loss)
-
-    def loss_fn():
-        glued = np.concatenate([b.data, a.data], axis=1)
-        return float((np.concatenate([glued, -3.0 * glued]) * w).sum())
-
-    assert rel_err(a.grad, finite_difference(loss_fn, a)) <= 1e-5
-    assert rel_err(b.grad, finite_difference(loss_fn, b)) <= 1e-5
 
 
 def test_linear_matches_manual_composition():
@@ -289,21 +271,9 @@ def test_clip_leaves_small_gradients():
     assert np.allclose(a.grad, [0.3, 0.4])
 
 
-def test_dropout_zero_rate_is_identity():
-    x = Tensor(np.ones((2, 3)))
-    assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
-
-
-def test_dropout_scales_kept_entries():
-    x = Tensor(np.ones((200, 50)))
-    out = ad.dropout(x, 0.25, np.random.default_rng(0)).data
-    assert set(np.unique(out)) == {0.0, 1.0 / 0.75}
-    assert abs(out.mean() - 1.0) < 0.02
-
-
 def test_ops_without_tape_build_no_graph():
-    x = Tensor(np.ones(3))
-    y = ad.mul_const(x, 2.0)  # outside any tape: nothing links y back to x
+    x = Tensor(np.ones((1, 3)))
+    y = ad.linear(x, Tensor(np.ones((3, 2))))  # outside any tape: nothing links y back to x
     with Tape() as tape:
         loss = weighted_sum((y, 1.0))
         tape.backward(loss)
@@ -312,10 +282,9 @@ def test_ops_without_tape_build_no_graph():
 
 def test_each_op_call_records_one_tape_entry():
     rng = np.random.default_rng(24)
-    xs = Tensor(rng.uniform(-1, 1, (2, 5, 3)))
-    weights = _cell_weights(rng, 3, 4)
+    encoder = _encoder_inputs(rng, batch=2, length=5, layers=2, keep=True)
     inputs = _decoder_inputs(rng, steps=3, batch=2, layers=2)
-    calls = (lambda: ad.lstm_sequence(xs, np.ones((2, 5)), *weights),
+    calls = (lambda: ad.encoder_sequence(**encoder),
              lambda: ad.decoder_sequence(**inputs))
     for call in calls:
         with Tape() as tape:
@@ -324,19 +293,11 @@ def test_each_op_call_records_one_tape_entry():
 
 
 def test_inference_mode_masks_active_tape():
-    x = Tensor(np.ones(3))
+    x = Tensor(np.ones((1, 3)))
     with Tape() as tape:
         with ad.inference_mode():
-            ad.mul_const(x, 2.0)
+            ad.linear(x, Tensor(np.ones((3, 2))))
         assert tape.nodes == []
-
-
-def test_dropout_draw_order_matches_stepwise_draws():
-    x = Tensor(np.ones((3, 4, 5)))
-    whole = ad.dropout(x, 0.5, np.random.default_rng(7), draw_order=(1, 0, 2)).data
-    rng = np.random.default_rng(7)
-    steps = [ad.dropout(Tensor(np.ones((3, 5))), 0.5, rng).data for _ in range(4)]
-    assert np.array_equal(whole, np.stack(steps, axis=1))
 
 
 # --- fused ops: gradients against central finite differences, float64 -------
@@ -362,38 +323,92 @@ def _cell_weights(rng, in_size, hidden):
             for n, s in zip(names, shapes)]
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_sequence_gradient(reverse):
+def _encoder_inputs(rng, batch, length, layers, in_size=3, hidden=2, keep=False):
+    """Random float64 inputs of `ad.encoder_sequence`: source row b has
+    length - 2b real positions (at least 1), the rest padding; with `keep`, a
+    0/2 inverted-dropout scale between the layers."""
+    mask = np.zeros((batch, length))
+    for b in range(batch):
+        mask[b, : max(length - 2 * b, 1)] = 1.0
+    cells = [[tuple(_cell_weights(rng, in_size if l == 0 else 2 * hidden, hidden))
+              for _ in ("fwd", "bwd")] for l in range(layers)]
+    for l, pair in enumerate(cells):
+        for direction, cell in zip(("fwd", "bwd"), pair):
+            for w in cell:
+                w.name = f"l{l}.{direction}.{w.name}"
+    scale = None
+    if keep:
+        scale = (rng.random((layers - 1, batch, length, 2 * hidden)) >= 0.5) / 0.5
+    return dict(xs=Tensor(rng.uniform(-1, 1, (batch, length, in_size)), name="xs"), mask=mask,
+                layers=cells, keep=scale)
+
+
+def _encoder_tensors(inputs):
+    return [inputs["xs"], *(w for pair in inputs["layers"] for cell in pair for w in cell)]
+
+
+@pytest.mark.parametrize("case", ["one_layer", "dropout"])
+def test_encoder_sequence_gradient(case):
     rng = np.random.default_rng(21)
-    batch, length, in_size, hidden = 3, 4, 2, 3
-    xs = Tensor(rng.uniform(-1, 1, (batch, length, in_size)), name="xs")
-    # a full row, a length-1 row, and one with a padded last step
-    mask = np.array([[1, 1, 1, 1], [1, 0, 0, 0], [1, 1, 1, 0]], dtype=np.float64)
-    weights = _cell_weights(rng, in_size, hidden)
-    w_out = rng.uniform(-1, 1, (batch, length, hidden))
-    w_h, w_c = rng.uniform(-1, 1, (2, batch, hidden))
+    batch, length, hidden = 3, 4, 2  # rows of 4, 2 and 1 real positions
+    layers = 1 if case == "one_layer" else 2
+    inputs = _encoder_inputs(rng, batch, length, layers, hidden=hidden, keep=case == "dropout")
+    w_ann = rng.uniform(-1, 1, (batch, length, 2 * hidden))
+    w_finals = rng.uniform(-1, 1, (layers, 2, batch, 2 * hidden))
 
     def loss_of():
-        outputs, h, c = ad.lstm_sequence(xs, mask, *weights, reverse=reverse)
-        return weighted_sum((outputs, w_out), (h, w_h), (c, w_c))
+        annotations, finals = ad.encoder_sequence(**inputs)
+        return weighted_sum((annotations, w_ann),
+                            *((s, w) for pair, ws in zip(finals, w_finals) for s, w in zip(pair, ws)))
 
-    _check_gradients(loss_of, [xs, *weights])
-    assert np.all(xs.grad[mask == 0] == 0.0)  # padded inputs feed nothing
+    _check_gradients(loss_of, _encoder_tensors(inputs))
+    assert np.all(inputs["xs"].grad[inputs["mask"] == 0] == 0.0)  # padded inputs feed nothing
+
+
+def _encode_with_gradients(inputs, w_ann):
+    """encoder_sequence's annotations and the gradients of sum(annotations *
+    w_ann) for every input tensor, as bytes."""
+    tensors = _encoder_tensors(inputs)
+    for t in tensors:
+        t.grad = None
+    with Tape() as tape:
+        annotations, _ = ad.encoder_sequence(**inputs)
+        tape.backward(weighted_sum((annotations, w_ann)))
+    return annotations.data.tobytes(), [t.grad.tobytes() for t in tensors]
+
+
+def test_dropout_zero_rate_is_identity():
+    # a keep scale of ones (rate 0) gives the bits of no dropout at all
+    rng = np.random.default_rng(23)
+    inputs = _encoder_inputs(rng, batch=3, length=4, layers=3)
+    w_ann = rng.uniform(-1, 1, (3, 4, 4))
+    plain = _encode_with_gradients(inputs, w_ann)
+    ones = np.ones((2, 3, 4, 4))
+    assert _encode_with_gradients({**inputs, "keep": ones}, w_ann) == plain
+
+
+def test_dropout_scales_kept_entries():
+    # scaling layer 1's input by 2 is exact, so it equals doubling its input weights
+    rng = np.random.default_rng(23)
+    inputs = _encoder_inputs(rng, batch=3, length=4, layers=2)
+    doubled = [list(pair) for pair in inputs["layers"]]
+    doubled[1] = [(Tensor(2.0 * w_in.data), w_rec, bias) for w_in, w_rec, bias in doubled[1]]
+    scaled, _ = ad.encoder_sequence(**{**inputs, "keep": np.full((1, 3, 4, 4), 2.0)})
+    expected, _ = ad.encoder_sequence(**{**inputs, "layers": doubled})
+    assert np.array_equal(scaled.data, expected.data)
 
 
 def test_backward_passes_zeros_for_output_without_gradient():
-    # only the outputs reach the loss: the final h and c get no gradient, and
-    # the tape passes zeros for them to lstm_sequence's backward
+    # only the annotations reach the loss: no final h or c gets a gradient, and
+    # the tape passes zeros for them to encoder_sequence's backward
     rng = np.random.default_rng(22)
-    xs = Tensor(rng.uniform(-1, 1, (2, 3, 3)), name="xs")
-    weights = _cell_weights(rng, 3, 4)
-    w_out = rng.uniform(-1, 1, (2, 3, 4))
+    inputs = _encoder_inputs(rng, batch=2, length=3, layers=2)
+    w_ann = rng.uniform(-1, 1, (2, 3, 4))
 
     def loss_of():
-        outputs, _, _ = ad.lstm_sequence(xs, np.ones((2, 3)), *weights)
-        return weighted_sum((outputs, w_out))
+        return weighted_sum((ad.encoder_sequence(**inputs)[0], w_ann))
 
-    _check_gradients(loss_of, [xs, *weights])
+    _check_gradients(loss_of, _encoder_tensors(inputs))
 
 
 def _decoder_inputs(rng, steps, batch, layers, emb_size=3, hidden=4, length=5,
@@ -494,8 +509,15 @@ def test_attention_shared_source_equals_repeated_source():
 
 def test_fused_ops_reject_mismatched_shapes():
     z = lambda *shape: Tensor(np.zeros(shape))
-    with pytest.raises(ValueError, match="mask shape"):
-        ad.lstm_sequence(z(2, 4, 3), np.ones((2, 3)), z(3, 8), z(2, 8), z(8))
+    encoder = _encoder_inputs(np.random.default_rng(0), batch=2, length=4, layers=2, keep=True)
+    with pytest.raises(ValueError, match="encoder shape mismatch"):
+        ad.encoder_sequence(**{**encoder, "mask": np.ones((2, 3))})
+    with pytest.raises(ValueError, match="encoder shape mismatch"):
+        ad.encoder_sequence(**{**encoder, "keep": np.ones((1, 2, 4, 2))})
+    upper = encoder["layers"][1]
+    with pytest.raises(ValueError, match=r"LSTM shape mismatch.*\(3, 8\)"):
+        ad.encoder_sequence(**{**encoder, "layers": [encoder["layers"][0],
+                                                     [(z(3, 8), *upper[0][1:]), upper[1]]]})
     inputs = _decoder_inputs(np.random.default_rng(0), steps=2, batch=2, layers=2)
     cells = inputs["cells"]
     with pytest.raises(ValueError, match=r"LSTM shape mismatch.*\(3, 16\)"):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import struct
 
 import pytest
 
@@ -339,3 +340,41 @@ def test_nolangid_mode_translates_without_lang(tmp_path, lexicon, capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert "language tokens" in captured.err and captured.out == ""
+
+
+def _rewrite_meta(path, edit):
+    """Apply `edit` to the JSON meta block that ends a checkpoint file."""
+    raw = path.read_bytes()
+    start = next(p for p in range(len(raw) - 2, 8, -1)
+                 if struct.unpack("<Q", raw[p - 8 : p])[0] == len(raw) - p)
+    meta = json.loads(raw[start:])
+    edit(meta)
+    new = json.dumps(meta).encode()
+    path.write_bytes(raw[: start - 8] + struct.pack("<Q", len(new)) + new)
+
+
+@pytest.mark.parametrize("fault", ["no_model", "unknown_field", "renamed_tensor", "wrong_shape"])
+def test_malformed_checkpoint_is_user_error_naming_the_file(run_dir, tmp_path, capsys, fault):
+    path = tmp_path / "bad.mg2p"
+    path.write_bytes((run_dir / "final.mg2p").read_bytes())
+    if fault == "no_model":
+        _rewrite_meta(path, lambda meta: meta.pop("model"))
+    elif fault == "unknown_field":
+        _rewrite_meta(path, lambda meta: meta["model"].update(heads=4))
+    elif fault == "renamed_tensor":  # same length: only the header's first name changes
+        path.write_bytes(path.read_bytes().replace(b"generator.bias", b"generator.biaz", 1))
+    else:
+        _rewrite_meta(path, lambda meta: meta["model"].update(hidden_size=10))
+    code = main(["translate", "--checkpoint", str(path), "--word", "ba", "--lang", "aaa"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_analyze_k_below_one_is_user_error(run_dir, capsys, k):
+    code = main(["analyze", "--checkpoint", str(run_dir / "final.mg2p"),
+                 "--mode", "phonemes", "--query", "ɑ", "--k", k])
+    assert code == 1
+    assert "k must be at least 1" in capsys.readouterr().err

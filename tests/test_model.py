@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -13,6 +14,7 @@ from polyg2p.model import (
     CellParams,
     ModelConfig,
     TrainingSchedule,
+    _keep_scale,
     attend,
     canonical_arrays,
     clone_params,
@@ -122,6 +124,7 @@ def test_encode_matches_scalar_oracle():
 
 
 def test_encode_tape_nodes_do_not_grow_with_source_length():
+    # the source lookup and the encoder
     config, params = tiny_model(seed=3, dropout=0.3)
 
     def nodes(length):
@@ -130,19 +133,77 @@ def test_encode_tape_nodes_do_not_grow_with_source_length():
                    training=True, rng=np.random.default_rng(0))
         return len(tape.nodes)
 
-    assert nodes(3) == nodes(12)
+    assert nodes(3) == nodes(12) == 2
 
 
 def test_forward_loss_tape_entries_do_not_grow_with_target_length():
-    config, params = tiny_model(seed=3, dropout=0.3)
-
-    def entries(length):
-        batch = [([4, 5, 6], [4 + i % 5 for i in range(length - 1)]), ([5, 6], [7])]
+    # two lookups, the encoder, the decoder, the generator and the loss
+    def entries(layers, src_length, tgt_length):
+        config, params = tiny_model(seed=3, dropout=0.3, **layers)
+        batch = [([4 + i % 5 for i in range(src_length)], [4 + i % 5 for i in range(tgt_length)]),
+                 ([5, 6], [7])]
         with Tape() as tape:
             forward_loss(batch, params, config, training=True, rng=np.random.default_rng(0))
         return len(tape.nodes)
 
-    assert entries(2) == entries(10) < 20
+    assert {entries(layers, s, t) for layers in ({}, {"enc_layers": 3, "dec_layers": 1})
+            for s in (1, 3, 11) for t in (1, 2, 9)} == {6}
+
+
+def test_encoder_dropout_draw_order_matches_stepwise_draws(monkeypatch):
+    # encode draws each upper layer's mask as one [B,h] draw per source step,
+    # layer after layer: the random stream of a step-by-step encoder
+    config, params = tiny_model(seed=3, dropout=0.5, enc_layers=3)
+    seen = []
+    encoder_sequence = ad.encoder_sequence
+
+    def spy(*args, keep):
+        seen.append(keep)
+        return encoder_sequence(*args, keep=keep)
+
+    monkeypatch.setattr(ad, "encoder_sequence", spy)
+    encode([[4, 5, 6, 7], [5, 6]], params, config, training=True, rng=np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    draws = [[rng.random((2, 8)) for _step in range(4)] for _layer in range(2)]
+    expected = (np.array(draws) >= 0.5).transpose(0, 2, 1, 3) / 0.5  # [layers-1, B, S, h]
+    assert np.array_equal(seen[0], expected)
+
+
+def test_dropout_scale_is_zero_or_inverse_keep_rate():
+    config, _ = tiny_model(dropout=0.25)
+    keep = _keep_scale((200, 50), config, True, np.random.default_rng(0), np.float32)
+    assert keep.dtype == np.float32
+    assert set(np.unique(keep)) == {0.0, np.float32(1.0 / 0.75)}
+    assert abs(keep.mean() - 1.0) < 0.02
+    # nothing is dropped in inference, at rate 0, or without an upper layer
+    assert _keep_scale((200, 50), config, False, np.random.default_rng(0), np.float32) is None
+    assert _keep_scale((0, 3, 2, 8), config, True, np.random.default_rng(0), np.float32) is None
+    config, _ = tiny_model(dropout=0.0)
+    assert _keep_scale((200, 50), config, True, np.random.default_rng(0), np.float32) is None
+
+
+# SHA-256 of one training-mode forward_loss (2 encoder layers, dropout 0.3, a
+# padded batch, float32): the loss, then each parameter's name and gradient
+# bytes in `named` order. Recorded before the encoder became one op; any
+# change to the order of float32 arithmetic in training moves it. The bits
+# also depend on the BLAS kernels: recorded with numpy 2.4.6 and
+# scipy-openblas 0.3.31 on x86-64.
+TRAINING_BITS = "4066cb16c767d2811f6562152a3efd8bd1ac446858a3aff7a428a370b7026e86"
+
+
+def test_training_loss_and_gradients_match_recorded_bits():
+    config = ModelConfig(src_vocab_size=12, tgt_vocab_size=10, hidden_size=8, src_embed=6,
+                         tgt_embed=5, dropout=0.3)
+    params = init_params(config, seed=23)
+    batch = [([4, 11, 5, 6, 7], [4, 9, 5, 8]), ([5, 6], [7, 4, 6]), ([8, 9, 10], [9])]
+    with Tape() as tape:
+        loss = forward_loss(batch, params, config, training=True, rng=np.random.default_rng(4))
+        tape.backward(loss)
+    digest = hashlib.sha256(loss.data.tobytes())
+    for name, tensor in params.named():
+        digest.update(name.encode())
+        digest.update(tensor.grad.tobytes())
+    assert digest.hexdigest() == TRAINING_BITS
 
 
 def test_encode_rejects_empty_input():
@@ -367,6 +428,18 @@ def test_train_lr_decay_halves_after_start_epoch():
                                 lr_decay_factor=0.5, lr_decay_start=3)
     result = train_model([([4, 5], [4])], [], config, schedule)
     assert [h.lr for h in result.history] == [1.0, 1.0, 0.5, 0.25]
+
+
+def test_resumed_training_continues_the_lr_schedule():
+    config, _ = tiny_model(seed=18)
+    schedule = TrainingSchedule(epochs=4, batch_size=2, lr=1.0, seed=5,
+                                lr_decay_factor=0.5, lr_decay_start=2)
+    pairs = [([4, 5], [4])]
+    whole = train_model(pairs, [], config, schedule)
+    first = train_model(pairs, [], config, dataclasses.replace(schedule, epochs=2))
+    resumed = train_model(pairs, [], config, schedule, params=first.params, start_epoch=3)
+    assert [h.lr for h in whole.history] == [1.0, 0.5, 0.25, 0.125]
+    assert [(h.epoch, h.lr) for h in resumed.history] == [(3, 0.25), (4, 0.125)]
 
 
 def test_clone_params_is_independent_copy():
