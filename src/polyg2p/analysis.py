@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import ModelBundle
-from .corpus import RESERVED, is_lang_token, lang_token, tokenize_graphemes
+from .corpus import RESERVED, is_lang_token, lang_token
 from .decoding import beam_search
 
 
@@ -65,13 +65,12 @@ def nearest_languages(lang: str, k: int, bundle: ModelBundle) -> NeighborList:
 def translate_as(word: str, langs: list[str], bundle: ModelBundle,
                  width: int = 10) -> dict[str, tuple[str, ...]]:
     """Pronounce one spelling under several language-ID tokens (top-1 each)."""
-    if not bundle.meta.get("lang_token", True):
+    if not bundle.uses_lang_token:
         raise ValueError("cross-token translation needs a model trained with language "
                          "tokens; this one was trained without them")
     results: dict[str, tuple[str, ...]] = {}
     for lang in langs:
-        tokens = tokenize_graphemes(word, lang, use_lang_token=True)
-        src_ids = bundle.src_vocab.encode(tokens)
-        nbest = beam_search(src_ids, bundle.params, bundle.config, bundle.tgt_vocab, width=width)
+        nbest = beam_search(bundle.source_ids(word, lang), bundle.params, bundle.config,
+                            bundle.tgt_vocab, width=width)
         results[lang] = nbest[0].phonemes if nbest else ()
     return results

@@ -9,8 +9,8 @@ Layout (all integers little-endian):
     per tensor, manifest order: raw float32 data
     source vocabulary: count u32, per token: len u32 + utf-8 bytes
     target vocabulary: same encoding
-    meta    u64 length + utf-8 JSON (model config, gate order, lang_token,
-            training languages, schedule snapshot)
+    meta    u64 length + utf-8 JSON (model config, gate order, lang_token: the
+            model's language-token rule, training languages, schedule snapshot)
 
 Every matrix is written in its canonical layout, weight matrices [out x in],
 whatever layout the model holds in memory (`model.TRANSPOSED`): the format
@@ -31,7 +31,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, source_tokens, tokenize_graphemes
 from .model import GATE_ORDER, ModelConfig, ModelParams, canonical_arrays, params_from_arrays
 
 MAGIC = b"MG2P"
@@ -47,6 +47,20 @@ class ModelBundle:
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
     meta: dict
+
+    @property
+    def uses_lang_token(self) -> bool:
+        """Whether the encoder reads `<lang>` before the graphemes: the one
+        reader of meta ``lang_token`` (true when absent)."""
+        return bool(self.meta.get("lang_token", True))
+
+    def source_ids(self, word: str, lang: str | None) -> list[int]:
+        """The encoder input for `word` in `lang` under this model's rule; `lang`
+        may be None only for a model without language tokens."""
+        use_lang_token = self.uses_lang_token
+        if use_lang_token and lang is None:
+            raise ValueError("this model uses language tokens and needs a language code")
+        return self.src_vocab.encode(source_tokens(tokenize_graphemes(word), lang, use_lang_token))
 
 
 def _write_str(fh: BinaryIO, s: str) -> None:

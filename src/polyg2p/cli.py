@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import analysis, metrics
 from .checkpoint import ModelBundle, load_checkpoint, save_checkpoint
-from .config import (FIELDS, ConfigError, RunConfig, apply_overrides, comma_list, load_config,
-                     parse_bool, write_manifest)
+from .config import (FIELDS, RunConfig, apply_overrides, comma_list, load_config, parse_bool,
+                     shared_fields, write_manifest)
 from .corpus import (
     DatasetSplit,
     LexiconEntry,
@@ -29,7 +29,6 @@ from .corpus import (
     parse_inventory,
     parse_lexicon,
     split_train_val,
-    tokenize_graphemes,
     write_lexicon,
 )
 from .decoding import beam_search, write_nbest
@@ -62,17 +61,14 @@ def _resolve_config(args) -> RunConfig:
     return apply_overrides(config, {name: getattr(args, name) for name in FIELDS})
 
 
-def _read_lexicon_file(path) -> tuple[list[LexiconEntry], int]:
+def _read_lexicon_file(path) -> list[LexiconEntry]:
     if path is None:
         raise UserError("no lexicon path given (set train_lexicon/test_lexicon)")
-    p = Path(path)
-    if not p.exists():
-        raise UserError(f"cannot read lexicon {path}")
-    with open(p, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         entries, rejects = parse_lexicon(fh)
     for reject in rejects:
         print(f"{path}:{reject.line_no}: rejected: {reject.reason}", file=sys.stderr)
-    return entries, len(rejects)
+    return entries
 
 
 def _filter_languages(entries: list[LexiconEntry], config: RunConfig) -> list[LexiconEntry]:
@@ -110,7 +106,7 @@ def _clean_entries(entries: list[LexiconEntry], config: RunConfig) -> list[Lexic
 
 
 def _load_dataset(config: RunConfig) -> tuple[DatasetSplit, Vocabulary, Vocabulary]:
-    entries, _ = _read_lexicon_file(config.train_lexicon)
+    entries = _read_lexicon_file(config.train_lexicon)
     entries = _clean_entries(_filter_languages(entries, config), config)
     if not entries:
         raise UserError("empty training corpus")
@@ -160,22 +156,22 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
-    out_dir = Path(config.checkpoint_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    split, src_vocab, tgt_vocab = _load_dataset(config)
-
-    params = None
+    bundle = load_checkpoint(args.resume) if args.resume else None
     start_epoch = 1
-    if args.resume:
-        bundle = load_checkpoint(args.resume)
-        params = bundle.params
-        src_vocab, tgt_vocab = bundle.src_vocab, bundle.tgt_vocab
-        model_config = bundle.config
+    if bundle is not None:  # the checkpoint's model and language-token rule win over the config
+        config = dataclasses.replace(config, lang_token=bundle.uses_lang_token,
+                                     **shared_fields(bundle.config, RunConfig))
         start_epoch = int(bundle.meta.get("epoch", 0)) + 1
         if start_epoch > config.epochs:
             raise UserError(f"checkpoint already trained for {start_epoch - 1} epochs")
-    else:
-        model_config = config.model_config(len(src_vocab), len(tgt_vocab))
+    schedule = config.schedule()  # checked before anything is written
+    out_dir = Path(config.checkpoint_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    split, src_vocab, tgt_vocab = _load_dataset(config)
+    params = None
+    if bundle is not None:
+        params, src_vocab, tgt_vocab = bundle.params, bundle.src_vocab, bundle.tgt_vocab
+    model_config = config.model_config(len(src_vocab), len(tgt_vocab))
 
     train_pairs = encode_pairs(split.train, src_vocab, tgt_vocab, config.lang_token)
     val_pairs = encode_pairs(split.validation, src_vocab, tgt_vocab, config.lang_token)
@@ -183,10 +179,8 @@ def cmd_train(args) -> int:
     print(f"training on {len(train_pairs)} words ({len(languages)} languages), "
           f"validating on {len(val_pairs)}", file=sys.stderr)
 
-    log_path = out_dir / "training_log.tsv"
-    mode = "a" if args.resume else "w"
-    log_fh = open(log_path, mode, encoding="utf-8")
-    if not args.resume:
+    log_fh = open(out_dir / "training_log.tsv", "a" if bundle else "w", encoding="utf-8")
+    if log_fh.tell() == 0:  # a new log, also when a resumed run writes to a new directory
         log_fh.write("epoch\tlr\ttrain_loss\tval_loss\n")
 
     def on_epoch(epoch, _params, stats):
@@ -196,7 +190,7 @@ def cmd_train(args) -> int:
         print(f"epoch {epoch}: train {stats.train_loss:.4f} val {val}", file=sys.stderr)
 
     try:
-        result = train_model(train_pairs, val_pairs, model_config, config.schedule(),
+        result = train_model(train_pairs, val_pairs, model_config, schedule,
                              params=params, start_epoch=start_epoch, epoch_callback=on_epoch)
     finally:
         log_fh.close()
@@ -206,7 +200,7 @@ def cmd_train(args) -> int:
             "lang_token": config.lang_token,
             "languages": languages,
             "epoch": epoch,
-            "schedule": dataclasses.asdict(config.schedule()),
+            "schedule": dataclasses.asdict(schedule),
         }
         return ModelBundle(p, model_config, src_vocab, tgt_vocab, meta)
 
@@ -221,24 +215,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _source_ids(bundle: ModelBundle, word: str, lang: str | None) -> list[int]:
-    use_lang = bool(bundle.meta.get("lang_token", True))
-    if use_lang:
-        if lang is None:
-            raise UserError("this model needs a language code (--lang)")
-        token = lang_token(lang)
-        if token not in bundle.src_vocab:
-            print(f"warning: language {lang!r} unseen in training; using an untrained token",
-                  file=sys.stderr)
-        tokens = tokenize_graphemes(word, lang, use_lang_token=True)
-    else:
-        tokens = tokenize_graphemes(word, lang or "und", use_lang_token=False)
-    return bundle.src_vocab.encode(tokens)
-
-
 def cmd_translate(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
-    width = args.width if args.width is not None else 10
 
     jobs: list[tuple[str, str | None]] = []
     if args.word is not None:
@@ -260,9 +238,12 @@ def cmd_translate(args) -> int:
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for word, lang in jobs:
-            src_ids = _source_ids(bundle, word, lang)
-            nbest = beam_search(src_ids, bundle.params, bundle.config, bundle.tgt_vocab,
-                                width=width, max_len=args.max_len)
+            unseen = lang is not None and lang_token(lang) not in bundle.src_vocab
+            if bundle.uses_lang_token and unseen:
+                print(f"warning: language {lang!r} unseen in training; using an untrained token",
+                      file=sys.stderr)
+            nbest = beam_search(bundle.source_ids(word, lang), bundle.params, bundle.config,
+                                bundle.tgt_vocab, width=args.width, max_len=args.max_len)
             write_nbest(out_fh, word, nbest)
     finally:
         if args.out:
@@ -274,7 +255,7 @@ def cmd_evaluate(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
     config = _resolve_config(args)
     width = args.width if args.width is not None else (config.beam_width or 100)
-    entries, _ = _read_lexicon_file(config.test_lexicon)
+    entries = _read_lexicon_file(config.test_lexicon)
     entries = _filter_languages(entries, config)
     if args.unseen_only:
         trained = set(bundle.meta.get("languages", []))
@@ -282,12 +263,11 @@ def cmd_evaluate(args) -> int:
         if not entries:
             raise UserError("no unseen-language entries in the test corpus")
 
-    use_lang = bool(bundle.meta.get("lang_token", True))
     done = 0
 
     def decode_fn(entry):
         nonlocal done
-        src_ids = bundle.src_vocab.encode(entry.source_tokens(use_lang))
+        src_ids = bundle.source_ids("".join(entry.graphemes), entry.lang)
         nbest = beam_search(src_ids, bundle.params, bundle.config, bundle.tgt_vocab, width=width)
         done += 1
         if done % 200 == 0:
@@ -333,7 +313,7 @@ def cmd_analyze(args) -> int:
             if not args.word or not args.langs:
                 raise UserError("crosstoken mode needs --word and --langs")
             table = analysis.translate_as(args.word, comma_list(args.langs), bundle,
-                                          width=args.width if args.width is not None else 10)
+                                          width=args.width)
             for lang, phones in table.items():
                 out_fh.write(f"{lang}\t{' '.join(phones)}\n")
         else:  # pragma: no cover - argparse restricts choices
@@ -369,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word")
     p.add_argument("--input", help="file of words (or lang<TAB>word lines)")
     p.add_argument("--lang")
-    p.add_argument("--width", type=int, default=None, help="beam width (default 10)")
+    p.add_argument("--width", type=int, default=10, help="beam width (default 10)")
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_translate)
@@ -390,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--word")
     p.add_argument("--langs", help="comma-separated language codes")
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--width", type=int, default=10, help="beam width (default 10)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
@@ -402,10 +382,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:  # OSError: a missing, unreadable or directory path
+    # OSError: a missing, unreadable or directory path; ConfigError is a ValueError
+    except (UserError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

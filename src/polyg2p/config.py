@@ -1,10 +1,11 @@
 """Run configuration: flat `key = value` files with CLI overrides.
 
-Defaults mirror the reference training setup (2x150 LSTM, batch 64, SGD at
-lr 1.0 for 13 epochs, 10k-word language cap with a 10% validation split).
-A run manifest written next to each artifact snapshots the resolved config,
-input file hashes, and package version; feeding a manifest back in as the
-config reproduces the run.
+Model and schedule fields take their defaults from `ModelConfig` and
+`TrainingSchedule` in `model.py` (2x150 LSTM, batch 64, SGD at lr 1.0 for 13
+epochs); data fields default to a 10k-word language cap with a 10% validation
+split. A run manifest written next to each artifact snapshots the resolved
+config, input file hashes, and package version; feeding a manifest back in
+as the config reproduces the run.
 """
 
 from __future__ import annotations
@@ -27,21 +28,21 @@ class RunConfig:
     inventory: str | None = None
     checkpoint_dir: str = "runs"
     # model
-    hidden_size: int = 150
-    src_embed: int = 150
-    tgt_embed: int = 150
-    enc_layers: int = 2
-    dec_layers: int = 2
-    dropout: float = 0.3
-    input_feeding: bool = True
+    hidden_size: int = ModelConfig.hidden_size
+    src_embed: int = ModelConfig.src_embed
+    tgt_embed: int = ModelConfig.tgt_embed
+    enc_layers: int = ModelConfig.enc_layers
+    dec_layers: int = ModelConfig.dec_layers
+    dropout: float = ModelConfig.dropout
+    input_feeding: bool = ModelConfig.input_feeding
     # schedule
-    epochs: int = 13
-    batch_size: int = 64
-    lr: float = 1.0
-    clip: float = 5.0
-    lr_decay_factor: float | None = None
-    lr_decay_start: int | None = None
-    seed: int = 1
+    epochs: int = TrainingSchedule.epochs
+    batch_size: int = TrainingSchedule.batch_size
+    lr: float = TrainingSchedule.lr
+    clip: float = TrainingSchedule.clip
+    lr_decay_factor: float | None = TrainingSchedule.lr_decay_factor
+    lr_decay_start: int | None = TrainingSchedule.lr_decay_start
+    seed: int = TrainingSchedule.seed
     # data handling
     lang_token: bool = True
     language_filter: list[str] | None = None
@@ -52,28 +53,16 @@ class RunConfig:
     clean: bool = False
 
     def model_config(self, src_vocab_size: int, tgt_vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            src_vocab_size=src_vocab_size,
-            tgt_vocab_size=tgt_vocab_size,
-            hidden_size=self.hidden_size,
-            src_embed=self.src_embed,
-            tgt_embed=self.tgt_embed,
-            enc_layers=self.enc_layers,
-            dec_layers=self.dec_layers,
-            dropout=self.dropout,
-            input_feeding=self.input_feeding,
-        )
+        return ModelConfig(src_vocab_size, tgt_vocab_size, **shared_fields(self, ModelConfig))
 
     def schedule(self) -> TrainingSchedule:
-        return TrainingSchedule(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            clip=self.clip,
-            seed=self.seed,
-            lr_decay_factor=self.lr_decay_factor,
-            lr_decay_start=self.lr_decay_start,
-        )
+        return TrainingSchedule(**shared_fields(self, TrainingSchedule))
+
+
+def shared_fields(source, target_cls) -> dict:
+    """`source`'s values of the fields that the dataclass `target_cls` declares too."""
+    names = {f.name for f in dataclasses.fields(target_cls)}
+    return {f.name: getattr(source, f.name) for f in dataclasses.fields(source) if f.name in names}
 
 
 class ConfigError(ValueError):

@@ -25,6 +25,7 @@ import numpy as np
 PAD, BOS, EOS, UNK = "<PAD>", "<BOS>", "<EOS>", "<UNK>"
 RESERVED = (PAD, BOS, EOS, UNK)
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
+_RESERVED_SET = frozenset(RESERVED)
 
 _LANG_RE = re.compile(r"^[a-z]{3}$")
 _LANG_TOKEN_RE = re.compile(r"^<[a-z]{3}>$")
@@ -48,10 +49,7 @@ class LexiconEntry:
     phonemes: tuple[str, ...]
 
     def source_tokens(self, use_lang_token: bool) -> tuple[str, ...]:
-        """Grapheme sequence as fed to the encoder, optionally `<lang>`-prefixed."""
-        if use_lang_token:
-            return (lang_token(self.lang),) + self.graphemes
-        return self.graphemes
+        return source_tokens(self.graphemes, self.lang, use_lang_token)
 
 
 class Reject(NamedTuple):
@@ -65,19 +63,22 @@ class ParsedLexicon(NamedTuple):
     rejects: list[Reject]
 
 
-def tokenize_graphemes(word: str, lang: str, use_lang_token: bool) -> tuple[str, ...]:
-    """Split a spelling into codepoint tokens, optionally prefixed with `<lang>`.
-
-    The word is NFC-normalized first; case is preserved. Raises ValueError on
-    an empty word.
-    """
+def tokenize_graphemes(word: str) -> tuple[str, ...]:
+    """Split a spelling into codepoint tokens after NFC normalization; case is
+    preserved. Raises ValueError on an empty word."""
     word = unicodedata.normalize("NFC", word)
     if not word:
         raise ValueError("empty source")
-    tokens = tuple(word)
+    return tuple(word)
+
+
+def source_tokens(graphemes: tuple[str, ...], lang: str,
+                  use_lang_token: bool) -> tuple[str, ...]:
+    """The encoder's input tokens: the graphemes, after `<lang>` when the model
+    uses language tokens. The one place that adds the language token."""
     if use_lang_token:
-        tokens = (lang_token(lang),) + tokens
-    return tokens
+        return (lang_token(lang),) + graphemes
+    return graphemes
 
 
 def parse_lexicon(stream: Iterable[str]) -> ParsedLexicon:
@@ -110,7 +111,11 @@ def parse_lexicon(stream: Iterable[str]) -> ParsedLexicon:
         if not phonemes:
             rejects.append(Reject(line_no, line, "empty phoneme field"))
             continue
-        entries.append(LexiconEntry(lang, tokenize_graphemes(spelling, lang, False), phonemes))
+        if not _RESERVED_SET.isdisjoint(phonemes):
+            token = next(p for p in phonemes if p in RESERVED)
+            rejects.append(Reject(line_no, line, f"reserved token {token} in phoneme field"))
+            continue
+        entries.append(LexiconEntry(lang, tokenize_graphemes(spelling), phonemes))
     return ParsedLexicon(entries, rejects)
 
 
@@ -260,7 +265,9 @@ def parse_inventory(stream: Iterable[str]) -> InventoryTable:
 
     Format: a header line ``lang<TAB>phoneme<TAB>name1,name2,...`` naming the
     features, then one row per (language, phoneme) with values in {+, 0, -}.
+    Errors begin ``<file>:<line>:``, the file being the stream's ``name``.
     """
+    where = getattr(stream, "name", "<inventory>")
     lines = iter(enumerate(stream, start=1))
     header = None
     for _, raw in lines:
@@ -269,7 +276,7 @@ def parse_inventory(stream: Iterable[str]) -> InventoryTable:
             header = line.split("\t")
             break
     if header is None or len(header) != 3:
-        raise ValueError("inventory file needs a 3-field header line")
+        raise ValueError(f"{where}: inventory file needs a 3-field header line")
     n_features = len(header[2].split(","))
 
     per_lang_phones: dict[str, set[str]] = defaultdict(set)
@@ -281,15 +288,15 @@ def parse_inventory(stream: Iterable[str]) -> InventoryTable:
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise ValueError(f"inventory line {line_no}: expected 3 fields")
+            raise ValueError(f"{where}:{line_no}: expected 3 fields")
         lang, phoneme, values = fields
         parts = values.split(",")
         if len(parts) != n_features:
-            raise ValueError(f"inventory line {line_no}: expected {n_features} feature values")
+            raise ValueError(f"{where}:{line_no}: expected {n_features} feature values")
         try:
             vector = tuple(_FEATURE_VALUES[p] for p in parts)
         except KeyError as exc:
-            raise ValueError(f"inventory line {line_no}: bad feature value {exc}") from None
+            raise ValueError(f"{where}:{line_no}: bad feature value {exc}") from None
         per_lang_phones[lang].add(phoneme)
         per_lang_features[lang][phoneme] = vector
         global_features.setdefault(phoneme, vector)

@@ -445,6 +445,19 @@ class TrainingSchedule:
     lr_decay_factor: float | None = None
     lr_decay_start: int | None = None
 
+    def __post_init__(self):
+        if (self.lr_decay_factor is None) != (self.lr_decay_start is None):
+            raise ValueError("lr_decay_factor and lr_decay_start must be set together")
+        decays = self.lr_decay_start is not None
+        for name, ok, rule in (("epochs", self.epochs >= 1, ">= 1"),
+                               ("batch_size", self.batch_size >= 1, ">= 1"),
+                               ("lr", self.lr >= 0, ">= 0"),  # lr 0 is allowed: it trains nothing
+                               ("clip", self.clip > 0, "> 0"),
+                               ("lr_decay_factor", not decays or self.lr_decay_factor > 0, "> 0"),
+                               ("lr_decay_start", not decays or self.lr_decay_start >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}")
+
 
 @dataclass
 class EpochStats:
@@ -526,8 +539,7 @@ def train_model(
     best_val = math.inf
     lr = schedule.lr
     for epoch in range(1, schedule.epochs + 1):
-        if (schedule.lr_decay_factor is not None and schedule.lr_decay_start is not None
-                and epoch >= schedule.lr_decay_start):
+        if schedule.lr_decay_start is not None and epoch >= schedule.lr_decay_start:
             lr *= schedule.lr_decay_factor
         if epoch < start_epoch:  # a resumed run replays the decay of the epochs it skips
             continue

@@ -37,7 +37,7 @@ def _random_spellings(n: int, rng: np.random.Generator,
 
 
 def rule_based_entry(word: str, lang: str, mapping: dict[str, str]) -> LexiconEntry:
-    graphemes = tokenize_graphemes(word, lang, use_lang_token=False)
+    graphemes = tokenize_graphemes(word)
     return LexiconEntry(lang, graphemes, tuple(mapping[g] for g in graphemes))
 
 
@@ -64,7 +64,7 @@ def memorization_corpus(n_words: int = 50, seed: int = 11, lang: str = "mem") ->
     for word in _random_spellings(n_words, rng):
         n_phones = int(rng.integers(3, 7))
         phones = tuple(PHONES_A[i] for i in rng.integers(0, len(PHONES_A), n_phones))
-        entries.append(LexiconEntry(lang, tokenize_graphemes(word, lang, False), phones))
+        entries.append(LexiconEntry(lang, tokenize_graphemes(word), phones))
     return entries
 
 
@@ -90,13 +90,12 @@ def train_bilingual(split: DatasetSplit, lang_token: bool) -> ModelBundle:
 
 def held_out_wer(bundle: ModelBundle, split: DatasetSplit) -> dict[str, float]:
     """Greedy-decoding WER (%) on the held-out words, per language."""
-    use_lang = bundle.meta["lang_token"]
     scores = {}
     for lang in sorted({e.lang for e in split.validation}):
         held_out = [e for e in split.validation if e.lang == lang]
         wrong = 0
         for entry in held_out:
-            src = bundle.src_vocab.encode(entry.source_tokens(use_lang))
+            src = bundle.source_ids("".join(entry.graphemes), entry.lang)
             tokens, _ = greedy_decode(src, bundle.params, bundle.config, bundle.tgt_vocab)
             wrong += tokens != entry.phonemes
         scores[lang] = 100.0 * wrong / len(held_out)

@@ -5,8 +5,12 @@ import struct
 
 import pytest
 
+from polyg2p import cli
+from polyg2p.checkpoint import load_checkpoint
 from polyg2p.cli import main
 from polyg2p.config import ConfigError, RunConfig, load_config
+from polyg2p.corpus import is_lang_token
+from polyg2p.model import train_model
 
 LEXICON = (
     "aaa\tbaba\tβ ɑ β ɑ\n"
@@ -77,10 +81,21 @@ def test_prepare_empty_filter_is_user_error(tmp_path, lexicon, capsys):
     assert "filter" in capsys.readouterr().err
 
 
-def test_prepare_unreadable_lexicon_is_user_error(tmp_path):
+def test_prepare_unreadable_lexicon_is_user_error(tmp_path, capsys):
     code = main(["prepare", "--train-lexicon", str(tmp_path / "missing.tsv"),
                  "--out", str(tmp_path / "x")])
     assert code == 1
+    assert str(tmp_path / "missing.tsv") in capsys.readouterr().err
+
+
+def test_inventory_error_names_file_and_line(tmp_path, lexicon, capsys):
+    inventory = tmp_path / "inv.tsv"
+    inventory.write_text("lang\tphoneme\tvoice,nasal\naaa\tβ\t+,-\naaa\tɑ\t+\n",
+                         encoding="utf-8")
+    code = main(["prepare", "--train-lexicon", str(lexicon), "--out", str(tmp_path / "prep"),
+                 "--clean", "--inventory", str(inventory)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {inventory}:3: expected 2 feature values\n"
 
 
 def test_train_writes_checkpoints_and_log(run_dir):
@@ -108,6 +123,61 @@ def test_train_resume_continues_epoch_numbering(tmp_path, lexicon, run_dir):
     assert code == 0
     log = (run_dir / "training_log.tsv").read_text(encoding="utf-8").splitlines()
     assert [line.split("\t")[0] for line in log[1:]] == ["1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs must be >= 1"),
+    (["--batch-size", "0"], "batch_size must be >= 1"),
+    (["--lr", "-1"], "lr must be >= 0"),
+    (["--clip", "-1"], "clip must be > 0"),
+    (["--lr-decay-factor", "0.5"], "lr_decay_factor and lr_decay_start must be set together"),
+    (["--lr-decay-factor", "0", "--lr-decay-start", "2"], "lr_decay_factor must be > 0"),
+    (["--lr-decay-factor", "0.5", "--lr-decay-start", "0"], "lr_decay_start must be >= 1"),
+], ids=["epochs", "batch_size", "lr", "clip", "decay_factor_alone", "decay_factor", "decay_start"])
+def test_invalid_schedule_is_user_error_before_anything_is_written(run_dir, lexicon, capsys,
+                                                                   flags, message):
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    code = main(["train", "--train-lexicon", str(lexicon), "--checkpoint-dir", str(run_dir)]
+                + FAST + flags)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("trained, opposite", [("--lang-token", "--no-lang-token"),
+                                               ("--no-lang-token", "--lang-token")],
+                         ids=["lang_token_model", "no_lang_token_model"])
+def test_resume_keeps_the_checkpoints_language_token_rule(tmp_path, lexicon, monkeypatch,
+                                                         trained, opposite):
+    train = ["train", "--train-lexicon", str(lexicon)] + FAST
+    first = tmp_path / "first"
+    assert main(train + ["--checkpoint-dir", str(first), trained]) == 0
+    sources = []
+
+    def recording_train_model(pairs, *args, **kwargs):
+        sources.append([src for src, _ in pairs])
+        return train_model(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_model", recording_train_model)
+    for flag in (trained, opposite):
+        assert main(train + ["--checkpoint-dir", str(tmp_path / flag), flag, "--epochs", "3",
+                             "--resume", str(first / "final.mg2p")]) == 0
+
+    uses_lang = trained == "--lang-token"
+    resumed = load_checkpoint(tmp_path / opposite / "final.mg2p")
+    assert resumed.meta["lang_token"] is uses_lang
+    assert resumed.src_vocab.tokens == load_checkpoint(first / "final.mg2p").src_vocab.tokens
+    assert sources[0] == sources[1]
+    assert all(is_lang_token(resumed.src_vocab.tokens[src[0]]) is uses_lang
+               for src in sources[1])
+    assert ((tmp_path / opposite / "final.mg2p").read_bytes()
+            == (tmp_path / trained / "final.mg2p").read_bytes())
+    manifest = json.loads((tmp_path / opposite / "run_manifest.json").read_text())
+    assert manifest["config"]["lang_token"] is uses_lang
+    log = (tmp_path / opposite / "training_log.tsv").read_text(encoding="utf-8").splitlines()
+    assert log[0] == "epoch\tlr\ttrain_loss\tval_loss"
+    assert [line.split("\t")[0] for line in log[1:]] == ["3"]
 
 
 def test_translate_single_word(run_dir, capsys):
@@ -330,10 +400,17 @@ def test_nolangid_mode_translates_without_lang(tmp_path, lexicon, capsys):
     code = main(["train", "--train-lexicon", str(lexicon), "--checkpoint-dir", str(out),
                  "--no-lang-token"] + FAST)
     assert code == 0
+    capsys.readouterr()
     code = main(["translate", "--checkpoint", str(out / "final.mg2p"), "--word", "ba",
                  "--width", "2"])
     assert code == 0
-    capsys.readouterr()
+    without_lang = capsys.readouterr()
+    assert without_lang.out.startswith("ba\t1\t")
+    # the language is ignored, and no token is reported unseen
+    code = main(["translate", "--checkpoint", str(out / "final.mg2p"), "--word", "ba",
+                 "--width", "2", "--lang", "zzz"])
+    assert code == 0
+    assert capsys.readouterr() == without_lang
     # every language would encode as UNK, so cross-token rows would mean nothing
     code = main(["analyze", "--checkpoint", str(out / "final.mg2p"), "--mode", "crosstoken",
                  "--word", "ba", "--langs", "aaa,bbb"])

@@ -23,6 +23,7 @@ from polyg2p.corpus import (
     lang_token,
     parse_inventory,
     parse_lexicon,
+    source_tokens,
     split_train_val,
     tokenize_graphemes,
 )
@@ -62,16 +63,18 @@ def test_parse_rejects_malformed_lines():
         "deu\t\ta:\n"
         "deu\tAnsbach\t\n"
         "deu\tAns bach\ta:\n"
+        "deu\tAnsbach\ta: <EOS> x\n"
         "# a comment, ignored entirely\n"
         "\n"
         "eng\treal\tr i: l\n"
     )
     entries, rejects = parse_lexicon(io.StringIO(text))
     assert len(entries) == 2
-    assert [r.line_no for r in rejects] == [2, 3, 4, 5, 6]
+    assert [r.line_no for r in rejects] == [2, 3, 4, 5, 6, 7]
     reasons = [r.reason for r in rejects]
     assert "expected 3 tab-separated fields, got 2" in reasons[0]
     assert "invalid language code" in reasons[1]
+    assert reasons[5] == "reserved token <EOS> in phoneme field"
 
 
 @given(st.lists(st.text(alphabet="ab\tc ", max_size=12), max_size=20))
@@ -83,31 +86,33 @@ def test_parse_never_raises_and_accounts_for_every_line(lines):
 
 
 def test_tokenize_real_with_language_token():
-    assert tokenize_graphemes("real", "eng", True) == ("<eng>", "r", "e", "a", "l")
-    assert tokenize_graphemes("real", "eng", False) == ("r", "e", "a", "l")
+    graphemes = tokenize_graphemes("real")
+    assert source_tokens(graphemes, "eng", True) == ("<eng>", "r", "e", "a", "l")
+    assert source_tokens(graphemes, "eng", False) == ("r", "e", "a", "l")
 
 
 def test_tokenize_preserves_case():
-    assert tokenize_graphemes("Ansbach", "deu", True) == (
+    assert source_tokens(tokenize_graphemes("Ansbach"), "deu", True) == (
         "<deu>", "A", "n", "s", "b", "a", "c", "h")
 
 
 def test_tokenize_applies_nfc():
     decomposed = "é"  # e + combining acute
-    assert tokenize_graphemes(decomposed, "fra", False) == (unicodedata.normalize("NFC", decomposed),)
-    assert len(tokenize_graphemes(decomposed, "fra", False)) == 1
+    assert tokenize_graphemes(decomposed) == (unicodedata.normalize("NFC", decomposed),)
+    assert len(tokenize_graphemes(decomposed)) == 1
 
 
 def test_tokenize_empty_word_errors():
     with pytest.raises(ValueError, match="empty source"):
-        tokenize_graphemes("", "eng", True)
+        tokenize_graphemes("")
 
 
 @given(st.text(min_size=1, max_size=10).filter(lambda w: unicodedata.normalize("NFC", w)))
 def test_lang_token_is_exactly_a_prefix(word):
-    with_token = tokenize_graphemes(word, "xyz", True)
-    without = tokenize_graphemes(word, "xyz", False)
-    assert with_token == ("<xyz>",) + without
+    graphemes = tokenize_graphemes(word)
+    with_token = source_tokens(graphemes, "xyz", True)
+    assert with_token == ("<xyz>",) + source_tokens(graphemes, "xyz", False)
+    assert with_token == LexiconEntry("xyz", graphemes, ("p",)).source_tokens(True)
 
 
 def _entry(lang, word, phones):
@@ -224,6 +229,19 @@ def test_parse_inventory():
     assert set(table.by_lang) == {"deu", "heb"}
     assert table.by_lang["deu"].phonemes == frozenset({"x", "k", "g"})
     assert table.features["χ"] == (1, 1, -1)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("deu\tg\t+,-\n", "expected 3 feature values"),
+    ("deu\tg\n", "expected 3 fields"),
+    ("deu\tg\t+,-,?\n", "bad feature value '?'"),
+])
+def test_inventory_errors_name_file_and_line(tmp_path, row, message):
+    path = tmp_path / "inv.tsv"
+    path.write_text(INVENTORY_SAMPLE.replace("deu\tg\t+,-,+\n", row), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as err:
+        parse_inventory(fh)
+    assert str(err.value) == f"{path}:4: {message}"
 
 
 def test_clean_maps_uvular_fricative_to_velar():
