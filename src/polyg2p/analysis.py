@@ -49,7 +49,7 @@ def nearest_phonemes(symbol: str, k: int, bundle: ModelBundle) -> NeighborList:
     if symbol not in vocab:
         raise KeyError(f"unknown phoneme {symbol!r}")
     candidates = {t for t in vocab.tokens if t not in RESERVED}
-    return _nearest(bundle.params.tgt_embedding.data, vocab.tokens, symbol, k, candidates)
+    return _nearest(bundle.params["tgt_embedding"].data, vocab.tokens, symbol, k, candidates)
 
 
 def nearest_languages(lang: str, k: int, bundle: ModelBundle) -> NeighborList:
@@ -59,7 +59,7 @@ def nearest_languages(lang: str, k: int, bundle: ModelBundle) -> NeighborList:
     if token not in vocab:
         raise KeyError(f"unknown language token {token!r}")
     candidates = {t for t in vocab.tokens if is_lang_token(t)}
-    return _nearest(bundle.params.src_embedding.data, vocab.tokens, token, k, candidates)
+    return _nearest(bundle.params["src_embedding"].data, vocab.tokens, token, k, candidates)
 
 
 def translate_as(word: str, langs: list[str], bundle: ModelBundle,

@@ -12,9 +12,11 @@ Layout (all integers little-endian):
     meta    u64 length + utf-8 JSON (model config, gate order, lang_token: the
             model's language-token rule, training languages, schedule snapshot)
 
-Every matrix is written in its canonical layout, weight matrices [out x in],
-whatever layout the model holds in memory (`model.TRANSPOSED`): the format
-does not depend on how the products are computed.
+The tensors are `model.param_specs`'s, in its order and with its canonical
+shapes (weight matrices [out x in]), whatever layout the model holds in
+memory: the format does not depend on how the products are computed. A load
+accepts exactly that set of tensors. Every length in the header is checked
+against the bytes left in the file before it is read.
 
 Round trips are bit-exact: loading and re-saving reproduces the same bytes.
 """
@@ -69,34 +71,47 @@ def _write_str(fh: BinaryIO, s: str) -> None:
     fh.write(raw)
 
 
-def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise ValueError("truncated checkpoint file")
-    return raw
-
-
-def _read_str(fh: BinaryIO) -> str:
-    (n,) = struct.unpack("<I", _read_exact(fh, 4))
-    return _read_exact(fh, n).decode("utf-8")
-
-
 def _write_vocab(fh: BinaryIO, vocab: Vocabulary) -> None:
     fh.write(struct.pack("<I", len(vocab)))
     for token in vocab.tokens:
         _write_str(fh, token)
 
 
-def _read_vocab(fh: BinaryIO) -> Vocabulary:
-    (n,) = struct.unpack("<I", _read_exact(fh, 4))
-    return Vocabulary([_read_str(fh) for _ in range(n)])
+class _Reader:
+    """Reads a checkpoint file front to back. Every length is checked against
+    the bytes left before it is read, so a corrupt one cannot ask for more
+    memory than the file holds."""
+
+    def __init__(self, fh: BinaryIO):
+        self.fh, self.left = fh, os.fstat(fh.fileno()).st_size
+
+    def need(self, n: int) -> None:
+        if n > self.left:
+            raise ValueError("truncated checkpoint file")
+
+    def take(self, n: int) -> bytes:
+        self.need(n)
+        raw = self.fh.read(n)
+        if len(raw) != n:
+            raise ValueError("truncated checkpoint file")
+        self.left -= n
+        return raw
+
+    def text(self) -> str:
+        (n,) = struct.unpack("<I", self.take(4))
+        return self.take(n).decode("utf-8")
+
+    def vocab(self) -> Vocabulary:
+        (n,) = struct.unpack("<I", self.take(4))
+        self.need(4 * n)  # each token takes at least its length field
+        return Vocabulary([self.text() for _ in range(n)])
 
 
 def save_checkpoint(path, bundle: ModelBundle) -> None:
     """Write `bundle` to `path` atomically: the bytes go to a temporary file in
     the same directory, which replaces `path` only once it is complete, so a
     crash mid-write leaves any earlier checkpoint at `path` as it was."""
-    named = list(canonical_arrays(bundle.params).items())
+    named = list(canonical_arrays(bundle.params, bundle.config).items())
     meta = dict(bundle.meta)
     meta["model"] = asdict(bundle.config)
     meta["gate_order"] = GATE_ORDER
@@ -129,36 +144,45 @@ def save_checkpoint(path, bundle: ModelBundle) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        manifest: list[tuple[str, tuple[int, ...]]] = []
-        for _ in range(count):
-            name = _read_str(fh)
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-            dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank))
-            manifest.append((name, tuple(int(d) for d in dims)))
-        # one read for every tensor: the arrays are views of it, and
-        # params_from_arrays makes the only copy
-        sizes = [math.prod(dims) for _, dims in manifest]
-        data = np.frombuffer(_read_exact(fh, 4 * sum(sizes)), dtype="<f4")
-        ends = np.cumsum(sizes)
-        arrays = {name: data[end - size : end].reshape(dims)
-                  for (name, dims), size, end in zip(manifest, sizes, ends)}
-        src_vocab = _read_vocab(fh)
-        tgt_vocab = _read_vocab(fh)
-        (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
+    """Read a checkpoint; malformed content raises ValueError naming `path`."""
+    try:
+        with open(path, "rb") as fh:
+            return _read_bundle(_Reader(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
+
+def _read_bundle(r: _Reader) -> ModelBundle:
+    if r.take(4) != MAGIC:
+        raise ValueError("not a model checkpoint (bad magic)")
+    (version,) = struct.unpack("<I", r.take(4))
+    if version != VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    (count,) = struct.unpack("<I", r.take(4))
+    manifest: list[tuple[str, tuple[int, ...]]] = []
+    for _ in range(count):
+        name = r.text()
+        (rank,) = struct.unpack("<I", r.take(4))
+        dims = struct.unpack(f"<{rank}Q", r.take(8 * rank))
+        # every dim is bounded too, or a zero dim would let another overflow
+        r.need(4 * math.prod(max(d, 1) for d in dims))
+        manifest.append((name, dims))
+    # one read for every tensor: the arrays are views of it, and
+    # params_from_arrays makes the only copy
+    sizes = [math.prod(dims) for _, dims in manifest]
+    data = np.frombuffer(r.take(4 * sum(sizes)), dtype="<f4")
+    ends = np.cumsum(sizes)
+    arrays = {name: data[end - size : end].reshape(dims)
+              for (name, dims), size, end in zip(manifest, sizes, ends)}
+    src_vocab = r.vocab()
+    tgt_vocab = r.vocab()
+    (meta_len,) = struct.unpack("<Q", r.take(8))
+    meta = json.loads(r.take(meta_len).decode("utf-8"))
+
+    if not isinstance(meta, dict) or "model" not in meta:
+        raise ValueError("checkpoint meta has no model config")
     try:
         config = ModelConfig(**meta.pop("model"))
-        params = params_from_arrays(config, arrays)
-    except KeyError:
-        raise ValueError(f"{path}: checkpoint meta has no model config") from None
-    except (TypeError, ValueError) as exc:  # an unknown field, or tensors that do not fit
-        raise ValueError(f"{path}: {exc}") from None
-    return ModelBundle(params, config, src_vocab, tgt_vocab, meta)
+    except TypeError as exc:  # an unknown or missing field
+        raise ValueError(str(exc)) from None
+    return ModelBundle(params_from_arrays(config, arrays), config, src_vocab, tgt_vocab, meta)

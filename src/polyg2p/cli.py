@@ -254,7 +254,8 @@ def cmd_translate(args) -> int:
 def cmd_evaluate(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
     config = _resolve_config(args)
-    width = args.width if args.width is not None else (config.beam_width or 100)
+    width = args.width if args.width is not None else (
+        100 if config.beam_width is None else config.beam_width)
     entries = _read_lexicon_file(config.test_lexicon)
     entries = _filter_languages(entries, config)
     if args.unseen_only:

@@ -2,8 +2,8 @@
 
 Model and schedule fields take their defaults from `ModelConfig` and
 `TrainingSchedule` in `model.py` (2x150 LSTM, batch 64, SGD at lr 1.0 for 13
-epochs); data fields default to a 10k-word language cap with a 10% validation
-split. A run manifest written next to each artifact snapshots the resolved
+epochs), the split fields from `corpus` (a 10k-word language cap, 10% held
+out). A run manifest written next to each artifact snapshots the resolved
 config, input file hashes, and package version; feeding a manifest back in
 as the config reproduces the run.
 """
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .corpus import DEFAULT_CAP, DEFAULT_VAL_FRACTION
 from .model import ModelConfig, TrainingSchedule
 
 
@@ -47,8 +48,8 @@ class RunConfig:
     lang_token: bool = True
     language_filter: list[str] | None = None
     beam_width: int | None = None
-    val_fraction: float = 0.1
-    cap: int = 10000
+    val_fraction: float = DEFAULT_VAL_FRACTION
+    cap: int = DEFAULT_CAP
     min_count: int = 1
     clean: bool = False
 

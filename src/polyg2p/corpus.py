@@ -174,6 +174,8 @@ def build_vocab(
     """
     if not entries:
         raise ValueError("cannot build a vocabulary from an empty corpus")
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
     if side not in ("source", "target"):
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
     counts: Counter[str] = Counter()
@@ -189,10 +191,14 @@ class DatasetSplit:
     validation: list[LexiconEntry]
 
 
+DEFAULT_CAP = 10000          # words kept per language
+DEFAULT_VAL_FRACTION = 0.1   # share of them held out for validation
+
+
 def split_train_val(
     entries: Sequence[LexiconEntry],
-    cap: int = 10000,
-    val_fraction: float = 0.1,
+    cap: int = DEFAULT_CAP,
+    val_fraction: float = DEFAULT_VAL_FRACTION,
     seed: int = 0,
 ) -> DatasetSplit:
     """Per-language capped train/validation split.

@@ -7,6 +7,10 @@ global attention over encoder annotations, and a softmax generator over the
 phoneme vocabulary. The decoder input is the previous target embedding
 concatenated with the previous attentional vector (input feeding).
 
+The parameters are one name-keyed dict of tensors (`ModelParams`) built from
+one list, `param_specs(config)`, of (name, canonical shape, kind). Its order
+is the checkpoint order and the order gradient norms sum in.
+
 The math runs as fused autodiff ops. The encoder is one `ad.encoder_sequence`
 over every layer and direction, after a single embedding lookup of the [B,S]
 id matrix. The decoder is one `ad.decoder_sequence` over every target step,
@@ -66,180 +70,105 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-# Weight matrices that multiply activations, by name suffix. In memory they
-# are stored [in x out], C-contiguous, so every product is `x @ w`; their
-# canonical layout, the one checkpoints hold and `_build_params`'s `buffer`
-# hands out, is [out x in]. Every other tensor has one layout.
-TRANSPOSED = (".input_weights", ".recurrent_weights", "attention.output_weights",
-              "generator.weights")
+# A parameter's kind fixes its initialization and the layout the model holds
+# it in. "weight": a matrix that multiplies activations, canonical [out x in],
+# held [in x out] C-contiguous so every product is `x @ w`. "table": an
+# embedding table or the attention score matrix, held as written. Both draw
+# uniform(-0.1, 0.1). "cell_bias": an LSTM bias, zero but for the forget-gate
+# slice at 1.0. "bias": zero.
+ParamSpec = tuple[str, tuple[int, ...], str]  # (name, canonical shape, kind)
+
+# Parameters by name, in `param_specs` order.
+ModelParams = dict[str, Tensor]
 
 
-@dataclass
-class CellParams:
-    """One LSTM cell; weights are stored [in x 4h] / [h x 4h], gates ordered
-    i,f,g,o along the 4h axis."""
-
-    input_weights: Tensor
-    recurrent_weights: Tensor
-    bias: Tensor
+def _cell_specs(prefix: str, in_size: int, hidden: int) -> list[ParamSpec]:
+    """One LSTM cell, gates ordered i,f,g,o along the 4h axis."""
+    return [(f"{prefix}.input_weights", (4 * hidden, in_size), "weight"),
+            (f"{prefix}.recurrent_weights", (4 * hidden, hidden), "weight"),
+            (f"{prefix}.bias", (4 * hidden,), "cell_bias")]
 
 
-@dataclass
-class AttentionParams:
-    score_weights: Tensor   # [h x h] bilinear score matrix, top @ W @ a_s
-    output_weights: Tensor  # stored [2h x h], applied to [context; decoder_top]
-    output_bias: Tensor
-
-
-@dataclass
-class ModelParams:
-    src_embedding: Tensor
-    tgt_embedding: Tensor
-    encoder: list[dict[str, CellParams]]  # per layer: {"fwd": ..., "bwd": ...}
-    decoder: list[CellParams]
-    attention: AttentionParams
-    generator_weights: Tensor  # stored [h x Vt]
-    generator_bias: Tensor
-
-    def named(self):
-        yield "src_embedding", self.src_embedding
-        yield "tgt_embedding", self.tgt_embedding
-        for i, layer in enumerate(self.encoder):
-            for direction in ("fwd", "bwd"):
-                cell = layer[direction]
-                yield f"encoder.l{i}.{direction}.input_weights", cell.input_weights
-                yield f"encoder.l{i}.{direction}.recurrent_weights", cell.recurrent_weights
-                yield f"encoder.l{i}.{direction}.bias", cell.bias
-        for i, cell in enumerate(self.decoder):
-            yield f"decoder.l{i}.input_weights", cell.input_weights
-            yield f"decoder.l{i}.recurrent_weights", cell.recurrent_weights
-            yield f"decoder.l{i}.bias", cell.bias
-        yield "attention.score_weights", self.attention.score_weights
-        yield "attention.output_weights", self.attention.output_weights
-        yield "attention.output_bias", self.attention.output_bias
-        yield "generator.weights", self.generator_weights
-        yield "generator.bias", self.generator_bias
-
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named()]
-
-
-def _cell_bias(four_h: int) -> np.ndarray:
-    # forget-gate slice initialized to 1.0 for stable early training
-    b = np.zeros(four_h)
-    h = four_h // 4
-    b[h : 2 * h] = 1.0
-    return b
-
-
-def _build_params(
-    config: ModelConfig,
-    dtype,
-    buffer: Callable[[str, tuple[int, ...], str], np.ndarray],
-) -> ModelParams:
-    """Assemble ModelParams from `buffer(name, shape, kind)`, called once per
-    tensor in the order `init_params` draws them, with the canonical shape.
-    `kind` is "weight", "cell_bias" (forget-gate slice 1.0 at initialization)
-    or "bias". Each tensor is a private C-contiguous `dtype` copy of its
-    buffer, transposed to [in x out] if its name is in `TRANSPOSED`."""
+def param_specs(config: ModelConfig) -> list[ParamSpec]:
+    """Every parameter of `config`'s model, in checkpoint order: embeddings,
+    encoder (per layer, fwd then bwd), decoder, attention, generator. Shapes
+    are canonical, the layout checkpoints hold."""
     h = config.hidden_size
-    half = h // 2
-
-    def tensor(name: str, shape: tuple[int, ...], kind: str = "weight") -> Tensor:
-        data = buffer(name, shape, kind)
-        if name.endswith(TRANSPOSED):
-            data = data.T
-        return Tensor(data.astype(dtype, order="C"), name=name)
-
-    def make_cell(prefix: str, in_size: int, hidden: int) -> CellParams:
-        return CellParams(
-            input_weights=tensor(f"{prefix}.input_weights", (4 * hidden, in_size)),
-            recurrent_weights=tensor(f"{prefix}.recurrent_weights", (4 * hidden, hidden)),
-            bias=tensor(f"{prefix}.bias", (4 * hidden,), "cell_bias"),
-        )
-
-    encoder = []
+    specs = [("src_embedding", (config.src_vocab_size, config.src_embed), "table"),
+             ("tgt_embedding", (config.tgt_vocab_size, config.tgt_embed), "table")]
     for layer in range(config.enc_layers):
         in_size = config.src_embed if layer == 0 else h
-        encoder.append({d: make_cell(f"encoder.l{layer}.{d}", in_size, half)
-                        for d in ("fwd", "bwd")})
-    decoder = []
+        for direction in ("fwd", "bwd"):
+            specs += _cell_specs(f"encoder.l{layer}.{direction}", in_size, h // 2)
     for layer in range(config.dec_layers):
-        if layer == 0:
-            in_size = config.tgt_embed + (h if config.input_feeding else 0)
-        else:
-            in_size = h
-        decoder.append(make_cell(f"decoder.l{layer}", in_size, h))
+        in_size = h if layer else config.tgt_embed + (h if config.input_feeding else 0)
+        specs += _cell_specs(f"decoder.l{layer}", in_size, h)
+    return specs + [("attention.score_weights", (h, h), "table"),  # top @ W @ a_s
+                    ("attention.output_weights", (h, 2 * h), "weight"),  # on [context; top]
+                    ("attention.output_bias", (h,), "bias"),
+                    ("generator.weights", (config.tgt_vocab_size, h), "weight"),
+                    ("generator.bias", (config.tgt_vocab_size,), "bias")]
 
-    return ModelParams(
-        src_embedding=tensor("src_embedding", (config.src_vocab_size, config.src_embed)),
-        tgt_embedding=tensor("tgt_embedding", (config.tgt_vocab_size, config.tgt_embed)),
-        encoder=encoder,
-        decoder=decoder,
-        attention=AttentionParams(
-            score_weights=tensor("attention.score_weights", (h, h)),
-            output_weights=tensor("attention.output_weights", (h, 2 * h)),
-            output_bias=tensor("attention.output_bias", (h,), "bias"),
-        ),
-        generator_weights=tensor("generator.weights", (config.tgt_vocab_size, h)),
-        generator_bias=tensor("generator.bias", (config.tgt_vocab_size,), "bias"),
-    )
+
+def _build(specs: list[ParamSpec], arrays: dict[str, np.ndarray], dtype) -> ModelParams:
+    """Private C-contiguous `dtype` copies of canonical `arrays`, in spec
+    order, each in the layout the model holds its kind in."""
+    return {name: Tensor((arrays[name].T if kind == "weight" else arrays[name])
+                         .astype(dtype, order="C"), name=name)
+            for name, _, kind in specs}
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Deterministic initialization: weights uniform(-0.1, 0.1), biases zero,
-    forget-gate bias 1.0."""
+    forget-gate bias 1.0.
+
+    The uniform draws come in an order of their own, which fixes what a seed
+    initializes: every LSTM cell, encoder then decoder, before the embeddings,
+    the attention matrices and the generator."""
     rng = np.random.default_rng(seed)
-
-    def buffer(name: str, shape: tuple[int, ...], kind: str) -> np.ndarray:
-        if kind == "weight":
-            return rng.uniform(-0.1, 0.1, shape)
-        return _cell_bias(shape[0]) if kind == "cell_bias" else np.zeros(shape)
-
-    return _build_params(config, dtype, buffer)
+    specs = param_specs(config)
+    cells_first = sorted(specs, key=lambda spec: not spec[0].startswith(("encoder.", "decoder.")))
+    arrays = {}
+    for name, shape, kind in cells_first:
+        uniform = kind in ("weight", "table")
+        arrays[name] = rng.uniform(-0.1, 0.1, shape) if uniform else np.zeros(shape)
+        if kind == "cell_bias":
+            arrays[name][shape[0] // 4 : shape[0] // 2] = 1.0  # the forget gate's slice
+    return _build(specs, arrays, dtype)
 
 
 def clone_params(params: ModelParams) -> ModelParams:
     """Deep copy of all parameter buffers (gradients are not copied)."""
-
-    def copy(t: Tensor) -> Tensor:
-        return Tensor(t.data.copy(), name=t.name)
-
-    def copy_cell(cell: CellParams) -> CellParams:
-        return CellParams(copy(cell.input_weights), copy(cell.recurrent_weights), copy(cell.bias))
-
-    attention = params.attention
-    return ModelParams(
-        src_embedding=copy(params.src_embedding),
-        tgt_embedding=copy(params.tgt_embedding),
-        encoder=[{d: copy_cell(cell) for d, cell in layer.items()} for layer in params.encoder],
-        decoder=[copy_cell(cell) for cell in params.decoder],
-        attention=AttentionParams(copy(attention.score_weights), copy(attention.output_weights),
-                                  copy(attention.output_bias)),
-        generator_weights=copy(params.generator_weights),
-        generator_bias=copy(params.generator_bias),
-    )
+    return {name: Tensor(t.data.copy(), name=name) for name, t in params.items()}
 
 
 def params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
     """Rebuild float32 ModelParams from named arrays in the canonical layout
-    (e.g. a loaded checkpoint); the arrays are copied, not kept."""
-
-    def buffer(name: str, shape: tuple[int, ...], kind: str) -> np.ndarray:
+    (e.g. a loaded checkpoint), which must hold exactly `param_specs`'s
+    tensors; the arrays are copied, not kept."""
+    specs = param_specs(config)
+    unexpected = arrays.keys() - {name for name, _, _ in specs}
+    if unexpected:
+        raise ValueError(f"unexpected tensor {min(unexpected)!r}")
+    for name, shape, _ in specs:
         if name not in arrays:
             raise ValueError(f"missing tensor {name!r}")
         if arrays[name].shape != shape:
             raise ValueError(f"tensor {name!r}: expected shape {shape}, got {arrays[name].shape}")
-        return arrays[name]
-
-    return _build_params(config, np.float32, buffer)
+    return _build(specs, arrays, np.float32)
 
 
-def canonical_arrays(params: ModelParams) -> dict[str, np.ndarray]:
+def canonical_arrays(params: ModelParams, config: ModelConfig) -> dict[str, np.ndarray]:
     """Named parameter arrays in the canonical layout, as views: the inverse
     of `params_from_arrays`."""
-    return {name: t.data.T if name.endswith(TRANSPOSED) else t.data
-            for name, t in params.named()}
+    return {name: params[name].data.T if kind == "weight" else params[name].data
+            for name, _, kind in param_specs(config)}
+
+
+def _cell(params: ModelParams, prefix: str) -> tuple[Tensor, Tensor, Tensor]:
+    """The LSTM cell `prefix`: (w_in [in x 4h], w_rec [h x 4h], bias [4h])."""
+    return tuple(params[f"{prefix}.{part}"]
+                 for part in ("input_weights", "recurrent_weights", "bias"))
 
 
 # --- forward computation -----------------------------------------------------
@@ -300,7 +229,7 @@ def encode(
     src_rows = [_trim_pads(r) for r in src_rows]
     if not src_rows or any(len(r) == 0 for r in src_rows):
         raise ValueError("empty source")
-    dtype = params.src_embedding.data.dtype
+    dtype = params["src_embedding"].data.dtype
     ids, mask = pad_batch(src_rows)
     mask = mask.astype(dtype)
 
@@ -308,9 +237,9 @@ def encode(
     keep = _keep_scale((config.enc_layers - 1, ids.shape[1], len(src_rows), config.hidden_size),
                        config, training, rng, dtype)
     annotations, final_states = ad.encoder_sequence(
-        ad.embedding_lookup(params.src_embedding, ids), mask,
-        [[(c.input_weights, c.recurrent_weights, c.bias) for c in (layer["fwd"], layer["bwd"])]
-         for layer in params.encoder],
+        ad.embedding_lookup(params["src_embedding"], ids), mask,
+        [[_cell(params, f"encoder.l{layer}.{direction}") for direction in ("fwd", "bwd")]
+         for layer in range(config.enc_layers)],
         keep=None if keep is None else keep.transpose(0, 2, 1, 3))
     return EncodedSource(annotations, mask, final_states)
 
@@ -342,13 +271,12 @@ def attend(
     decoder_top_h: np.ndarray,
     annotations: np.ndarray,
     mask: np.ndarray,
-    attention: AttentionParams,
+    score_weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear attention: weights = softmax(h^T W a_s) over unmasked positions,
     context = sum_s weights_s * a_s, on plain arrays. Annotations and mask may
     be a single row shared by every query. Returns (context [B,h], weights [B,S])."""
-    return ad.attend(decoder_top_h, annotations, _mask_add(mask),
-                     attention.score_weights.data)
+    return ad.attend(decoder_top_h, annotations, _mask_add(mask), score_weights)
 
 
 def decode_step(
@@ -366,21 +294,21 @@ def decode_step(
     prev_ids = np.asarray(prev_ids, dtype=np.intp)
     if prev_ids.size and (prev_ids.min() < 0 or prev_ids.max() >= config.tgt_vocab_size):
         raise IndexError("target id out of range")
-    emb = params.tgt_embedding.data[prev_ids]
+    emb = params["tgt_embedding"].data[prev_ids]
     x0 = np.concatenate([emb, state.attn], axis=1) if config.input_feeding else emb
     ann = encoded.annotations.data
     buf = ad.DecoderBuffers(1, len(prev_ids), config.dec_layers, config.hidden_size,
                             ann.shape[1], ann.dtype)
-    cells = [(c.input_weights.data, c.recurrent_weights.data, c.bias.data)
-             for c in params.decoder]
-    attention = params.attention
+    cells = [tuple(t.data for t in _cell(params, f"decoder.l{layer}"))
+             for layer in range(config.dec_layers)]
     ad.decoder_step(buf, 0, x0, state.layers, cells,
-                    (attention.score_weights.data, attention.output_weights.data,
-                     attention.output_bias.data),
+                    (params["attention.score_weights"].data,
+                     params["attention.output_weights"].data,
+                     params["attention.output_bias"].data),
                     ann, _mask_add(encoded.mask))
     attn = buf.attn[1]
-    logits = attn @ params.generator_weights.data
-    logits += params.generator_bias.data
+    logits = attn @ params["generator.weights"].data
+    logits += params["generator.bias"].data
     new_state = DecoderState([(buf.h[l, 1], buf.c[l, 1]) for l in range(config.dec_layers)],
                              attn)
     return ad.log_softmax(logits), new_state
@@ -409,20 +337,19 @@ def forward_loss(
     dec_inputs, _ = pad_batch([[BOS_ID] + list(t) for t in tgt_rows])
     golds, _ = pad_batch([list(t) + [EOS_ID] for t in tgt_rows])
     steps = golds.shape[1]
-    dtype = params.tgt_embedding.data.dtype
+    dtype = params["tgt_embedding"].data.dtype
     # one [B,h] draw per step and upper layer, in the order a step-by-step decoder draws
     keep = _keep_scale((steps, config.dec_layers - 1, len(batch), config.hidden_size),
                        config, training, rng, dtype)
 
-    emb = ad.embedding_lookup(params.tgt_embedding, dec_inputs.T)  # [steps, B, e]
-    attention = params.attention
+    emb = ad.embedding_lookup(params["tgt_embedding"], dec_inputs.T)  # [steps, B, e]
     attn_vecs = ad.decoder_sequence(
         emb, _start_layers(encoded, config), encoded.annotations, _mask_add(encoded.mask),
-        [(c.input_weights, c.recurrent_weights, c.bias) for c in params.decoder],
-        attention.score_weights, attention.output_weights, attention.output_bias,
-        keep=keep, input_feeding=config.input_feeding)
+        [_cell(params, f"decoder.l{layer}") for layer in range(config.dec_layers)],
+        params["attention.score_weights"], params["attention.output_weights"],
+        params["attention.output_bias"], keep=keep, input_feeding=config.input_feeding)
     # the generator, [steps*B, Vt], step-major
-    logits = ad.linear(attn_vecs, params.generator_weights, params.generator_bias)
+    logits = ad.linear(attn_vecs, params["generator.weights"], params["generator.bias"])
     flat_targets = golds.T.reshape(-1)
     return ad.cross_entropy(logits, flat_targets, PAD_ID)
 
@@ -531,7 +458,7 @@ def train_model(
         raise ValueError("empty training set")
     if params is None:
         params = init_params(config, seed=schedule.seed)
-    tensors = params.tensors()
+    tensors = list(params.values())
     shuffle_rng = np.random.default_rng([schedule.seed, 1])
     dropout_rng = np.random.default_rng([schedule.seed, 2])
 

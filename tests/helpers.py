@@ -11,7 +11,6 @@ from polyg2p import autodiff as ad
 from polyg2p.corpus import BOS_ID, EOS_ID, PAD_ID, RESERVED, UNK_ID, Vocabulary
 from polyg2p.decoding import NBestEntry
 from polyg2p.model import (
-    TRANSPOSED,
     ModelConfig,
     decode_step,
     encode,
@@ -100,24 +99,23 @@ class OracleModel:
 
     def __init__(self, params, config):
         self.config = config
-        as_list = lambda t: t.data.tolist()
-        canonical = lambda t: t.data.T.tolist()
-        self.src_emb = as_list(params.src_embedding)
-        self.tgt_emb = as_list(params.tgt_embedding)
-        self.encoder = [
-            {d: (canonical(layer[d].input_weights), canonical(layer[d].recurrent_weights),
-                 as_list(layer[d].bias)) for d in ("fwd", "bwd")}
-            for layer in params.encoder
-        ]
-        self.decoder = [
-            (canonical(c.input_weights), canonical(c.recurrent_weights), as_list(c.bias))
-            for c in params.decoder
-        ]
-        self.w_score = as_list(params.attention.score_weights)
-        self.w_out = canonical(params.attention.output_weights)
-        self.b_out = as_list(params.attention.output_bias)
-        self.w_gen = canonical(params.generator_weights)
-        self.b_gen = as_list(params.generator_bias)
+        as_list = lambda name: params[name].data.tolist()
+        canonical = lambda name: params[name].data.T.tolist()
+
+        def cell(prefix):
+            return (canonical(f"{prefix}.input_weights"),
+                    canonical(f"{prefix}.recurrent_weights"), as_list(f"{prefix}.bias"))
+
+        self.src_emb = as_list("src_embedding")
+        self.tgt_emb = as_list("tgt_embedding")
+        self.encoder = [{d: cell(f"encoder.l{i}.{d}") for d in ("fwd", "bwd")}
+                        for i in range(config.enc_layers)]
+        self.decoder = [cell(f"decoder.l{i}") for i in range(config.dec_layers)]
+        self.w_score = as_list("attention.score_weights")
+        self.w_out = canonical("attention.output_weights")
+        self.b_out = as_list("attention.output_bias")
+        self.w_gen = canonical("generator.weights")
+        self.b_gen = as_list("generator.bias")
 
     def encode(self, src_ids):
         half = self.config.hidden_size // 2
@@ -273,14 +271,10 @@ def in_x_out_shapes(config) -> dict[str, tuple[int, int]]:
 
 
 def assert_in_x_out(params, config) -> None:
-    """Every weight matrix in `in_x_out_shapes` is C-contiguous [in x out],
-    and `model.TRANSPOSED` names exactly those."""
-    shapes = in_x_out_shapes(config)
-    named = dict(params.named())
-    assert {name for name in named if name.endswith(TRANSPOSED)} == set(shapes)
-    for name, shape in shapes.items():
-        assert named[name].data.shape == shape, name
-        assert named[name].data.flags.c_contiguous, name
+    """Every weight matrix in `in_x_out_shapes` is C-contiguous [in x out]."""
+    for name, shape in in_x_out_shapes(config).items():
+        assert params[name].data.shape == shape, name
+        assert params[name].data.flags.c_contiguous, name
 
 
 def toy_tgt_vocab(n_phonemes: int) -> Vocabulary:

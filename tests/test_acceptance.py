@@ -50,7 +50,7 @@ def test_criterion1_gradient_correctness():
         return float(forward_loss(batch, params, config).data)
 
     worst = 0.0
-    for name, tensor in params.named():
+    for name, tensor in params.items():
         fd = finite_difference(loss_fn, tensor, eps=1e-4)
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         worst = max(worst, rel_err(grad, fd, guard=1e-6))

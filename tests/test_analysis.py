@@ -25,7 +25,7 @@ def test_nearest_excludes_query_and_specials():
 
 def test_identical_rows_have_similarity_one():
     bundle = _bundle()
-    emb = bundle.params.tgt_embedding.data
+    emb = bundle.params["tgt_embedding"].data
     emb[5] = emb[4]  # q copies p
     result = nearest_phonemes("p", k=1, bundle=bundle)
     assert result.neighbors[0] == ("q", pytest.approx(1.0))
@@ -33,7 +33,7 @@ def test_identical_rows_have_similarity_one():
 
 def test_orthogonal_rows_have_similarity_zero():
     bundle = _bundle()
-    emb = bundle.params.tgt_embedding.data
+    emb = bundle.params["tgt_embedding"].data
     emb[:] = 0.0
     emb[4, 0] = 1.0  # p
     emb[5, 1] = 1.0  # q
@@ -46,7 +46,7 @@ def test_orthogonal_rows_have_similarity_zero():
 def test_similarity_is_scale_invariant():
     bundle = _bundle(seed=3)
     base = nearest_phonemes("p", k=3, bundle=bundle)
-    bundle.params.tgt_embedding.data[4] *= 7.5  # positive rescale of the query row
+    bundle.params["tgt_embedding"].data[4] *= 7.5  # positive rescale of the query row
     scaled = nearest_phonemes("p", k=3, bundle=bundle)
     assert [t for t, _ in base.neighbors] == [t for t, _ in scaled.neighbors]
     for (_, a), (_, b) in zip(base.neighbors, scaled.neighbors):

@@ -32,7 +32,7 @@ def test_checkpoint_roundtrip_preserves_everything(tmp_path):
     assert loaded.meta["languages"] == ["aaa"]
     assert loaded.meta["epoch"] == 4
     assert loaded.meta["gate_order"] == "input,forget,cell,output"
-    for (name_a, t_a), (name_b, t_b) in zip(bundle.params.named(), loaded.params.named()):
+    for (name_a, t_a), (name_b, t_b) in zip(bundle.params.items(), loaded.params.items()):
         assert name_a == name_b
         assert np.array_equal(t_a.data, t_b.data), name_a
 
@@ -115,8 +115,8 @@ def test_checkpoint_holds_weight_matrices_out_x_in(tmp_path):
     save_checkpoint(path, bundle)
     manifest = _manifest(path.read_bytes())
     transposed = in_x_out_shapes(bundle.config)
-    assert list(manifest) == [name for name, _ in bundle.params.named()]
-    for name, tensor in bundle.params.named():
+    assert list(manifest) == list(bundle.params)
+    for name, tensor in bundle.params.items():
         want = transposed[name][::-1] if name in transposed else tensor.data.shape
         assert manifest[name] == want, name
     loaded = load_checkpoint(path)

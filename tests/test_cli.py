@@ -247,6 +247,14 @@ def test_evaluate_writes_reports(run_dir, lexicon, tmp_path, capsys):
     assert "MACRO" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("width", [["--width", "0"], ["--beam-width", "0"]])
+def test_evaluate_width_zero_is_user_error(run_dir, lexicon, capsys, width):
+    code = main(["evaluate", "--checkpoint", str(run_dir / "final.mg2p"),
+                 "--test-lexicon", str(lexicon)] + width)
+    assert code == 1
+    assert "beam width must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:WER 100")
 def test_evaluate_unseen_only_with_full_coverage_errors(run_dir, lexicon, capsys):
     code = main(["evaluate", "--checkpoint", str(run_dir / "final.mg2p"),
@@ -455,3 +463,21 @@ def test_analyze_k_below_one_is_user_error(run_dir, capsys, k):
                  "--mode", "phonemes", "--query", "ɑ", "--k", k])
     assert code == 1
     assert "k must be at least 1" in capsys.readouterr().err
+
+
+def test_checkpoint_header_byte_edits_exit_0_or_1(run_dir, tmp_path, capsys):
+    # each byte of the header, set to a large, a mid and a small value: a
+    # corrupt length, rank or dim is an error naming the file, never an
+    # allocation the file cannot back
+    raw = (run_dir / "final.mg2p").read_bytes()
+    path = tmp_path / "edited.mg2p"
+    faults = {}
+    for offset in range(8, 200):
+        for value in (0xFF, 0x7F, 0x40):
+            path.write_bytes(raw[:offset] + bytes([value]) + raw[offset + 1 :])
+            code = main(["translate", "--checkpoint", str(path), "--word", "ba", "--lang", "aaa",
+                         "--width", "2"])
+            err = capsys.readouterr().err
+            if code not in (0, 1) or (code == 1 and not err.startswith(f"error: {path}: ")):
+                faults[offset, value] = (code, err[-200:])
+    assert faults == {}

@@ -130,6 +130,9 @@ def test_build_vocab_min_count_cutoff():
     vocab = build_vocab(entries, "source", min_count=2, lang_tokens=False)
     assert vocab.tokens == RESERVED + ("a",)
     assert vocab.encode(["b"]) == [UNK_ID]
+    for below_one in (0, -1):
+        with pytest.raises(ValueError, match="min_count must be >= 1"):
+            build_vocab(entries, "source", min_count=below_one)
 
 
 def test_build_vocab_over_wiktionary_sample():

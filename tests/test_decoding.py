@@ -80,8 +80,8 @@ def test_exact_ties_rank_by_completion_step_then_token_ids():
     # a zero generator gives every allowed token the same log-prob at every step
     vocab = toy_tgt_vocab(4)
     config, params = tiny_model(seed=13, tgt_vocab=len(vocab), dtype=np.float64)
-    params.generator_weights.data[:] = 0.0
-    params.generator_bias.data[:] = 0.0
+    params["generator.weights"].data[:] = 0.0
+    params["generator.bias"].data[:] = 0.0
     nbest = beam_search([4, 5], params, config, vocab, width=4, max_len=3)
     # every tie survives pruning; behind the step-1 EOS, the step-2 EOS endings
     # outrank the live paths of equal score, in token order
@@ -95,8 +95,8 @@ def test_exact_ties_rank_by_completion_step_then_token_ids():
     # between p1 p2 and p2 p1 still goes to the smaller token ids
     vocab = toy_tgt_vocab(2)
     config, params = tiny_model(seed=13, tgt_vocab=len(vocab), dtype=np.float64)
-    params.generator_weights.data[:] = 0.0
-    params.generator_bias.data[:] = [0.0, 0.0, -1.0, 0.0, 0.3, 1.0]
+    params["generator.weights"].data[:] = 0.0
+    params["generator.bias"].data[:] = [0.0, 0.0, -1.0, 0.0, 0.3, 1.0]
     nbest = beam_search([4, 5], params, config, vocab, width=4, max_len=2)
     assert [(e.phonemes, e.truncated) for e in nbest] == [
         (("p2", "p2"), True), (("p1", "p2"), True), (("p2", "p1"), True), ((), False)]
@@ -152,9 +152,9 @@ def test_nbest_sorted_unique_and_flagged():
 def test_eos_forced_model_returns_empty_sequence():
     vocab = toy_tgt_vocab(4)
     config, params = tiny_model(seed=7, tgt_vocab=len(vocab))
-    params.generator_weights.data[:] = 0.0
-    params.generator_bias.data[:] = -50.0
-    params.generator_bias.data[EOS_ID] = 50.0
+    params["generator.weights"].data[:] = 0.0
+    params["generator.bias"].data[:] = -50.0
+    params["generator.bias"].data[EOS_ID] = 50.0
     tokens, log_prob = greedy_decode([4, 5], params, config, vocab)
     assert tokens == ()
     assert log_prob == pytest.approx(0.0, abs=1e-6)  # probability ~1 per step

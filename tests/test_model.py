@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import OracleModel, assert_in_x_out, scalar_cell_step, tiny_model
+from helpers import OracleModel, assert_in_x_out, in_x_out_shapes, scalar_cell_step, tiny_model
 from polyg2p import autodiff as ad
-from polyg2p.autodiff import Tape, Tensor
+from polyg2p.autodiff import Tape
 from polyg2p.corpus import EOS_ID, PAD_ID
 from polyg2p.decoding import score_sequence
 from polyg2p.model import (
-    CellParams,
     ModelConfig,
     TrainingSchedule,
     _keep_scale,
@@ -23,6 +22,7 @@ from polyg2p.model import (
     forward_loss,
     init_params,
     initial_state,
+    param_specs,
     params_from_arrays,
     target_token_count,
     train_model,
@@ -30,11 +30,8 @@ from polyg2p.model import (
 
 
 def _zero_cell(in_size, hidden):
-    return CellParams(
-        input_weights=Tensor(np.zeros((in_size, 4 * hidden))),
-        recurrent_weights=Tensor(np.zeros((hidden, 4 * hidden))),
-        bias=Tensor(np.zeros(4 * hidden)),
-    )
+    """(w_in [in x 4h], w_rec [h x 4h], bias [4h]), all zero."""
+    return np.zeros((in_size, 4 * hidden)), np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden)
 
 
 def _cell_step(x, h, c, cell):
@@ -43,9 +40,8 @@ def _cell_step(x, h, c, cell):
     batch, n = h.shape
     buf = ad.DecoderBuffers(1, batch, 1, n, 1, x.dtype)
     no_attention = (np.zeros((n, n)), np.zeros((2 * n, n)), np.zeros(n))
-    ad.decoder_step(buf, 0, x, [(h, c)],
-                    [(cell.input_weights.data, cell.recurrent_weights.data, cell.bias.data)],
-                    no_attention, np.zeros((1, 1, n)), np.zeros((1, 1)))
+    ad.decoder_step(buf, 0, x, [(h, c)], [cell], no_attention, np.zeros((1, 1, n)),
+                    np.zeros((1, 1)))
     return buf.h[0, 1], buf.c[0, 1]
 
 
@@ -59,7 +55,7 @@ def test_cell_step_all_zero_parameters_give_zero_state():
 def test_cell_step_saturated_gates_carry_memory():
     # forget gate driven to ~1, input gate to ~0: c' = c
     cell = _zero_cell(3, 4)
-    bias = cell.bias.data
+    bias = cell[2]
     bias[0:4] = -50.0   # input gate
     bias[4:8] = 50.0    # forget gate
     c0 = np.array([[0.3, -0.7, 1.2, 0.0]])
@@ -69,19 +65,17 @@ def test_cell_step_saturated_gates_carry_memory():
 
 def test_cell_step_matches_scalar_oracle():
     rng = np.random.default_rng(5)
-    cell = CellParams(  # drawn [4h x in] and [4h x h], stored transposed
-        input_weights=Tensor(np.ascontiguousarray(rng.uniform(-0.5, 0.5, (16, 3)).T)),
-        recurrent_weights=Tensor(np.ascontiguousarray(rng.uniform(-0.5, 0.5, (16, 4)).T)),
-        bias=Tensor(rng.uniform(-0.5, 0.5, 16)),
+    cell = (  # drawn [4h x in] and [4h x h], stored transposed
+        np.ascontiguousarray(rng.uniform(-0.5, 0.5, (16, 3)).T),
+        np.ascontiguousarray(rng.uniform(-0.5, 0.5, (16, 4)).T),
+        rng.uniform(-0.5, 0.5, 16),
     )
     x = rng.uniform(-1, 1, 3)
     h0 = rng.uniform(-1, 1, 4)
     c0 = rng.uniform(-1, 1, 4)
     h1, c1 = _cell_step(x[None], h0[None], c0[None], cell)
-    oh, oc = scalar_cell_step(x.tolist(), h0.tolist(), c0.tolist(),
-                              cell.input_weights.data.T.tolist(),
-                              cell.recurrent_weights.data.T.tolist(),
-                              cell.bias.data.tolist())
+    oh, oc = scalar_cell_step(x.tolist(), h0.tolist(), c0.tolist(), cell[0].T.tolist(),
+                              cell[1].T.tolist(), cell[2].tolist())
     assert np.allclose(h1[0], oh, atol=1e-6)
     assert np.allclose(c1[0], oc, atol=1e-6)
 
@@ -98,12 +92,13 @@ def test_encode_palindrome_symmetry():
     # the two halves of their input, so the symmetry propagates upward
     config, params = tiny_model(seed=2, hidden=6, dtype=np.float64)
     half = config.hidden_size // 2
-    for layer_idx, layer in enumerate(params.encoder):
+    for layer_idx in range(config.enc_layers):
         if layer_idx > 0:
-            w = layer["fwd"].input_weights.data  # [in x 4h]
+            w = params[f"encoder.l{layer_idx}.fwd.input_weights"].data  # [in x 4h]
             w[half:] = w[:half]
         for field in ("input_weights", "recurrent_weights", "bias"):
-            getattr(layer["bwd"], field).data = getattr(layer["fwd"], field).data.copy()
+            params[f"encoder.l{layer_idx}.bwd.{field}"].data = \
+                params[f"encoder.l{layer_idx}.fwd.{field}"].data.copy()
     encoded = encode([[4, 5, 4]], params, config)
     ann = encoded.annotations.data[0]
     for t in range(3):
@@ -200,7 +195,7 @@ def test_training_loss_and_gradients_match_recorded_bits():
         loss = forward_loss(batch, params, config, training=True, rng=np.random.default_rng(4))
         tape.backward(loss)
     digest = hashlib.sha256(loss.data.tobytes())
-    for name, tensor in params.named():
+    for name, tensor in params.items():
         digest.update(name.encode())
         digest.update(tensor.grad.tobytes())
     assert digest.hexdigest() == TRAINING_BITS
@@ -225,36 +220,32 @@ def test_attend_single_position_takes_the_annotation():
     h = config.hidden_size
     ann = np.random.default_rng(0).uniform(-1, 1, (1, 1, h)).astype(np.float32)
     top = np.random.default_rng(1).uniform(-1, 1, (1, h)).astype(np.float32)
-    context, weights = attend(top, ann, np.ones((1, 1), dtype=np.float32), params.attention)
+    context, weights = attend(top, ann, np.ones((1, 1), dtype=np.float32),
+                              params["attention.score_weights"].data)
     assert np.allclose(weights, [[1.0]])
     assert np.allclose(context, ann[:, 0, :])
 
 
 def test_attend_zero_score_matrix_gives_uniform_weights():
     config, params = tiny_model(seed=4)
-    params.attention.score_weights.data[:] = 0.0
+    params["attention.score_weights"].data[:] = 0.0
     h = config.hidden_size
     ann = np.random.default_rng(0).uniform(-1, 1, (1, 5, h)).astype(np.float32)
     top = np.ones((1, h), dtype=np.float32)
-    _, weights = attend(top, ann, np.ones((1, 5), dtype=np.float32), params.attention)
+    _, weights = attend(top, ann, np.ones((1, 5), dtype=np.float32),
+                        params["attention.score_weights"].data)
     assert np.allclose(weights, 0.2, atol=1e-7)
 
 
 def test_attend_matches_brute_force_sum():
     rng = np.random.default_rng(6)
     h, length = 3, 4
-    from polyg2p.model import AttentionParams
-
-    att = AttentionParams(
-        score_weights=Tensor(rng.uniform(-1, 1, (h, h))),
-        output_weights=Tensor(rng.uniform(-1, 1, (2 * h, h))),
-        output_bias=Tensor(np.zeros(h)),
-    )
+    score_weights = rng.uniform(-1, 1, (h, h))
     ann = rng.uniform(-1, 1, (1, length, h))
     top = rng.uniform(-1, 1, (1, h))
-    context, weights = attend(top, ann, np.ones((1, length)), att)
+    context, weights = attend(top, ann, np.ones((1, length)), score_weights)
 
-    scores = [float(top[0] @ att.score_weights.data @ ann[0, s]) for s in range(length)]
+    scores = [float(top[0] @ score_weights @ ann[0, s]) for s in range(length)]
     exps = [math.exp(s - max(scores)) for s in scores]
     expected_w = [e / sum(exps) for e in exps]
     expected_ctx = sum(w * ann[0, s] for s, w in enumerate(expected_w))
@@ -268,7 +259,7 @@ def test_attention_masks_padding_to_exactly_zero():
     ann = np.random.default_rng(2).uniform(-1, 1, (2, 4, h)).astype(np.float32)
     top = np.random.default_rng(3).uniform(-1, 1, (2, h)).astype(np.float32)
     mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=np.float32)
-    _, weights = attend(top, ann, mask, params.attention)
+    _, weights = attend(top, ann, mask, params["attention.score_weights"].data)
     assert np.all(weights[0, 2:] == 0.0)
     assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
 
@@ -282,8 +273,8 @@ def test_decode_step_distribution_normalizes():
 
 def test_decode_step_zero_generator_gives_uniform():
     config, params = tiny_model(seed=9, tgt_vocab=7)
-    params.generator_weights.data[:] = 0.0
-    params.generator_bias.data[:] = 0.0
+    params["generator.weights"].data[:] = 0.0
+    params["generator.bias"].data[:] = 0.0
     encoded = encode([[4]], params, config)
     log_probs, _ = decode_step([2], initial_state(encoded, config), encoded, params, config)
     assert np.allclose(log_probs, -math.log(7), atol=1e-6)
@@ -340,9 +331,9 @@ def test_forward_loss_overfits_single_pair_to_near_zero():
         with Tape() as tape:
             loss = forward_loss([pair], params, config, training=True)
             tape.backward(loss)
-        ad.clip_gradients(params.tensors(), 5.0)
-        ad.sgd_step(params.tensors(), 1.0)
-        ad.zero_grads(params.tensors())
+        ad.clip_gradients(list(params.values()), 5.0)
+        ad.sgd_step(list(params.values()), 1.0)
+        ad.zero_grads(list(params.values()))
     assert float(loss.data) < 0.02
 
 
@@ -366,11 +357,11 @@ def test_encode_trims_explicit_pad_suffix():
 
 def test_train_lr_zero_leaves_parameters_bit_identical():
     config, params = tiny_model(seed=16)
-    before = {name: t.data.copy() for name, t in params.named()}
+    before = {name: t.data.copy() for name, t in params.items()}
     pairs = [([4, 5], [4]), ([5, 6], [5, 6])]
     train_model(pairs, [], config, TrainingSchedule(epochs=2, batch_size=2, lr=0.0, seed=3),
                 params=params)
-    for name, t in params.named():
+    for name, t in params.items():
         assert np.array_equal(t.data, before[name]), name
 
 
@@ -386,7 +377,7 @@ def test_train_same_seed_reproduces_loss_log():
 
 def test_train_aborts_on_non_finite_loss():
     config, params = tiny_model(seed=17)
-    params.src_embedding.data[4, 0] = np.nan
+    params["src_embedding"].data[4, 0] = np.nan
     with pytest.raises(RuntimeError, match="epoch 1, batch 0"):
         train_model([([4], [4])], [], config,
                     TrainingSchedule(epochs=1, batch_size=1, lr=0.1, seed=1), params=params)
@@ -399,15 +390,15 @@ def test_train_aborts_on_non_finite_loss():
 ])
 def test_train_aborts_on_non_finite_value_before_any_update(name, index, value):
     config, params = tiny_model(seed=17)
-    dict(params.named())[name].data[index] = value
+    params[name].data[index] = value
     pairs = [([4], [4])]
     loss = float(forward_loss(pairs, params, config).data)
     assert math.isfinite(loss) == (value == np.inf)
-    before = {n: t.data.tobytes() for n, t in params.named()}
+    before = {n: t.data.tobytes() for n, t in params.items()}
     with pytest.raises(RuntimeError, match="epoch 1, batch 0"):
         train_model(pairs, [], config,
                     TrainingSchedule(epochs=1, batch_size=1, lr=0.1, seed=1), params=params)
-    for n, t in params.named():
+    for n, t in params.items():
         assert t.data.tobytes() == before[n], n
 
 
@@ -445,28 +436,34 @@ def test_resumed_training_continues_the_lr_schedule():
 def test_clone_params_is_independent_copy():
     config, params = tiny_model(seed=19)
     copy = clone_params(params)
-    params.src_embedding.data[0, 0] = 99.0
-    assert copy.src_embedding.data[0, 0] != 99.0
-    assert [n for n, _ in copy.named()] == [n for n, _ in params.named()]
+    params["src_embedding"].data[0, 0] = 99.0
+    assert copy["src_embedding"].data[0, 0] != 99.0
+    assert list(copy) == list(params)
 
 
 def test_params_from_arrays_rejects_missing_or_misshapen_tensor():
     config, params = tiny_model(seed=19)
-    arrays = canonical_arrays(params)
+    arrays = canonical_arrays(params, config)
     rebuilt = params_from_arrays(config, arrays)
-    assert all(np.array_equal(a.data, b.data) for a, b in zip(rebuilt.tensors(), params.tensors()))
+    assert list(rebuilt) == list(params)
+    assert all(np.array_equal(rebuilt[n].data, params[n].data) for n in params)
     missing = {k: v for k, v in arrays.items() if k != "decoder.l1.bias"}
     with pytest.raises(ValueError, match="missing tensor 'decoder.l1.bias'"):
         params_from_arrays(config, missing)
     misshapen = {**arrays, "attention.score_weights": np.zeros((8, 7), np.float32)}
     with pytest.raises(ValueError, match=r"'attention.score_weights': expected shape \(8, 8\)"):
         params_from_arrays(config, misshapen)
+    extra = {**arrays, "decoder.l2.bias": np.zeros(32, np.float32)}
+    with pytest.raises(ValueError, match="unexpected tensor 'decoder.l2.bias'"):
+        params_from_arrays(config, extra)
 
 
 def test_weight_matrices_are_stored_in_x_out():
     for kwargs in ({}, {"enc_layers": 1, "dec_layers": 3, "input_feeding": False}):
         for dtype in (np.float32, np.float64):
             config, params = tiny_model(seed=19, dtype=dtype, **kwargs)
+            weights = {name for name, _, kind in param_specs(config) if kind == "weight"}
+            assert weights == set(in_x_out_shapes(config))
             assert_in_x_out(params, config)
             assert_in_x_out(clone_params(params), config)
     config, params = tiny_model(seed=19)
@@ -496,9 +493,10 @@ def test_init_params_canonical_arrays_match_recorded_hashes(name, dtype):
         "deep": dict(src_vocab_size=30, tgt_vocab_size=20, hidden_size=12, src_embed=7,
                      tgt_embed=9, enc_layers=1, dec_layers=3, input_feeding=False),
     }[name]
-    params = init_params(ModelConfig(**fields), seed=7, dtype=np.dtype(dtype))
+    config = ModelConfig(**fields)
+    params = init_params(config, seed=7, dtype=np.dtype(dtype))
     digest = hashlib.sha256()
-    for tensor_name, array in canonical_arrays(params).items():
+    for tensor_name, array in canonical_arrays(params, config).items():
         digest.update(tensor_name.encode())
         digest.update(str(array.shape).encode())
         digest.update(np.ascontiguousarray(array).tobytes())
