@@ -25,6 +25,8 @@ whatever its lengths:
   the dropout between layers. Input feeding keeps its forward pass step by
   step; each step runs `decoder_step`, a plain-array kernel that inference
   decoding calls too, so training and decoding share one copy of the math.
+  The recurrent state has one layout everywhere: h and c as [layers, B, n]
+  arrays, the slices `buf.h[:, t]` and `buf.c[:, t]` of `DecoderBuffers`.
   Its backward loop over time keeps only the products that carry a gradient
   to the previous step; every weight gradient is one GEMM over the stacked
   steps and the annotation gradient one batched product.
@@ -372,8 +374,9 @@ def attend(top: np.ndarray, annotations: np.ndarray, mask_add: np.ndarray, w_sco
 
 
 class DecoderBuffers:
-    """The activations of `steps` decoder steps over `batch` rows, step-major,
-    as `decoder_step` writes them and `decoder_sequence`'s backward reads them."""
+    """The activations of `steps` decoder steps over `batch` rows, as
+    `decoder_step` writes them and `decoder_sequence`'s backward reads them.
+    The state before step t is `h[:, t]` and `c[:, t]`, each [layers, batch, n]."""
 
     __slots__ = ("dropped", "h", "c", "acts", "tanh_c", "query", "weights", "cat", "attn")
 
@@ -392,33 +395,33 @@ class DecoderBuffers:
         self.attn = np.empty((steps + 1, batch, n), dtype)  # attn[t]: input-fed vector of step t
 
 
-def decoder_step(buf: DecoderBuffers, t: int, x0: np.ndarray,
-                 prev: Sequence[tuple[np.ndarray, np.ndarray]],
-                 cells: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+def decoder_step(buf: DecoderBuffers, t: int, x0: np.ndarray, prev_h: np.ndarray,
+                 prev_c: np.ndarray, cells: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
                  attention: tuple[np.ndarray, np.ndarray, np.ndarray],
                  annotations: np.ndarray, mask_add: np.ndarray,
                  keep: np.ndarray | None = None) -> None:
     """Step t of the stacked attentional decoder on plain arrays, the one copy
     of its math that training (`decoder_sequence`) and inference share.
 
-    `x0` [B,in] is layer 0's input, `prev` each layer's (h, c) [B,n] before
-    the step, `cells` each layer's (w_in [in x 4n], w_rec [n x 4n], bias [4n])
-    and `attention` (w_score [n x n], w_out [2n x n], b_out [n]). `keep`
-    [layers-1, B, n] scales each upper layer's input (inverted dropout).
+    `x0` [B,in] is layer 0's input, `prev_h` and `prev_c` [layers,B,n] the
+    state before the step, `cells` each layer's (w_in [in x 4n],
+    w_rec [n x 4n], bias [4n]) and `attention` (w_score [n x n],
+    w_out [2n x n], b_out [n]). `keep` [layers-1, B, n] scales each upper
+    layer's input (inverted dropout).
     Per layer, acts = x @ w_in + (h @ w_rec + bias) and the cell update; then
     attention of the top state over `annotations` [B or 1, S, n] and the
     attentional vector tanh([context; top] @ w_out + b_out), into buf.attn[t+1].
     The new state is buf.h[:, t+1] and buf.c[:, t+1]."""
     x = x0
-    for layer, ((w_in, w_rec, bias), (h, c)) in enumerate(zip(cells, prev)):
+    for layer, (w_in, w_rec, bias) in enumerate(cells):
         if layer and keep is not None:
             x = np.multiply(x, keep[layer - 1], out=buf.dropped[layer - 1, t])
         acts = np.matmul(x, w_in, out=buf.acts[layer, t])
-        recurrent = h @ w_rec
+        recurrent = prev_h[layer] @ w_rec
         recurrent += bias
         acts += recurrent
         x = buf.h[layer, t + 1]
-        _cell(acts, c, buf.c[layer, t + 1], buf.tanh_c[layer, t], x)
+        _cell(acts, prev_c[layer], buf.c[layer, t + 1], buf.tanh_c[layer, t], x)
     w_score, w_out, b_out = attention
     n = x.shape[1]
     cat = buf.cat[t]
@@ -480,8 +483,8 @@ def decoder_sequence(emb: Tensor, initial: Sequence[tuple[Tensor, Tensor]],
     for t in range(steps):
         if input_feeding:
             x0[t, :, e:] = buf.attn[t]
-        decoder_step(buf, t, x0[t], [(buf.h[l, t], buf.c[l, t]) for l in range(layers)],
-                     weights, attention, ann, mask_add, None if keep is None else keep[t])
+        decoder_step(buf, t, x0[t], buf.h[:, t], buf.c[:, t], weights, attention, ann,
+                     mask_add, None if keep is None else keep[t])
 
     def backward(g):
         d_attn = g.reshape(steps, batch, n)

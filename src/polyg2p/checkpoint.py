@@ -10,13 +10,15 @@ Layout (all integers little-endian):
     source vocabulary: count u32, per token: len u32 + utf-8 bytes
     target vocabulary: same encoding
     meta    u64 length + utf-8 JSON (model config, gate order, lang_token: the
-            model's language-token rule, training languages, schedule snapshot)
+            model's language-token rule, training languages, schedule snapshot,
+            and from training the split settings `config.SPLIT_FIELDS`)
 
 The tensors are `model.param_specs`'s, in its order and with its canonical
 shapes (weight matrices [out x in]), whatever layout the model holds in
 memory: the format does not depend on how the products are computed. A load
-accepts exactly that set of tensors. Every length in the header is checked
-against the bytes left in the file before it is read.
+accepts exactly that set of tensors, and no gate order but
+`model.GATE_ORDER`. Every length in the header is checked against the bytes
+left in the file before it is read.
 
 Round trips are bit-exact: loading and re-saving reproduces the same bytes.
 """
@@ -181,6 +183,9 @@ def _read_bundle(r: _Reader) -> ModelBundle:
 
     if not isinstance(meta, dict) or "model" not in meta:
         raise ValueError("checkpoint meta has no model config")
+    gate_order = meta.get("gate_order", GATE_ORDER)
+    if gate_order != GATE_ORDER:
+        raise ValueError(f"gate order {gate_order!r} is not this model's {GATE_ORDER!r}")
     try:
         config = ModelConfig(**meta.pop("model"))
     except TypeError as exc:  # an unknown or missing field

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import analysis, metrics
 from .checkpoint import ModelBundle, load_checkpoint, save_checkpoint
-from .config import (FIELDS, RunConfig, apply_overrides, comma_list, load_config, parse_bool,
-                     shared_fields, write_manifest)
+from .config import (FIELDS, SPLIT_FIELDS, ConfigError, RunConfig, apply_overrides, comma_list,
+                     json_value, load_config, parse_bool, shared_fields, write_manifest)
 from .corpus import (
     DatasetSplit,
     LexiconEntry,
@@ -158,8 +158,13 @@ def cmd_train(args) -> int:
     config = _resolve_config(args)
     bundle = load_checkpoint(args.resume) if args.resume else None
     start_epoch = 1
-    if bundle is not None:  # the checkpoint's model and language-token rule win over the config
-        config = dataclasses.replace(config, lang_token=bundle.uses_lang_token,
+    if bundle is not None:  # the checkpoint's model, language-token rule and split win
+        try:
+            split = {name: json_value(name, bundle.meta[name])
+                     for name in SPLIT_FIELDS if name in bundle.meta}
+        except ConfigError as exc:
+            raise UserError(f"{args.resume}: {exc}") from None
+        config = dataclasses.replace(config, lang_token=bundle.uses_lang_token, **split,
                                      **shared_fields(bundle.config, RunConfig))
         start_epoch = int(bundle.meta.get("epoch", 0)) + 1
         if start_epoch > config.epochs:
@@ -201,6 +206,7 @@ def cmd_train(args) -> int:
             "languages": languages,
             "epoch": epoch,
             "schedule": dataclasses.asdict(schedule),
+            **{name: getattr(config, name) for name in SPLIT_FIELDS},
         }
         return ModelBundle(p, model_config, src_vocab, tgt_vocab, meta)
 

@@ -66,6 +66,11 @@ def shared_fields(source, target_cls) -> dict:
     return {f.name: getattr(source, f.name) for f in dataclasses.fields(source) if f.name in names}
 
 
+# The fields that draw the train/validation split. A checkpoint's meta records
+# them, and a run resumed from it takes them from there.
+SPLIT_FIELDS = ("seed", "val_fraction", "cap", "language_filter")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -125,6 +130,12 @@ def _json_raw(name: str, value) -> str:
     raise ConfigError(f"{name}: cannot parse {json.dumps(value)}")
 
 
+def json_value(name: str, value):
+    """Field `name`'s value from JSON (a run manifest or checkpoint meta),
+    parsed and checked as the same text in a config file would be."""
+    return _parse_value(name, _json_raw(name, value))
+
+
 def load_config(path) -> RunConfig:
     """Read `key = value` lines (or a run manifest's JSON) into a RunConfig."""
     text = Path(path).read_text(encoding="utf-8")
@@ -139,7 +150,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}: expected a JSON object of config keys")
         for name, value in values.items():
             try:
-                setattr(config, name, _parse_value(name, _json_raw(name, value)))
+                setattr(config, name, json_value(name, value))
             except ConfigError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
         return config

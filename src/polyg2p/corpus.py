@@ -348,9 +348,6 @@ def clean_transcription(
             warnings.append(f"no feature vector for {p!r}; left unchanged")
             cleaned.append(p)
             continue
-        best = min(
-            sorted(inventory.phonemes),
-            key=lambda q: (hamming(vector, inventory.features[q]), q),
-        )
+        best = min(inventory.phonemes, key=lambda q: (hamming(vector, inventory.features[q]), q))
         cleaned.append(best)
     return CleanResult(tuple(cleaned), warnings)

@@ -9,16 +9,17 @@ is finalized as-is (flagged truncated) if it reaches max_len first.
 
 `beam_search` holds the beam as arrays: token paths [rows, max_len+1],
 cumulative float64 scores, and each row's completion step (max_len+1 while
-live). The decoder state of the live rows is one `DecoderState` of plain
-[live, h] arrays in beam order. Each step runs one `decode_step` over the
-live rows (the per-step kernel that training runs too), keeps every
-candidate tied with the width-th best score, and ranks the
-finished rows and the candidates with one `np.lexsort` on the ranking
-contract; the next state is the new state gathered at the survivors' parent
-rows. `greedy_decode` is a separate argmax loop, the independent width-1
-reference that tests compare `beam_search` against. `decode_step` records no
-tape entries; the decoders and `score_sequence` run `encode` under
-`ad.inference_mode`, so inference builds no graph at all.
+live). The decoder state of the live rows is one `DecoderState` in beam
+order: h and c [layers, live, h] and the attentional vector [live, h]. Each
+step runs one `decode_step` over the live rows (the per-step kernel that
+training runs too), keeps every candidate tied with the width-th best score,
+and ranks the finished rows and the candidates with one `np.lexsort` on the
+ranking contract; the next state is the new state's rows at the survivors'
+parents, one fancy index per array. `greedy_decode` is a separate argmax
+loop, the independent width-1 reference that tests compare `beam_search`
+against. `decode_step` records no tape entries; the decoders and
+`score_sequence` run `encode` under `ad.inference_mode`, so inference builds
+no graph at all.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .model import (
     initial_state,
 )
 
-_BANNED = (PAD_ID, BOS_ID, UNK_ID)
+_BANNED = np.array([PAD_ID, BOS_ID, UNK_ID], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,6 @@ class NBestEntry:
 
 def default_max_len(src_len: int) -> int:
     return 2 * src_len + 10
-
-
-def _gather(state: DecoderState, rows: np.ndarray) -> DecoderState:
-    return DecoderState(
-        layers=[(h[rows], c[rows]) for h, c in state.layers],
-        attn=state.attn[rows],
-    )
 
 
 def beam_search(
@@ -97,7 +91,7 @@ def beam_search(
             log_probs, new_state = decode_step(paths[live, step - 1], state, encoded,
                                                params, config)
             cand = log_probs + scores[live, None]
-            cand[:, list(_BANNED)] = -np.inf
+            cand[:, _BANNED] = -np.inf
 
             flat = cand.ravel()
             kept = np.flatnonzero(np.isfinite(flat))
@@ -120,7 +114,8 @@ def beam_search(
             order = np.lexsort((*pool_paths[:, step:0:-1].T, pool_done, -pool_scores))[:width]
             paths, scores, done = pool_paths[order], pool_scores[order], pool_done[order]
             # live survivors are all candidates, which follow the finished rows in the pool
-            state = _gather(new_state, parent[order[done == live_done] - finished.size])
+            rows = parent[order[done == live_done] - finished.size]
+            state = DecoderState(new_state.h[:, rows], new_state.c[:, rows], new_state.attn[rows])
 
     return [
         NBestEntry(tuple(tgt_vocab.decode(row[1:end].tolist())), float(score),
@@ -153,7 +148,7 @@ def greedy_decode(
         for _ in range(max_len):
             log_probs, state = decode_step(prev, state, encoded, params, config)
             row = log_probs[0]
-            row[list(_BANNED)] = -np.inf
+            row[_BANNED] = -np.inf
             tok = int(row.argmax())
             total += float(row[tok])
             if tok == EOS_ID:

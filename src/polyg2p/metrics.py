@@ -35,9 +35,13 @@ def levenshtein(a: TokenSeq, b: TokenSeq) -> int:
 
 def per(pred: TokenSeq, gold: TokenSeq) -> float:
     """Phoneme error rate for one word: edit distance / gold length (ratio)."""
+    return _per_of(levenshtein(pred, gold), gold)
+
+
+def _per_of(distance: int, gold: TokenSeq) -> float:
     if not gold:
         raise ValueError("empty gold sequence")
-    return levenshtein(pred, gold) / len(gold)
+    return distance / len(gold)
 
 
 def _nfc(tokens: TokenSeq) -> tuple[str, ...]:
@@ -122,8 +126,9 @@ def evaluate(
             top = nbest[0].phonemes if nbest else ()
             top_pairs.append((top, entry.phonemes))
             nbest_pairs.append(([c.phonemes for c in nbest], entry.phonemes))
-            ratios.append(per(top, entry.phonemes))
-            edits += levenshtein(top, entry.phonemes)
+            distance = levenshtein(top, entry.phonemes)
+            ratios.append(_per_of(distance, entry.phonemes))
+            edits += distance
             gold_tokens += len(entry.phonemes)
         per_language[lang] = LanguageScores(
             wer=wer(top_pairs),

@@ -24,11 +24,13 @@ per step and upper layer.
 `decode_step` is inference only and works on plain arrays: it runs
 `ad.decoder_step`, the per-step kernel of `decoder_sequence`, without
 dropout, and the loss's `ad.log_softmax`, so inference has no second copy of
-the math and records nothing. A one-row `EncodedSource` can serve any number
-of decoder rows, since the kernel's attention broadcasts it. Beam search
-passes all its live hypotheses as the rows of one `DecoderState` and
-reorders that state by gathering rows, so the model knows nothing of the
-beam.
+the math and records nothing. A `DecoderState` is the kernel's own layout,
+h and c [layers, B, h] plus the attentional vector [B, h], so its rows can be
+gathered or stacked with one index per array. A one-row `EncodedSource`
+can serve any number of decoder rows, since the kernel's attention
+broadcasts it; `encode` builds its additive attention mask once. Beam search
+passes all its live hypotheses as the rows of one `DecoderState`, so the
+model knows nothing of the beam.
 """
 
 from __future__ import annotations
@@ -177,16 +179,17 @@ def _cell(params: ModelParams, prefix: str) -> tuple[Tensor, Tensor, Tensor]:
 @dataclass
 class EncodedSource:
     annotations: Tensor        # [B, S, h]; one row (B=1) may serve any number of decoder rows
-    mask: np.ndarray           # [B, S] float 0/1, 1 at real tokens
-    final_states: list[tuple[Tensor, Tensor]]  # per decoder-init layer: (h0, c0), each [B, h]
+    mask_add: np.ndarray       # [B, S]: 0 at real tokens, -1e9 at padding (`ad.attend`'s form)
+    final_states: list[tuple[Tensor, Tensor]]  # per encoder layer: (h, c), each [B, h]
 
 
 @dataclass
 class DecoderState:
     """Inference-time decoder state of B rows, as plain arrays."""
 
-    layers: list[tuple[np.ndarray, np.ndarray]]  # per layer (h, c), each [B, h]
-    attn: np.ndarray                             # previous attentional vector [B, h]
+    h: np.ndarray     # [layers, B, h]
+    c: np.ndarray     # [layers, B, h]
+    attn: np.ndarray  # previous attentional vector [B, h]
 
 
 def pad_batch(rows: Sequence[Sequence[int]], pad_id: int = PAD_ID) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +244,7 @@ def encode(
         [[_cell(params, f"encoder.l{layer}.{direction}") for direction in ("fwd", "bwd")]
          for layer in range(config.enc_layers)],
         keep=None if keep is None else keep.transpose(0, 2, 1, 3))
-    return EncodedSource(annotations, mask, final_states)
+    return EncodedSource(annotations, _mask_add(mask), final_states)
 
 
 def _start_layers(encoded: EncodedSource, config: ModelConfig) -> list[tuple[Tensor, Tensor]]:
@@ -253,10 +256,11 @@ def _start_layers(encoded: EncodedSource, config: ModelConfig) -> list[tuple[Ten
 
 def initial_state(encoded: EncodedSource, config: ModelConfig) -> DecoderState:
     """Decoder start state: encoder final states per layer, zero attentional vector."""
-    layers = [(h.data, c.data) for h, c in _start_layers(encoded, config)]
-    batch = encoded.mask.shape[0]
-    attn = np.zeros((batch, config.hidden_size), dtype=encoded.annotations.data.dtype)
-    return DecoderState(layers=layers, attn=attn)
+    starts = _start_layers(encoded, config)
+    ann = encoded.annotations.data
+    return DecoderState(np.stack([h.data for h, _ in starts]),
+                        np.stack([c.data for _, c in starts]),
+                        np.zeros((ann.shape[0], config.hidden_size), dtype=ann.dtype))
 
 
 _MASK_SCALE = 1e9
@@ -301,17 +305,14 @@ def decode_step(
                             ann.shape[1], ann.dtype)
     cells = [tuple(t.data for t in _cell(params, f"decoder.l{layer}"))
              for layer in range(config.dec_layers)]
-    ad.decoder_step(buf, 0, x0, state.layers, cells,
+    ad.decoder_step(buf, 0, x0, state.h, state.c, cells,
                     (params["attention.score_weights"].data,
                      params["attention.output_weights"].data,
                      params["attention.output_bias"].data),
-                    ann, _mask_add(encoded.mask))
-    attn = buf.attn[1]
-    logits = attn @ params["generator.weights"].data
+                    ann, encoded.mask_add)
+    logits = buf.attn[1] @ params["generator.weights"].data
     logits += params["generator.bias"].data
-    new_state = DecoderState([(buf.h[l, 1], buf.c[l, 1]) for l in range(config.dec_layers)],
-                             attn)
-    return ad.log_softmax(logits), new_state
+    return ad.log_softmax(logits), DecoderState(buf.h[:, 1], buf.c[:, 1], buf.attn[1])
 
 
 def forward_loss(
@@ -344,7 +345,7 @@ def forward_loss(
 
     emb = ad.embedding_lookup(params["tgt_embedding"], dec_inputs.T)  # [steps, B, e]
     attn_vecs = ad.decoder_sequence(
-        emb, _start_layers(encoded, config), encoded.annotations, _mask_add(encoded.mask),
+        emb, _start_layers(encoded, config), encoded.annotations, encoded.mask_add,
         [_cell(params, f"decoder.l{layer}") for layer in range(config.dec_layers)],
         params["attention.score_weights"], params["attention.output_weights"],
         params["attention.output_bias"], keep=keep, input_feeding=config.input_feeding)

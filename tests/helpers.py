@@ -1,9 +1,11 @@
 """Shared test oracles: finite differences, scalar LSTM math, a per-hypothesis
-beam search, recursive edit distance."""
+beam search, recursive edit distance; and a checkpoint meta editor."""
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -279,3 +281,14 @@ def assert_in_x_out(params, config) -> None:
 
 def toy_tgt_vocab(n_phonemes: int) -> Vocabulary:
     return Vocabulary(RESERVED + tuple(f"p{i}" for i in range(1, n_phonemes + 1)))
+
+
+def rewrite_meta(path, edit):
+    """Apply `edit` to the JSON meta block that ends a checkpoint file."""
+    raw = path.read_bytes()
+    start = next(p for p in range(len(raw) - 2, 8, -1)
+                 if struct.unpack("<Q", raw[p - 8 : p])[0] == len(raw) - p)
+    meta = json.loads(raw[start:])
+    edit(meta)
+    new = json.dumps(meta).encode()
+    path.write_bytes(raw[: start - 8] + struct.pack("<Q", len(new)) + new)

@@ -494,11 +494,12 @@ def test_attention_shared_source_equals_repeated_source():
     cells = [(f32(in_size, 4 * n), f32(n, 4 * n), f32(4 * n)) for in_size in (3 + n, n)]
     attention = (f32(n, n), f32(2 * n, n), f32(n))
     x0, prev = f32(rows, 3 + n), [(f32(rows, n), f32(rows, n)) for _ in cells]
+    prev_h, prev_c = (np.stack(states) for states in zip(*prev))
     bufs = []
     for ann, mask in ((one, mask_add),
                       (np.repeat(one, rows, axis=0), np.repeat(mask_add, rows, axis=0))):
         buf = ad.DecoderBuffers(1, rows, 2, n, length, np.float32)
-        ad.decoder_step(buf, 0, x0, prev, cells, attention, ann, mask)
+        ad.decoder_step(buf, 0, x0, prev_h, prev_c, cells, attention, ann, mask)
         bufs.append(buf)
     shared, repeated = bufs
     assert np.array_equal(shared.weights, repeated.weights)

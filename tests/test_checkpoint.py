@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import assert_in_x_out, in_x_out_shapes, tiny_model, toy_tgt_vocab
+from helpers import assert_in_x_out, in_x_out_shapes, rewrite_meta, tiny_model, toy_tgt_vocab
 from polyg2p import checkpoint
 from polyg2p.checkpoint import MAGIC, ModelBundle, load_checkpoint, save_checkpoint
 from polyg2p.corpus import RESERVED, Vocabulary
@@ -35,6 +35,17 @@ def test_checkpoint_roundtrip_preserves_everything(tmp_path):
     for (name_a, t_a), (name_b, t_b) in zip(bundle.params.items(), loaded.params.items()):
         assert name_a == name_b
         assert np.array_equal(t_a.data, t_b.data), name_a
+
+
+def test_checkpoint_with_another_gate_order_is_rejected(tmp_path):
+    path = tmp_path / "model.mg2p"
+    save_checkpoint(path, _bundle())
+    rewrite_meta(path, lambda meta: meta.update(gate_order="forget,input,cell,output"))
+    with pytest.raises(ValueError, match=f"^{path}: gate order 'forget,input,cell,output'"):
+        load_checkpoint(path)
+    # a file without the key loads as before
+    rewrite_meta(path, lambda meta: meta.pop("gate_order"))
+    assert "gate_order" not in load_checkpoint(path).meta
 
 
 def test_checkpoint_save_load_save_is_bit_exact(tmp_path):

@@ -1,10 +1,10 @@
 import dataclasses
 import json
 import re
-import struct
 
 import pytest
 
+from helpers import rewrite_meta
 from polyg2p import cli
 from polyg2p.checkpoint import load_checkpoint
 from polyg2p.cli import main
@@ -178,6 +178,30 @@ def test_resume_keeps_the_checkpoints_language_token_rule(tmp_path, lexicon, mon
     log = (tmp_path / opposite / "training_log.tsv").read_text(encoding="utf-8").splitlines()
     assert log[0] == "epoch\tlr\ttrain_loss\tval_loss"
     assert [line.split("\t")[0] for line in log[1:]] == ["3"]
+
+
+@pytest.mark.parametrize("flags", [["--seed", "4"], ["--val-fraction", "0.5"], ["--cap", "3"],
+                                   ["--language-filter", "aaa"]],
+                         ids=["seed", "val_fraction", "cap", "language_filter"])
+def test_resume_keeps_the_checkpoints_split(tmp_path, lexicon, run_dir, monkeypatch, flags):
+    # the seed-3 run holds out aaa `bb` and bbb `ba`; a resumed run that split
+    # again under other settings would train on them
+    held_out = []
+
+    def recording_train_model(train_pairs, val_pairs, *args, **kwargs):
+        held_out.extend(val_pairs)
+        return train_model(train_pairs, val_pairs, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_model", recording_train_model)
+    out = tmp_path / "resumed"
+    assert main(["train", "--train-lexicon", str(lexicon), "--checkpoint-dir", str(out),
+                 "--resume", str(run_dir / "final.mg2p")] + FAST + flags + ["--epochs", "3"]) == 0
+    tgt_vocab = load_checkpoint(run_dir / "final.mg2p").tgt_vocab
+    assert sorted(tuple(tgt_vocab.decode(tgt)) for _, tgt in held_out) == [("q", "i"), ("β", "β")]
+    recorded = {"seed": 3, "val_fraction": 0.2, "cap": RunConfig.cap, "language_filter": None}
+    assert json.loads((out / "run_manifest.json").read_text())["config"].items() >= \
+        recorded.items()
+    assert load_checkpoint(out / "final.mg2p").meta.items() >= recorded.items()
 
 
 def test_translate_single_word(run_dir, capsys):
@@ -427,29 +451,21 @@ def test_nolangid_mode_translates_without_lang(tmp_path, lexicon, capsys):
     assert "language tokens" in captured.err and captured.out == ""
 
 
-def _rewrite_meta(path, edit):
-    """Apply `edit` to the JSON meta block that ends a checkpoint file."""
-    raw = path.read_bytes()
-    start = next(p for p in range(len(raw) - 2, 8, -1)
-                 if struct.unpack("<Q", raw[p - 8 : p])[0] == len(raw) - p)
-    meta = json.loads(raw[start:])
-    edit(meta)
-    new = json.dumps(meta).encode()
-    path.write_bytes(raw[: start - 8] + struct.pack("<Q", len(new)) + new)
-
-
-@pytest.mark.parametrize("fault", ["no_model", "unknown_field", "renamed_tensor", "wrong_shape"])
+@pytest.mark.parametrize("fault", ["no_model", "unknown_field", "renamed_tensor", "wrong_shape",
+                                   "gate_order"])
 def test_malformed_checkpoint_is_user_error_naming_the_file(run_dir, tmp_path, capsys, fault):
     path = tmp_path / "bad.mg2p"
     path.write_bytes((run_dir / "final.mg2p").read_bytes())
     if fault == "no_model":
-        _rewrite_meta(path, lambda meta: meta.pop("model"))
+        rewrite_meta(path, lambda meta: meta.pop("model"))
     elif fault == "unknown_field":
-        _rewrite_meta(path, lambda meta: meta["model"].update(heads=4))
+        rewrite_meta(path, lambda meta: meta["model"].update(heads=4))
+    elif fault == "gate_order":
+        rewrite_meta(path, lambda meta: meta.update(gate_order="forget,input,cell,output"))
     elif fault == "renamed_tensor":  # same length: only the header's first name changes
         path.write_bytes(path.read_bytes().replace(b"generator.bias", b"generator.biaz", 1))
     else:
-        _rewrite_meta(path, lambda meta: meta["model"].update(hidden_size=10))
+        rewrite_meta(path, lambda meta: meta["model"].update(hidden_size=10))
     code = main(["translate", "--checkpoint", str(path), "--word", "ba", "--lang", "aaa"])
     err = capsys.readouterr().err
     assert code == 1

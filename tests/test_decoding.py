@@ -1,10 +1,13 @@
+import hashlib
 import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import reference_beam, tiny_model, toy_tgt_vocab
+from polyg2p.checkpoint import load_checkpoint
 from polyg2p.corpus import BOS_ID, EOS_ID
 from polyg2p.decoding import (
     NBestEntry,
@@ -14,6 +17,32 @@ from polyg2p.decoding import (
     score_sequence,
     write_nbest,
 )
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "bench" / "fixture" / "paper.mg2p"
+
+# Source id rows for the committed paper-size checkpoint: a language token,
+# then graphemes.
+FIXTURE_SOURCES = ([49, 5, 9, 11, 5], [55, 21, 42, 40, 13, 18, 5], [66, 26, 31, 33, 28])
+
+# SHA-256 of beam_search's n-best lists on FIXTURE_SOURCES at widths 1, 10
+# and 100: each entry's phonemes, log_prob.hex() and truncated flag.
+# Recorded before the decoder state became [layers, B, n] arrays; any change
+# to the order of float32 arithmetic in inference moves it. The bits
+# also depend on the BLAS kernels: recorded with numpy 2.4.6 and
+# scipy-openblas 0.3.31 on x86-64.
+INFERENCE_BITS = "50a3e4e026b5f64a44c2f156d0a0163768a653f50fc4f9397735ad8b3573537c"
+
+
+def test_beam_search_nbest_match_recorded_bits():
+    bundle = load_checkpoint(FIXTURE)
+    digest = hashlib.sha256()
+    for width in (1, 10, 100):
+        for src in FIXTURE_SOURCES:
+            for entry in beam_search(src, bundle.params, bundle.config, bundle.tgt_vocab, width):
+                digest.update(f"{' '.join(entry.phonemes)}\t{entry.log_prob.hex()}\t"
+                              f"{entry.truncated}\n".encode())
+    assert digest.hexdigest() == INFERENCE_BITS
 
 
 def test_beam_width_one_equals_greedy_on_random_models():

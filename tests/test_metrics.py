@@ -180,6 +180,26 @@ def test_evaluate_wer100_never_exceeds_wer():
         assert scores.wer100 <= scores.wer + 1e-12
 
 
+def test_evaluate_per_scores_match_their_definitions():
+    rng = np.random.default_rng(1)
+    entries, table = [], {}
+    for i in range(12):
+        gold = tuple(rng.choice(["p", "q", "r"], size=1 + i % 4))
+        entries.append(_Entry("aaa", gold))
+        table[("aaa", gold)] = [tuple(rng.choice(["p", "q", "r"], size=rng.integers(0, 5)))]
+    scores = evaluate(entries, _decoder(table)).per_language["aaa"]
+    tops = [table[("aaa", e.phonemes)][0] for e in entries]
+    assert scores.per == 100.0 * sum(per(t, e.phonemes) for t, e in zip(tops, entries)) / 12
+    assert scores.per_corpus == (100.0 * sum(levenshtein(t, e.phonemes)
+                                             for t, e in zip(tops, entries))
+                                 / sum(len(e.phonemes) for e in entries))
+
+
+def test_evaluate_empty_gold_errors():
+    with pytest.raises(ValueError, match="empty gold"):
+        evaluate([_Entry("aaa", ())], lambda e: [_Hyp(("p",))])
+
+
 def test_evaluate_empty_corpus_errors():
     with pytest.raises(ValueError, match="empty test corpus"):
         evaluate([], lambda e: [])

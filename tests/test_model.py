@@ -40,7 +40,7 @@ def _cell_step(x, h, c, cell):
     batch, n = h.shape
     buf = ad.DecoderBuffers(1, batch, 1, n, 1, x.dtype)
     no_attention = (np.zeros((n, n)), np.zeros((2 * n, n)), np.zeros(n))
-    ad.decoder_step(buf, 0, x, [(h, c)], [cell], no_attention, np.zeros((1, 1, n)),
+    ad.decoder_step(buf, 0, x, h[None], c[None], [cell], no_attention, np.zeros((1, 1, n)),
                     np.zeros((1, 1)))
     return buf.h[0, 1], buf.c[0, 1]
 
