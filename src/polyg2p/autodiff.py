@@ -25,13 +25,13 @@ whatever its lengths:
   the dropout between layers. Input feeding keeps its forward pass step by
   step; each step runs `decoder_step`, a plain-array kernel that inference
   decoding calls too, so training and decoding share one copy of the math.
-  The recurrent state has one layout everywhere: h and c as [layers, B, n]
-  arrays, the slices `buf.h[:, t]` and `buf.c[:, t]` of `DecoderBuffers`.
   Its backward loop over time keeps only the products that carry a gradient
   to the previous step; every weight gradient is one GEMM over the stacked
   steps and the annotation gradient one batched product.
 
-Both recurrent ops step back through a cell with one `_cell_backward`.
+The recurrent state is h and c as [layers, B, n] arrays, from the encoder's
+final states to the decoder's. Both ops run one LSTM update, `_cell`, and
+step back through it with `_cell_backward`, from `_cell_partials` over all steps.
 
 The tape holds one entry per op call: the call's output tensors and one
 backward function taking a gradient per output. `Tape.backward` calls it once
@@ -189,11 +189,14 @@ def _gate_constants(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def _cell(acts: np.ndarray, c: np.ndarray, c_new: np.ndarray, tanh_c: np.ndarray,
-          h_new: np.ndarray) -> None:
-    """One LSTM update from cell state c [B,n] and `acts` [B,4n], which holds
-    the pre-activations and is overwritten with the gate activations; writes
-    c', tanh(c') and h' into the given buffers."""
+def _cell(acts: np.ndarray, h: np.ndarray, c: np.ndarray, w_rec: np.ndarray, bias: np.ndarray,
+          c_new: np.ndarray, tanh_c: np.ndarray, h_new: np.ndarray) -> None:
+    """One LSTM update of the state (h, c) [B,n], for both recurrent ops: adds
+    h @ w_rec + bias to `acts` [B,4n], which holds x @ w_in, overwrites it with
+    the gate activations and writes c', tanh(c') and h' into the given buffers."""
+    recurrent = h @ w_rec
+    recurrent += bias
+    acts += recurrent
     n = c.shape[1]
     scale, offset = _gate_constants(n, acts.dtype)
     acts *= scale
@@ -264,10 +267,7 @@ def _lstm_direction(xs: np.ndarray, mask: np.ndarray, w_in: np.ndarray, w_rec: n
     cs = np.zeros_like(hs)
     tanh_cs = np.empty((length, batch, n), dtype=xs.dtype)
     for p in range(length):
-        recurrent = hs[p] @ w_rec
-        recurrent += bias
-        acts[p] += recurrent
-        _cell(acts[p], cs[p], cs[p + 1], tanh_cs[p], hs[p + 1])
+        _cell(acts[p], hs[p], cs[p], w_rec, bias, cs[p + 1], tanh_cs[p], hs[p + 1])
         if not full[p]:
             padded = ~keep[p]
             np.copyto(hs[p + 1], hs[p], where=padded)
@@ -300,8 +300,7 @@ def _lstm_direction(xs: np.ndarray, mask: np.ndarray, w_in: np.ndarray, w_rec: n
 
 def encoder_sequence(xs: Tensor, mask: np.ndarray,
                      layers: Sequence[Sequence[tuple[Tensor, Tensor, Tensor]]],
-                     keep: np.ndarray | None = None
-                     ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+                     keep: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """The stacked bidirectional LSTM encoder over a padded batch, as one op.
 
     `xs` [B,S,e] is the embedded source and `mask` [B,S] 1 at real positions.
@@ -309,8 +308,9 @@ def encoder_sequence(xs: Tensor, mask: np.ndarray,
     both of hidden size n; a layer's output is its two directions' outputs
     concatenated, [B,S,2n], and the input of the next. `keep`
     [layers-1, B, S, 2n] is a constant inverted-dropout scale on the inputs of
-    the upper layers. Returns the top layer's annotations [B,S,2n] and each
-    layer's final (h, c), the directions concatenated, [B,2n]."""
+    the upper layers. Returns the top layer's annotations [B,S,2n] and every
+    layer's final h and c, each [layers, B, 2n], forward half first: the
+    decoder's state layout."""
     batch, length = xs.data.shape[:2]
     n = layers[0][0][1].data.shape[0]
     in_shapes = [xs.data.shape] + [(batch, length, 2 * n)] * (len(layers) - 1)
@@ -321,33 +321,35 @@ def encoder_sequence(xs: Tensor, mask: np.ndarray,
         raise ValueError(f"encoder shape mismatch: {len(layers)} layers of hidden {n}, input "
                          f"{xs.data.shape}, mask {mask.shape}")
     x = xs.data
-    backwards, finals = [], []
+    final_h = np.empty((len(layers), batch, 2 * n), dtype=x.dtype)
+    final_c = np.empty_like(final_h)
+    halves = (np.s_[..., :n], np.s_[..., n:])  # forward, backward
+    backwards = []  # per layer, forward then backward direction
     for l, cells in enumerate(layers):
         if l and keep is not None:
             x = x * keep[l - 1]
-        (out_f, h_f, c_f, back_f), (out_b, h_b, c_b, back_b) = (
-            _lstm_direction(x, mask, *(t.data for t in cell), reverse)
-            for cell, reverse in zip(cells, (False, True)))
-        backwards.append((back_f, back_b))
-        x = np.concatenate([out_f, out_b], axis=-1)
-        finals += [np.concatenate([h_f, h_b], axis=-1), np.concatenate([c_f, c_b], axis=-1)]
+        # step-major in memory, like each direction's outputs: later products' bits depend on it
+        out = np.empty((length, batch, 2 * n), dtype=x.dtype).transpose(1, 0, 2)
+        for cell, reverse, half in zip(cells, (False, True), halves):
+            out[half], final_h[l][half], final_c[l][half], back = _lstm_direction(
+                x, mask, *(t.data for t in cell), reverse)
+            backwards.append(back)
+        x = out
 
-    def backward(g_annotations, *g_finals):
+    def backward(g_annotations, g_h, g_c):
         dx = g_annotations
         for l in range(len(layers) - 1, -1, -1):
             if l + 1 < len(layers) and keep is not None:
                 dx = dx * keep[l]
-            g_h, g_c = g_finals[2 * l : 2 * l + 2]
             (dx_f, *dw_f), (dx_b, *dw_b) = (
-                back(dx[half], g_h[half], g_c[half])
-                for back, half in zip(backwards[l], (np.s_[..., :n], np.s_[..., n:])))
+                back(dx[half], g_h[l][half], g_c[l][half])
+                for back, half in zip(backwards[2 * l : 2 * l + 2], halves))
             for w, d_w in zip((*layers[l][0], *layers[l][1]), (*dw_f, *dw_b)):
                 _accumulate(w, d_w)
             dx = dx_f + dx_b
         _accumulate(xs, dx)
 
-    annotations, *states = _record(backward, x, *finals)
-    return annotations, list(zip(states[::2], states[1::2]))
+    return _record(backward, x, final_h, final_c)
 
 
 def attend(top: np.ndarray, annotations: np.ndarray, mask_add: np.ndarray, w_score: np.ndarray,
@@ -408,7 +410,7 @@ def decoder_step(buf: DecoderBuffers, t: int, x0: np.ndarray, prev_h: np.ndarray
     w_rec [n x 4n], bias [4n]) and `attention` (w_score [n x n],
     w_out [2n x n], b_out [n]). `keep` [layers-1, B, n] scales each upper
     layer's input (inverted dropout).
-    Per layer, acts = x @ w_in + (h @ w_rec + bias) and the cell update; then
+    Per layer, the input projection x @ w_in and `_cell`; then
     attention of the top state over `annotations` [B or 1, S, n] and the
     attentional vector tanh([context; top] @ w_out + b_out), into buf.attn[t+1].
     The new state is buf.h[:, t+1] and buf.c[:, t+1]."""
@@ -417,11 +419,9 @@ def decoder_step(buf: DecoderBuffers, t: int, x0: np.ndarray, prev_h: np.ndarray
         if layer and keep is not None:
             x = np.multiply(x, keep[layer - 1], out=buf.dropped[layer - 1, t])
         acts = np.matmul(x, w_in, out=buf.acts[layer, t])
-        recurrent = prev_h[layer] @ w_rec
-        recurrent += bias
-        acts += recurrent
         x = buf.h[layer, t + 1]
-        _cell(acts, prev_c[layer], buf.c[layer, t + 1], buf.tanh_c[layer, t], x)
+        _cell(acts, prev_h[layer], prev_c[layer], w_rec, bias, buf.c[layer, t + 1],
+              buf.tanh_c[layer, t], x)
     w_score, w_out, b_out = attention
     n = x.shape[1]
     cat = buf.cat[t]
@@ -432,20 +432,21 @@ def decoder_step(buf: DecoderBuffers, t: int, x0: np.ndarray, prev_h: np.ndarray
     np.tanh(u, out=buf.attn[t + 1])
 
 
-def decoder_sequence(emb: Tensor, initial: Sequence[tuple[Tensor, Tensor]],
+def decoder_sequence(emb: Tensor, h0: Tensor, c0: Tensor, starts: np.ndarray,
                      annotations: Tensor, mask_add: np.ndarray,
                      cells: Sequence[tuple[Tensor, Tensor, Tensor]],
                      w_score: Tensor, w_out: Tensor, b_out: Tensor,
                      keep: np.ndarray | None = None, input_feeding: bool = True) -> Tensor:
     """The teacher-forced decoder over every target step, as one op.
 
-    `emb` [T,B,e] holds each step's previous-token embedding, `initial` each
-    layer's start state (h0, c0) [B,n] (one pair may start several layers),
-    `annotations` [B,S,n] the source, with the constant `mask_add` [B,S] as in
-    `attend`. With `input_feeding`, layer 0 reads [emb_t; attn_{t-1}], from a
-    zero attn_{-1}. `keep` [T, layers-1, B, n] is a constant inverted-dropout
-    scale on the inputs of the upper layers. Each step runs `decoder_step`.
-    Returns the attentional vectors [T*B, n], step-major.
+    `emb` [T,B,e] holds each step's previous-token embedding. Layer l starts
+    from `h0[starts[l]]` and `c0[starts[l]]`, rows of [L,B,n] arrays, so one
+    row may start several layers. `annotations` [B,S,n] is the source, with
+    the constant `mask_add` [B,S] as in `attend`. With `input_feeding`, layer
+    0 reads [emb_t; attn_{t-1}], from a zero attn_{-1}. `keep`
+    [T, layers-1, B, n] is a constant inverted-dropout scale on the inputs of
+    the upper layers. Each step runs `decoder_step`. Returns the attentional
+    vectors [T*B, n], step-major.
 
     The backward pass through time keeps only what depends on the next
     step's gradient inside its loop: the products with w_out, w_score, each
@@ -460,9 +461,9 @@ def decoder_sequence(emb: Tensor, initial: Sequence[tuple[Tensor, Tensor]],
     for layer, (w_in, w_rec, bias) in enumerate(cells):
         _check_cell((steps, batch, in_size if layer == 0 else n), w_in, w_rec, bias)
     if (rows != batch or ann_h != n or length == 0 or mask_add.shape != (batch, length)
-            or len(initial) != layers or w_score.data.shape != (n, n)
-            or w_out.data.shape != (2 * n, n) or b_out.data.shape != (n,)
-            or any(s.data.shape != (batch, n) for pair in initial for s in pair)
+            or h0.data.shape[1:] != (batch, n) or c0.data.shape != h0.data.shape
+            or starts.shape != (layers,) or not 0 <= starts.min() <= starts.max() < len(h0.data)
+            or [t.data.shape for t in (w_score, w_out, b_out)] != [(n, n), (2 * n, n), (n,)]
             or (keep is not None and keep.shape != (steps, layers - 1, batch, n))):
         raise ValueError(f"decoder shape mismatch: {steps} steps of {batch} rows, hidden {n}, "
                          f"annotations {annotations.data.shape}, mask {mask_add.shape}")
@@ -473,9 +474,8 @@ def decoder_sequence(emb: Tensor, initial: Sequence[tuple[Tensor, Tensor]],
         x0[:, :, :e] = emb.data
     else:
         x0 = emb.data
-    for layer, (h0, c0) in enumerate(initial):
-        buf.h[layer, 0] = h0.data
-        buf.c[layer, 0] = c0.data
+    buf.h[:, 0] = h0.data[starts]
+    buf.c[:, 0] = c0.data[starts]
     buf.attn[0] = 0.0
     ann = annotations.data
     weights = [tuple(t.data for t in cell) for cell in cells]
@@ -493,8 +493,9 @@ def decoder_sequence(emb: Tensor, initial: Sequence[tuple[Tensor, Tensor]],
         d_query = np.empty_like(buf.query)
         d_scores = np.empty_like(buf.weights)
         d_pre = np.empty_like(buf.acts)
-        dh = [np.zeros((batch, n), dtype) for _ in range(layers)]
-        dc = [np.zeros((batch, n), dtype) for _ in range(layers)]
+        gate_factor, c_factor = _cell_partials(buf.acts, buf.c[:, :-1], buf.tanh_c)
+        dh = np.zeros((layers, batch, n), dtype)  # of the state before the step
+        dc = np.zeros_like(dh)
         w_fed = weights[0][0][e:]  # layer 0's input-fed rows
         d_fed = 0.0
         for t in range(steps - 1, -1, -1):
@@ -509,12 +510,10 @@ def decoder_sequence(emb: Tensor, initial: Sequence[tuple[Tensor, Tensor]],
             d_query[t] = (d_scores[t].reshape(batch, 1, length) @ ann).reshape(batch, n)
             d_in = d_cat[:, n:] + (w_score.data @ d_query[t].T).T  # gradient of the top h
             for l in range(layers - 1, -1, -1):
-                gate_factor, c_factor = _cell_partials(buf.acts[l, t], buf.c[l, t],
-                                                       buf.tanh_c[l, t])
                 w_in, w_rec, _ = weights[l]
                 dpre = d_pre[l, t]
-                dh[l], dc[l] = _cell_backward(dh[l] + d_in, dc[l], buf.acts[l, t], gate_factor,
-                                              c_factor, w_rec, dpre)
+                dh[l], dc[l] = _cell_backward(dh[l] + d_in, dc[l], buf.acts[l, t],
+                                              gate_factor[l, t], c_factor[l, t], w_rec, dpre)
                 if l:
                     d_in = (w_in @ dpre.T).T
                     if keep is not None:
@@ -534,9 +533,10 @@ def decoder_sequence(emb: Tensor, initial: Sequence[tuple[Tensor, Tensor]],
             _accumulate(w_in, stacked(x).T @ dpre)
             _accumulate(w_rec, stacked(buf.h[l, :-1]).T @ dpre)
             _accumulate(bias, dpre.sum(axis=0))
-        for (h0, c0), dh0, dc0 in zip(initial, dh, dc):
-            _accumulate(h0, dh0)
-            _accumulate(c0, dc0)
+        for start, d_start in ((h0, dh), (c0, dc)):
+            if start.grad is None:
+                start.grad = np.zeros_like(start.data)
+            np.add.at(start.grad, starts, d_start)  # sums where one state starts several layers
         d_emb = weights[0][0][:e] @ stacked(d_pre[0]).T  # [e, T*B]
         _accumulate(emb, d_emb.T.reshape(steps, batch, e))
         _accumulate(w_out, stacked(buf.cat).T @ stacked(d_u))

@@ -18,7 +18,9 @@ shapes (weight matrices [out x in]), whatever layout the model holds in
 memory: the format does not depend on how the products are computed. A load
 accepts exactly that set of tensors, and no gate order but
 `model.GATE_ORDER`. Every length in the header is checked against the bytes
-left in the file before it is read.
+left in the file before it is read, and the meta's layer counts against the
+header's tensor count. Meta `epoch`, `languages` and `lang_token`, when
+present, must be an integer >= 0, a list of strings and a boolean.
 
 Round trips are bit-exact: loading and re-saving reproduces the same bytes.
 """
@@ -190,4 +192,16 @@ def _read_bundle(r: _Reader) -> ModelBundle:
         config = ModelConfig(**meta.pop("model"))
     except TypeError as exc:  # an unknown or missing field
         raise ValueError(str(exc)) from None
+    # `param_specs`'s count, checked before it builds a list that long
+    if 7 + 6 * config.enc_layers + 3 * config.dec_layers != count:
+        raise ValueError(f"{config.enc_layers} encoder and {config.dec_layers} decoder layers "
+                         f"do not match the {count} tensors in the file")
+    epoch = meta.get("epoch", 0)
+    if type(epoch) is not int or epoch < 0:
+        raise ValueError("meta epoch must be an integer >= 0")
+    languages = meta.get("languages", [])
+    if type(languages) is not list or not all(type(lang) is str for lang in languages):
+        raise ValueError("meta languages must be a list of strings")
+    if type(meta.get("lang_token", True)) is not bool:
+        raise ValueError("meta lang_token must be true or false")
     return ModelBundle(params_from_arrays(config, arrays), config, src_vocab, tgt_vocab, meta)

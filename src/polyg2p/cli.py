@@ -28,11 +28,15 @@ from .corpus import (
     lang_token,
     parse_inventory,
     parse_lexicon,
+    source_problem,
     split_train_val,
     write_lexicon,
 )
 from .decoding import beam_search, write_nbest
 from .model import train_model
+
+
+EVALUATE_WIDTH = 100  # `evaluate`'s beam width when neither a flag nor the config sets one
 
 
 class UserError(Exception):
@@ -166,7 +170,7 @@ def cmd_train(args) -> int:
             raise UserError(f"{args.resume}: {exc}") from None
         config = dataclasses.replace(config, lang_token=bundle.uses_lang_token, **split,
                                      **shared_fields(bundle.config, RunConfig))
-        start_epoch = int(bundle.meta.get("epoch", 0)) + 1
+        start_epoch = bundle.meta.get("epoch", 0) + 1
         if start_epoch > config.epochs:
             raise UserError(f"checkpoint already trained for {start_epoch - 1} epochs")
     schedule = config.schedule()  # checked before anything is written
@@ -224,31 +228,36 @@ def cmd_train(args) -> int:
 def cmd_translate(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
 
-    jobs: list[tuple[str, str | None]] = []
+    sources: list[tuple[str, str | None, str]] = []  # (word, lang, error prefix)
     if args.word is not None:
-        jobs.append((args.word, args.lang))
+        sources.append((args.word, args.lang, ""))
     elif args.input is not None:
         with open(args.input, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                if "\t" in line:
-                    lang, word = line.split("\t", 1)
-                    jobs.append((word, lang))
-                else:
-                    jobs.append((line, args.lang))
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if line.strip() and not line.startswith("#"):
+                    lang, word = line.split("\t", 1) if "\t" in line else (args.lang, line)
+                    sources.append((word, lang, f"{args.input}:{line_no}: "))
     else:
         raise UserError("give either --word or --input")
+    jobs = []  # every source is checked before any output
+    for word, lang, where in sources:
+        try:
+            problem = source_problem(lang, word)
+            if problem is not None:
+                raise ValueError(problem)
+            jobs.append((word, lang, bundle.source_ids(word, lang)))
+        except ValueError as exc:
+            raise UserError(f"{where}{exc}") from None
 
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for word, lang in jobs:
+        for word, lang, src_ids in jobs:
             unseen = lang is not None and lang_token(lang) not in bundle.src_vocab
             if bundle.uses_lang_token and unseen:
                 print(f"warning: language {lang!r} unseen in training; using an untrained token",
                       file=sys.stderr)
-            nbest = beam_search(bundle.source_ids(word, lang), bundle.params, bundle.config,
+            nbest = beam_search(src_ids, bundle.params, bundle.config,
                                 bundle.tgt_vocab, width=args.width, max_len=args.max_len)
             write_nbest(out_fh, word, nbest)
     finally:
@@ -259,9 +268,10 @@ def cmd_translate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
-    config = _resolve_config(args)
-    width = args.width if args.width is not None else (
-        100 if config.beam_width is None else config.beam_width)
+    config = _resolve_config(args)  # --width is an alias of --beam-width here
+    if config.beam_width is None:
+        config.beam_width = EVALUATE_WIDTH  # the manifest records the width decoded at
+    width = config.beam_width
     entries = _read_lexicon_file(config.test_lexicon)
     entries = _filter_languages(entries, config)
     if args.unseen_only:
@@ -364,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a test lexicon")
     _add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--width", type=int, default=None, help="beam width (default 100)")
+    p.add_argument("--width", dest="beam_width", type=int, default=None,
+                   help=f"beam width (default {EVALUATE_WIDTH})")
     p.add_argument("--unseen-only", action="store_true",
                    help="score only languages absent from training")
     p.add_argument("--out", help="directory for report files")

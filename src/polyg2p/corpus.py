@@ -27,7 +27,7 @@ RESERVED = (PAD, BOS, EOS, UNK)
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 _RESERVED_SET = frozenset(RESERVED)
 
-_LANG_RE = re.compile(r"^[a-z]{3}$")
+_LANG_RE = re.compile(r"[a-z]{3}")
 _LANG_TOKEN_RE = re.compile(r"^<[a-z]{3}>$")
 
 
@@ -81,6 +81,19 @@ def source_tokens(graphemes: tuple[str, ...], lang: str,
     return graphemes
 
 
+def source_problem(lang: str | None, spelling: str) -> str | None:
+    """Why `spelling` in language `lang` cannot be a source, or None if it can:
+    the one home of the lexicon's rules, which `translate` applies to its input
+    too. A `lang` of None (no language given) is not checked."""
+    if lang is not None and not _LANG_RE.fullmatch(lang):
+        return f"invalid language code {lang!r}"
+    if not spelling:
+        return "empty spelling"
+    if any(ch.isspace() for ch in spelling):
+        return "spelling contains whitespace"
+    return None
+
+
 def parse_lexicon(stream: Iterable[str]) -> ParsedLexicon:
     """Parse a lexicon stream, collecting malformed lines instead of raising.
 
@@ -98,14 +111,9 @@ def parse_lexicon(stream: Iterable[str]) -> ParsedLexicon:
             rejects.append(Reject(line_no, line, f"expected 3 tab-separated fields, got {len(fields)}"))
             continue
         lang, spelling, phoneme_field = fields
-        if not _LANG_RE.match(lang):
-            rejects.append(Reject(line_no, line, f"invalid language code {lang!r}"))
-            continue
-        if not spelling:
-            rejects.append(Reject(line_no, line, "empty spelling"))
-            continue
-        if any(ch.isspace() for ch in spelling):
-            rejects.append(Reject(line_no, line, "spelling contains whitespace"))
+        problem = source_problem(lang, spelling)
+        if problem is not None:
+            rejects.append(Reject(line_no, line, problem))
             continue
         phonemes = tuple(phoneme_field.split())
         if not phonemes:

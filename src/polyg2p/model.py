@@ -24,13 +24,12 @@ per step and upper layer.
 `decode_step` is inference only and works on plain arrays: it runs
 `ad.decoder_step`, the per-step kernel of `decoder_sequence`, without
 dropout, and the loss's `ad.log_softmax`, so inference has no second copy of
-the math and records nothing. A `DecoderState` is the kernel's own layout,
-h and c [layers, B, h] plus the attentional vector [B, h], so its rows can be
-gathered or stacked with one index per array. A one-row `EncodedSource`
-can serve any number of decoder rows, since the kernel's attention
-broadcasts it; `encode` builds its additive attention mask once. Beam search
-passes all its live hypotheses as the rows of one `DecoderState`, so the
-model knows nothing of the beam.
+the math and records nothing. The recurrent state has one layout, h and c
+[layers, B, h], from the encoder's final states in `EncodedSource` to a
+`DecoderState`; `_start_layers` picks each decoder layer's start with one
+index. A one-row `EncodedSource` serves any number of decoder rows, since the
+kernel's attention broadcasts it. Beam search passes all its live hypotheses
+as the rows of one `DecoderState`, so the model knows nothing of the beam.
 """
 
 from __future__ import annotations
@@ -62,12 +61,13 @@ class ModelConfig:
     input_feeding: bool = True
 
     def __post_init__(self):
-        if self.hidden_size % 2 != 0:
-            raise ValueError("hidden_size must be even (split across encoder directions)")
         for name in ("src_vocab_size", "tgt_vocab_size", "hidden_size", "src_embed",
                      "tgt_embed", "enc_layers", "dec_layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a bool or a float is not a size
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.hidden_size % 2 != 0:
+            raise ValueError("hidden_size must be even (split across encoder directions)")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -180,7 +180,8 @@ def _cell(params: ModelParams, prefix: str) -> tuple[Tensor, Tensor, Tensor]:
 class EncodedSource:
     annotations: Tensor        # [B, S, h]; one row (B=1) may serve any number of decoder rows
     mask_add: np.ndarray       # [B, S]: 0 at real tokens, -1e9 at padding (`ad.attend`'s form)
-    final_states: list[tuple[Tensor, Tensor]]  # per encoder layer: (h, c), each [B, h]
+    final_h: Tensor            # [enc_layers, B, h]: each layer's final state, fwd half first
+    final_c: Tensor            # [enc_layers, B, h]: each layer's final cell state
 
 
 @dataclass
@@ -239,28 +240,25 @@ def encode(
     # one [B,h] draw per step and upper layer: [S,B,h] per layer, in layer order
     keep = _keep_scale((config.enc_layers - 1, ids.shape[1], len(src_rows), config.hidden_size),
                        config, training, rng, dtype)
-    annotations, final_states = ad.encoder_sequence(
+    annotations, final_h, final_c = ad.encoder_sequence(
         ad.embedding_lookup(params["src_embedding"], ids), mask,
         [[_cell(params, f"encoder.l{layer}.{direction}") for direction in ("fwd", "bwd")]
          for layer in range(config.enc_layers)],
         keep=None if keep is None else keep.transpose(0, 2, 1, 3))
-    return EncodedSource(annotations, _mask_add(mask), final_states)
+    return EncodedSource(annotations, _mask_add(mask), final_h, final_c)
 
 
-def _start_layers(encoded: EncodedSource, config: ModelConfig) -> list[tuple[Tensor, Tensor]]:
-    """Each decoder layer's start state: the encoder final state of the same
-    layer, or of the top encoder layer for the decoder layers above it."""
-    finals = encoded.final_states
-    return [finals[min(i, len(finals) - 1)] for i in range(config.dec_layers)]
+def _start_layers(config: ModelConfig) -> np.ndarray:
+    """Each decoder layer's start, as an index into the encoder's final states:
+    the encoder layer of the same index, or the top one for the layers above."""
+    return np.minimum(np.arange(config.dec_layers), config.enc_layers - 1)
 
 
 def initial_state(encoded: EncodedSource, config: ModelConfig) -> DecoderState:
     """Decoder start state: encoder final states per layer, zero attentional vector."""
-    starts = _start_layers(encoded, config)
-    ann = encoded.annotations.data
-    return DecoderState(np.stack([h.data for h, _ in starts]),
-                        np.stack([c.data for _, c in starts]),
-                        np.zeros((ann.shape[0], config.hidden_size), dtype=ann.dtype))
+    starts = _start_layers(config)
+    h = encoded.final_h.data[starts]
+    return DecoderState(h, encoded.final_c.data[starts], np.zeros_like(h[0]))
 
 
 _MASK_SCALE = 1e9
@@ -345,7 +343,8 @@ def forward_loss(
 
     emb = ad.embedding_lookup(params["tgt_embedding"], dec_inputs.T)  # [steps, B, e]
     attn_vecs = ad.decoder_sequence(
-        emb, _start_layers(encoded, config), encoded.annotations, encoded.mask_add,
+        emb, encoded.final_h, encoded.final_c, _start_layers(config),
+        encoded.annotations, encoded.mask_add,
         [_cell(params, f"decoder.l{layer}") for layer in range(config.dec_layers)],
         params["attention.score_weights"], params["attention.output_weights"],
         params["attention.output_bias"], keep=keep, input_feeding=config.input_feeding)

@@ -62,7 +62,7 @@ def test_tanh_and_sigmoid_at_zero():
     # the candidate tanh(0) is 0: c' = 0.5*c and h' = 0.5*tanh(c')
     c = np.array([[0.8, -0.4]])
     c1, tanh_c, h1 = (np.empty_like(c) for _ in range(3))
-    ad._cell(np.zeros((1, 8)), c, c1, tanh_c, h1)
+    ad._cell(np.zeros((1, 8)), np.zeros((1, 2)), c, np.zeros((2, 8)), np.zeros(8), c1, tanh_c, h1)
     assert np.array_equal(c1, 0.5 * c)
     assert np.array_equal(h1, 0.5 * np.tanh(0.5 * c))
 
@@ -290,6 +290,10 @@ def test_each_op_call_records_one_tape_entry():
         with Tape() as tape:
             call()
         assert len(tape.nodes) == 1
+    for layers in (1, 3):  # annotations, final h and final c at any depth
+        with Tape() as tape:
+            ad.encoder_sequence(**_encoder_inputs(rng, batch=2, length=5, layers=layers))
+        assert len(tape.nodes[0][0]) == 3
 
 
 def test_inference_mode_masks_active_tape():
@@ -357,9 +361,9 @@ def test_encoder_sequence_gradient(case):
     w_finals = rng.uniform(-1, 1, (layers, 2, batch, 2 * hidden))
 
     def loss_of():
-        annotations, finals = ad.encoder_sequence(**inputs)
-        return weighted_sum((annotations, w_ann),
-                            *((s, w) for pair, ws in zip(finals, w_finals) for s, w in zip(pair, ws)))
+        annotations, final_h, final_c = ad.encoder_sequence(**inputs)
+        return weighted_sum((annotations, w_ann), (final_h, w_finals[:, 0]),
+                            (final_c, w_finals[:, 1]))
 
     _check_gradients(loss_of, _encoder_tensors(inputs))
     assert np.all(inputs["xs"].grad[inputs["mask"] == 0] == 0.0)  # padded inputs feed nothing
@@ -372,7 +376,7 @@ def _encode_with_gradients(inputs, w_ann):
     for t in tensors:
         t.grad = None
     with Tape() as tape:
-        annotations, _ = ad.encoder_sequence(**inputs)
+        annotations = ad.encoder_sequence(**inputs)[0]
         tape.backward(weighted_sum((annotations, w_ann)))
     return annotations.data.tobytes(), [t.grad.tobytes() for t in tensors]
 
@@ -393,8 +397,8 @@ def test_dropout_scales_kept_entries():
     inputs = _encoder_inputs(rng, batch=3, length=4, layers=2)
     doubled = [list(pair) for pair in inputs["layers"]]
     doubled[1] = [(Tensor(2.0 * w_in.data), w_rec, bias) for w_in, w_rec, bias in doubled[1]]
-    scaled, _ = ad.encoder_sequence(**{**inputs, "keep": np.full((1, 3, 4, 4), 2.0)})
-    expected, _ = ad.encoder_sequence(**{**inputs, "layers": doubled})
+    scaled = ad.encoder_sequence(**{**inputs, "keep": np.full((1, 3, 4, 4), 2.0)})[0]
+    expected = ad.encoder_sequence(**{**inputs, "layers": doubled})[0]
     assert np.array_equal(scaled.data, expected.data)
 
 
@@ -416,8 +420,9 @@ def _decoder_inputs(rng, steps, batch, layers, emb_size=3, hidden=4, length=5,
     """Random float64 inputs of `ad.decoder_sequence`. Source row b has
     length - b real positions (at least 1); the rest is masked."""
     t = lambda *shape, name=None: Tensor(rng.uniform(-1, 1, shape), name=name)
-    starts = [(t(batch, hidden, name=f"h0.{l}"), t(batch, hidden, name=f"c0.{l}"))
-              for l in range(1 if shared_start else layers)]
+    starts = [(t(batch, hidden), t(batch, hidden)) for _ in range(1 if shared_start else layers)]
+    h0, c0 = (Tensor(np.stack([s.data for s in states]), name=name)
+              for states, name in zip(zip(*starts), ("h0", "c0")))
     mask_add = np.zeros((batch, length))
     for b in range(batch):
         mask_add[b, max(length - b, 1):] = -1e9
@@ -431,7 +436,9 @@ def _decoder_inputs(rng, steps, batch, layers, emb_size=3, hidden=4, length=5,
         keep = (rng.random((steps, layers - 1, batch, hidden)) >= 0.5) / 0.5
     return dict(
         emb=t(steps, batch, emb_size, name="emb"),
-        initial=[starts[min(l, len(starts) - 1)] for l in range(layers)],
+        h0=h0,
+        c0=c0,
+        starts=np.minimum(np.arange(layers), len(starts) - 1),
         annotations=t(batch, length, hidden, name="annotations"),
         mask_add=mask_add,
         cells=cells,
@@ -445,12 +452,10 @@ def _decoder_inputs(rng, steps, batch, layers, emb_size=3, hidden=4, length=5,
 
 
 def _decoder_tensors(inputs):
-    """Every differentiable input of `ad.decoder_sequence`, each once, though
-    one start state may serve several layers."""
-    tensors = [inputs["emb"], inputs["annotations"], inputs["w_score"], inputs["w_out"],
-               inputs["b_out"], *(s for pair in inputs["initial"] for s in pair),
-               *(w for cell in inputs["cells"] for w in cell)]
-    return list({id(t): t for t in tensors}.values())
+    """Every differentiable input of `ad.decoder_sequence`."""
+    return [inputs["emb"], inputs["annotations"], inputs["w_score"], inputs["w_out"],
+            inputs["b_out"], inputs["h0"], inputs["c0"],
+            *(w for cell in inputs["cells"] for w in cell)]
 
 
 @pytest.mark.parametrize("case", ["padded", "dropout", "one_row", "shared_start",

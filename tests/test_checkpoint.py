@@ -1,14 +1,21 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_in_x_out, in_x_out_shapes, rewrite_meta, tiny_model, toy_tgt_vocab
 from polyg2p import checkpoint
 from polyg2p.checkpoint import MAGIC, ModelBundle, load_checkpoint, save_checkpoint
+from polyg2p.cli import main
 from polyg2p.corpus import RESERVED, Vocabulary
 
 
@@ -132,6 +139,55 @@ def test_checkpoint_holds_weight_matrices_out_x_in(tmp_path):
         assert manifest[name] == want, name
     loaded = load_checkpoint(path)
     assert_in_x_out(loaded.params, loaded.config)
+
+
+@pytest.mark.parametrize("layers", [(1, 3), (3, 1), (2, 2)])
+@pytest.mark.parametrize("input_feeding", [True, False])
+def test_checkpoint_of_any_depth_loads(tmp_path, layers, input_feeding):
+    # the layer counts in meta are checked against the header's tensor count
+    config, params = tiny_model(seed=4, src_vocab=8, tgt_vocab=7, enc_layers=layers[0],
+                                dec_layers=layers[1], input_feeding=input_feeding)
+    path = tmp_path / "model.mg2p"
+    save_checkpoint(path, dataclasses.replace(_bundle(), params=params, config=config))
+    assert load_checkpoint(path).config == config
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A tiny checkpoint's bytes, and the path its edited copies go to."""
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.mg2p"
+    save_checkpoint(path, _bundle())
+    return path.read_bytes(), path.with_name("edited.mg2p")
+
+
+def _sections(raw: bytes) -> list[tuple[int, int]]:
+    """[start, end) of a checkpoint's header, tensor block, vocabularies and meta."""
+    meta = next(p for p in range(len(raw) - 2, 8, -1)
+                if struct.unpack("<Q", raw[p - 8 : p])[0] == len(raw) - p) - 8
+    vocabs = raw.index(struct.pack("<I", len(RESERVED[0])) + RESERVED[0].encode()) - 4
+    tensors = vocabs - 4 * sum(math.prod(dims) for dims in _manifest(raw).values())
+    return [(0, tensors), (tensors, vocabs), (vocabs, meta), (meta, len(raw))]
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(data=st.data())
+def test_checkpoint_truncations_and_byte_edits_exit_0_or_1(tiny_checkpoint, data):
+    # in every section of the file, each drawn about as often, though the
+    # tensor block is most of it. An edit inside the float data may still
+    # load, since no digest covers it.
+    raw, path = tiny_checkpoint
+    start, end = data.draw(st.sampled_from(_sections(raw)), label="section")
+    offset = data.draw(st.integers(start, end - 1), label="offset")
+    value = data.draw(st.none() | st.integers(0, 255), label="byte (None truncates)")
+    path.write_bytes(raw[:offset] if value is None else
+                     raw[:offset] + bytes([value]) + raw[offset + 1 :])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["translate", "--checkpoint", str(path), "--word", "ab", "--lang", "aaa",
+                     "--width", "2"])
+    assert code in (0, 1), err.getvalue()[-300:]
+    if code == 1:
+        assert err.getvalue().startswith(f"error: {path}: "), err.getvalue()[-300:]
 
 
 def test_fixture_checkpoint_resaves_to_recorded_bytes(tmp_path):

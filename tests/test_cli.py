@@ -10,6 +10,7 @@ from polyg2p.checkpoint import load_checkpoint
 from polyg2p.cli import main
 from polyg2p.config import ConfigError, RunConfig, load_config
 from polyg2p.corpus import is_lang_token
+from polyg2p.decoding import beam_search
 from polyg2p.model import train_model
 
 LEXICON = (
@@ -242,6 +243,39 @@ def test_translate_input_file(run_dir, tmp_path):
     assert any(line.startswith("ab\t1\t") for line in lines)
 
 
+@pytest.mark.parametrize("line,reason", [
+    ("\tba", "invalid language code ''"),
+    ("XX\tba", "invalid language code 'XX'"),
+    ("aaa\ta b", "spelling contains whitespace"),
+    ("aaa\t", "empty spelling"),
+])
+def test_translate_input_is_checked_like_a_lexicon(run_dir, tmp_path, capsys, line, reason):
+    # every line is checked before any output, and an error names the file and line
+    words = tmp_path / "words.txt"
+    words.write_text(f"aaa\tba\n# comment\n{line}\n", encoding="utf-8")
+    code = main(["translate", "--checkpoint", str(run_dir / "final.mg2p"),
+                 "--input", str(words), "--width", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {words}:3: {reason}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("word,lang,reason", [
+    ("a b", "aaa", "spelling contains whitespace"),
+    ("", "aaa", "empty spelling"),
+    ("ba", "XX", "invalid language code 'XX'"),
+    ("ba", "", "invalid language code ''"),
+])
+def test_translate_word_is_checked_like_a_lexicon(run_dir, capsys, word, lang, reason):
+    code = main(["translate", "--checkpoint", str(run_dir / "final.mg2p"), "--word", word,
+                 "--lang", lang])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {reason}\n"
+    assert captured.out == ""
+
+
 def test_translate_missing_checkpoint_is_user_error(tmp_path, capsys):
     code = main(["translate", "--checkpoint", str(tmp_path / "no.mg2p"), "--word", "x",
                  "--lang", "aaa"])
@@ -277,6 +311,30 @@ def test_evaluate_width_zero_is_user_error(run_dir, lexicon, capsys, width):
                  "--test-lexicon", str(lexicon)] + width)
     assert code == 1
     assert "beam width must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:WER 100")
+def test_evaluate_manifest_records_the_width_it_decoded_at(run_dir, lexicon, tmp_path,
+                                                           monkeypatch):
+    # a manifest fed back as the config decodes at the width it records
+    widths = []
+
+    def recording_beam_search(*args, width, **kwargs):
+        widths.append(width)
+        return beam_search(*args, width=width, **kwargs)
+
+    monkeypatch.setattr(cli, "beam_search", recording_beam_search)
+    base = ["evaluate", "--checkpoint", str(run_dir / "final.mg2p"),
+            "--test-lexicon", str(lexicon)]
+    first, again, default = (tmp_path / name for name in ("first", "again", "default"))
+    assert main(base + ["--width", "2", "--out", str(first)]) == 0
+    assert main(base + ["--config", str(first / "run_manifest.json"), "--out", str(again)]) == 0
+    assert main(base + ["--out", str(default)]) == 0
+    recorded = [json.loads((out / "run_manifest.json").read_text())["config"]["beam_width"]
+                for out in (first, again, default)]
+    assert recorded == [2, 2, 100]
+    words = len(LEXICON.splitlines())
+    assert widths == [2] * (2 * words) + [100] * words
 
 
 @pytest.mark.filterwarnings("ignore:WER 100")
@@ -471,6 +529,43 @@ def test_malformed_checkpoint_is_user_error_naming_the_file(run_dir, tmp_path, c
     assert code == 1
     assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["model"].update(enc_layers=8.5),
+    lambda meta: meta["model"].update(dec_layers=8.5),
+    lambda meta: meta["model"].update(enc_layers=10**30),
+    lambda meta: meta["model"].update(dec_layers=10**30),
+    lambda meta: meta.update(languages="aaa"),
+    lambda meta: meta.update(languages=["aaa", 1]),
+    lambda meta: meta.update(epoch=None),
+    lambda meta: meta.update(epoch=[]),
+    lambda meta: meta.update(epoch={}),
+    lambda meta: meta.update(epoch=-1),
+    lambda meta: meta.update(epoch=2.0),
+    lambda meta: meta.update(lang_token="false"),
+], ids=["enc_layers_float", "dec_layers_float", "enc_layers_huge", "dec_layers_huge",
+        "languages_str", "languages_int_item", "epoch_null", "epoch_list", "epoch_dict",
+        "epoch_negative", "epoch_float", "lang_token_str"])
+def test_malformed_checkpoint_meta_is_user_error_naming_the_file(run_dir, tmp_path, capsys,
+                                                                edit):
+    # every command loads through the same checks: translate, evaluate
+    # --unseen-only (which reads languages) and train --resume (which reads epoch)
+    path = tmp_path / "bad.mg2p"
+    path.write_bytes((run_dir / "final.mg2p").read_bytes())
+    rewrite_meta(path, edit)
+    commands = (["translate", "--checkpoint", str(path), "--word", "ba", "--lang", "aaa"],
+                ["evaluate", "--checkpoint", str(path), "--test-lexicon", str(path),
+                 "--unseen-only"],
+                ["train", "--resume", str(path), "--train-lexicon", str(path),
+                 "--checkpoint-dir", str(tmp_path / "resumed")])
+    for command in commands:
+        code = main(command)
+        err = capsys.readouterr().err
+        assert code == 1, command[0]
+        assert err.startswith(f"error: {path}: "), command[0]
+        assert "Traceback" not in err
+    assert not (tmp_path / "resumed").exists()
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -113,9 +113,9 @@ def test_encode_matches_scalar_oracle():
     encoded = encode([src], params, config)
     expected_ann, expected_finals = oracle.encode(src)
     assert np.allclose(encoded.annotations.data[0], expected_ann, atol=1e-6)
-    for (h0, c0), (eh, ec) in zip(encoded.final_states, expected_finals):
-        assert np.allclose(h0.data[0], eh, atol=1e-6)
-        assert np.allclose(c0.data[0], ec, atol=1e-6)
+    for h0, c0, (eh, ec) in zip(encoded.final_h.data, encoded.final_c.data, expected_finals):
+        assert np.allclose(h0[0], eh, atol=1e-6)
+        assert np.allclose(c0[0], ec, atol=1e-6)
 
 
 def test_encode_tape_nodes_do_not_grow_with_source_length():
@@ -343,8 +343,7 @@ def test_encode_padded_batch_matches_lone_sequence():
     both = encode([short, long], params, config)
     alone = encode([short], params, config)
     assert np.allclose(both.annotations.data[0, :2], alone.annotations.data[0], atol=1e-5)
-    assert np.allclose(both.final_states[0][0].data[0], alone.final_states[0][0].data[0],
-                       atol=1e-5)
+    assert np.allclose(both.final_h.data[0, 0], alone.final_h.data[0, 0], atol=1e-5)
 
 
 def test_encode_trims_explicit_pad_suffix():
@@ -512,6 +511,13 @@ def test_dropout_changes_training_forward_only():
     again = float(forward_loss(batch, params, config).data)
     assert plain == again
     assert noisy != plain
+
+
+@pytest.mark.parametrize("name,value", [("enc_layers", 2.0), ("dec_layers", 8.5),
+                                        ("hidden_size", True), ("src_vocab_size", "5")])
+def test_model_config_sizes_must_be_ints(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        ModelConfig(**{"src_vocab_size": 5, "tgt_vocab_size": 5, name: value})
 
 
 def test_model_config_validation():
