@@ -8,7 +8,7 @@ does not. Prints held-out WER per language for both. The token variant
 should solve the task; the blind variant cannot tell the languages apart.
 """
 
-from polyg2p.synth import bilingual_split, held_out_wer, train_bilingual
+from polyg2p.synth import bilingual_split, held_out_wer, train_bilingual_pair
 
 
 def main():
@@ -16,8 +16,8 @@ def main():
     print(f"corpus: {len(split.train)} train / {len(split.validation)} held-out words")
     langs = sorted({e.lang for e in split.validation})
     print("variant      " + "".join(f"{lang:>10}" for lang in langs))
-    for label, lang_token in (("LangID", True), ("NoLangID", False)):
-        scores = held_out_wer(train_bilingual(split, lang_token), split)
+    for label, bundle in zip(("LangID", "NoLangID"), train_bilingual_pair(split)):
+        scores = held_out_wer(bundle, split)
         print(f"{label:<13}" + "".join(f"{scores[lang]:>9.1f}%" for lang in langs))
 
 

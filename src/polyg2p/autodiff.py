@@ -16,10 +16,13 @@ whatever its lengths:
 
 - `encoder_sequence` is the whole stacked bidirectional encoder: both
   directions of every layer, their concatenation and the dropout between
-  layers. In each direction the input projection of every step is one GEMM;
-  padded rows keep their state; the only matrix product left in the backward
-  loop over time is `(w_rec @ dpre_t.T).T`, and each weight gradient is one
-  GEMM over the stacked gate gradients.
+  layers. A layer's two directions run as one loop over processing steps,
+  on arrays with a leading direction axis of size 2 (direction 1 reads the
+  source right to left) and the two cells' weights stacked to match. The
+  input projection of every step is one GEMM per direction; padded rows keep
+  their state; the only matrix product left in the backward loop over time
+  is `(w_rec @ dpre_p.T).T`, and each weight gradient is one GEMM per
+  direction over the stacked gate gradients.
 - `decoder_sequence` is the whole teacher-forced decoder: every target step
   of the stacked LSTM layers, bilinear attention, the attentional vector and
   the dropout between layers. Input feeding keeps its forward pass step by
@@ -191,22 +194,24 @@ def _gate_constants(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
 
 def _cell(acts: np.ndarray, h: np.ndarray, c: np.ndarray, w_rec: np.ndarray, bias: np.ndarray,
           c_new: np.ndarray, tanh_c: np.ndarray, h_new: np.ndarray) -> None:
-    """One LSTM update of the state (h, c) [B,n], for both recurrent ops: adds
-    h @ w_rec + bias to `acts` [B,4n], which holds x @ w_in, overwrites it with
-    the gate activations and writes c', tanh(c') and h' into the given buffers."""
-    recurrent = h @ w_rec
+    """One LSTM update of the state (h, c) [..., B, n], for both recurrent ops:
+    adds h @ w_rec + bias to `acts` [..., B, 4n], which holds x @ w_in,
+    overwrites it with the gate activations and writes c', tanh(c') and h' into
+    the given buffers. The encoder's leading axis is its two directions, each
+    with its own w_rec [n x 4n] and bias [1 x 4n]."""
+    recurrent = np.matmul(h, w_rec)
     recurrent += bias
     acts += recurrent
-    n = c.shape[1]
+    n = c.shape[-1]
     scale, offset = _gate_constants(n, acts.dtype)
     acts *= scale
     np.tanh(acts, out=acts)
     acts *= scale
     acts += offset
-    np.multiply(acts[:, n : 2 * n], c, out=c_new)
-    c_new += acts[:, :n] * acts[:, 2 * n : 3 * n]
+    np.multiply(acts[..., n : 2 * n], c, out=c_new)
+    c_new += acts[..., :n] * acts[..., 2 * n : 3 * n]
     np.tanh(c_new, out=tanh_c)
-    np.multiply(acts[:, 3 * n :], tanh_c, out=h_new)
+    np.multiply(acts[..., 3 * n :], tanh_c, out=h_new)
 
 
 def _cell_partials(acts: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray):
@@ -235,67 +240,14 @@ def _cell_backward(dh: np.ndarray, dc: np.ndarray, acts: np.ndarray, gate_factor
                    c_factor: np.ndarray, w_rec: np.ndarray, dpre: np.ndarray):
     """One step back through `_cell` and the recurrent product h @ w_rec: from
     the gradients dh of the step's new h and dc of its new c, write the
-    pre-activation gradient into `dpre` [B,4n] and return the previous
+    pre-activation gradient into `dpre` [..., B, 4n] and return the previous
     state's (dh, dc). `gate_factor` and `c_factor` are `_cell_partials`'."""
-    n = dh.shape[1]
+    n = dh.shape[-1]
     dc_new = dh * c_factor
     dc_new += dc
-    np.multiply(np.concatenate([dc_new, dc_new, dc_new, dh], axis=1), gate_factor, out=dpre)
-    return (w_rec @ dpre.T).T, dc_new * acts[:, n : 2 * n]
-
-
-def _lstm_direction(xs: np.ndarray, mask: np.ndarray, w_in: np.ndarray, w_rec: np.ndarray,
-                    bias: np.ndarray, reverse: bool):
-    """One LSTM direction over a padded batch xs [B,T,in], from a zero state,
-    on plain arrays. Weights are stored [in x 4n] and [n x 4n], bias [4n].
-
-    `mask` [B,T] is 1 at real positions; at a padded position a row keeps
-    its previous state, and its output there is that state. `reverse` runs
-    from T-1 down to 0. The input projection of every step is one GEMM.
-    Returns (outputs [B,T,n], final h [B,n], final c [B,n], backward), where
-    backward(g_outputs, g_h, g_c) returns (dx, dw_in, dw_rec, dbias)."""
-    batch, length = xs.shape[:2]
-    n = w_rec.shape[0]
-    # internal buffers run in processing order p (t = T-1-p when reversed),
-    # so every per-step slice is contiguous
-    steps = np.s_[::-1] if reverse else np.s_[:]
-    keep = mask.T[steps, :, None].astype(bool)           # [T,B,1]
-    full = keep.all(axis=(1, 2))                         # [T]: no padding at step p
-    x_steps = np.ascontiguousarray(xs.transpose(1, 0, 2)[steps]).reshape(length * batch, -1)
-    acts = (x_steps @ w_in).reshape(length, batch, 4 * n)  # input projections first
-    hs = np.zeros((length + 1, batch, n), dtype=xs.dtype)  # hs[p]: state before step p
-    cs = np.zeros_like(hs)
-    tanh_cs = np.empty((length, batch, n), dtype=xs.dtype)
-    for p in range(length):
-        _cell(acts[p], hs[p], cs[p], w_rec, bias, cs[p + 1], tanh_cs[p], hs[p + 1])
-        if not full[p]:
-            padded = ~keep[p]
-            np.copyto(hs[p + 1], hs[p], where=padded)
-            np.copyto(cs[p + 1], cs[p], where=padded)
-
-    def backward(g_outputs, g_h, g_c):
-        gate_factor, c_factor = _cell_partials(acts, cs[:-1], tanh_cs)
-        d_outputs = g_outputs.transpose(1, 0, 2)[steps]
-        dpre = np.empty_like(acts)
-        dh = g_h.copy()  # accumulates in place; dc is only rebound
-        dc = g_c
-        for p in range(length - 1, -1, -1):
-            dh += d_outputs[p]
-            dh_prev, dc_prev = _cell_backward(dh, dc, acts[p], gate_factor[p], c_factor[p],
-                                              w_rec, dpre[p])
-            if not full[p]:  # padded rows pass their gradient straight through
-                dpre[p] *= keep[p]
-                padded = ~keep[p]
-                np.copyto(dh_prev, dh, where=padded)
-                np.copyto(dc_prev, dc, where=padded)
-            dh, dc = dh_prev, dc_prev
-        flat = dpre.reshape(length * batch, 4 * n)
-        dx = (w_in @ flat.T).reshape(-1, length, batch)  # [in, p, b]
-        return (dx[:, steps].transpose(2, 1, 0), x_steps.T @ flat,
-                hs[:-1].reshape(length * batch, n).T @ flat, flat.sum(axis=0))
-
-    # outputs [B,T,n] in time order, and the final state: views of hs and cs
-    return hs[1:][steps].transpose(1, 0, 2), hs[length], cs[length], backward
+    np.multiply(np.concatenate([dc_new, dc_new, dc_new, dh], axis=-1), gate_factor, out=dpre)
+    return (np.matmul(w_rec, dpre.swapaxes(-1, -2)).swapaxes(-1, -2),
+            dc_new * acts[..., n : 2 * n])
 
 
 def encoder_sequence(xs: Tensor, mask: np.ndarray,
@@ -310,7 +262,14 @@ def encoder_sequence(xs: Tensor, mask: np.ndarray,
     [layers-1, B, S, 2n] is a constant inverted-dropout scale on the inputs of
     the upper layers. Returns the top layer's annotations [B,S,2n] and every
     layer's final h and c, each [layers, B, 2n], forward half first: the
-    decoder's state layout."""
+    decoder's state layout.
+
+    A layer runs both directions as one loop over processing steps p, with
+    the direction as a leading axis of size 2: direction 0 reads position p,
+    direction 1 position S-1-p. The forward buffers are step-major,
+    [S, 2, B, .], so each step's [2, B, .] slice is contiguous. Every
+    product is one `np.matmul` over the direction axis of the two cells'
+    stacked weights. At a padded position a row keeps its previous state."""
     batch, length = xs.data.shape[:2]
     n = layers[0][0][1].data.shape[0]
     in_shapes = [xs.data.shape] + [(batch, length, 2 * n)] * (len(layers) - 1)
@@ -320,36 +279,71 @@ def encoder_sequence(xs: Tensor, mask: np.ndarray,
             or (keep is not None and keep.shape != (len(layers) - 1, batch, length, 2 * n))):
         raise ValueError(f"encoder shape mismatch: {len(layers)} layers of hidden {n}, input "
                          f"{xs.data.shape}, mask {mask.shape}")
+    real = mask.T.astype(bool)
+    present = np.stack((real, real[::-1]), axis=1)[..., None]  # [S,2,B,1] in step order
+    padded = ~present
+    full = present.all(axis=(1, 2, 3))                         # [S]: no padding at step p
     x = xs.data
-    final_h = np.empty((len(layers), batch, 2 * n), dtype=x.dtype)
+    final_h = np.empty((len(layers), batch, 2, n), dtype=x.dtype)
     final_c = np.empty_like(final_h)
-    halves = (np.s_[..., :n], np.s_[..., n:])  # forward, backward
-    backwards = []  # per layer, forward then backward direction
+    saved = []  # per layer, what its backward reads
     for l, cells in enumerate(layers):
         if l and keep is not None:
             x = x * keep[l - 1]
-        # step-major in memory, like each direction's outputs: later products' bits depend on it
-        out = np.empty((length, batch, 2 * n), dtype=x.dtype).transpose(1, 0, 2)
-        for cell, reverse, half in zip(cells, (False, True), halves):
-            out[half], final_h[l][half], final_c[l][half], back = _lstm_direction(
-                x, mask, *(t.data for t in cell), reverse)
-            backwards.append(back)
-        x = out
+        w_in, w_rec, bias = (np.stack([cell[k].data for cell in cells]) for k in range(3))
+        x_time = x.transpose(1, 0, 2)
+        x_steps = np.stack((x_time, x_time[::-1])).reshape(2, length * batch, -1)
+        acts = np.matmul(x_steps, w_in).reshape(2, length, batch, 4 * n)  # input projections first
+        acts = np.ascontiguousarray(acts.transpose(1, 0, 2, 3))
+        hs = np.zeros((length + 1, 2, batch, n), dtype=x.dtype)  # hs[p]: state before step p
+        cs = np.zeros_like(hs)
+        tanh_cs = np.empty((length, 2, batch, n), dtype=x.dtype)
+        for p in range(length):
+            _cell(acts[p], hs[p], cs[p], w_rec, bias[:, None], cs[p + 1], tanh_cs[p], hs[p + 1])
+            if not full[p]:
+                np.copyto(hs[p + 1], hs[p], where=padded[p])
+                np.copyto(cs[p + 1], cs[p], where=padded[p])
+        # step-major in memory, [S,B,2,n] in time order: later products' bits depend on it
+        x = np.stack((hs[1:, 0], hs[:0:-1, 1]), axis=2).reshape(length, batch, 2 * n)
+        x = x.transpose(1, 0, 2)
+        final_h[l] = hs[-1].swapaxes(0, 1)
+        final_c[l] = cs[-1].swapaxes(0, 1)
+        saved.append((x_steps, w_in, w_rec, acts, hs, cs, tanh_cs))
 
     def backward(g_annotations, g_h, g_c):
         dx = g_annotations
         for l in range(len(layers) - 1, -1, -1):
+            x_steps, w_in, w_rec, acts, hs, cs, tanh_cs = saved[l]
             if l + 1 < len(layers) and keep is not None:
                 dx = dx * keep[l]
-            (dx_f, *dw_f), (dx_b, *dw_b) = (
-                back(dx[half], g_h[l][half], g_c[l][half])
-                for back, half in zip(backwards[2 * l : 2 * l + 2], halves))
-            for w, d_w in zip((*layers[l][0], *layers[l][1]), (*dw_f, *dw_b)):
-                _accumulate(w, d_w)
-            dx = dx_f + dx_b
+            g = dx.transpose(1, 0, 2).reshape(length, batch, 2, n)
+            d_outputs = np.stack((g[:, :, 0], g[::-1, :, 1]), axis=1)  # [S,2,B,n] in step order
+            gate_factor, c_factor = _cell_partials(acts, cs[:-1], tanh_cs)
+            dpre = np.empty((2, length, batch, 4 * n), dtype=acts.dtype)  # so `flat` is a view
+            dh = g_h[l].reshape(batch, 2, n).swapaxes(0, 1).copy()  # accumulates in place
+            dc = g_c[l].reshape(batch, 2, n).swapaxes(0, 1)         # is only rebound
+            for p in range(length - 1, -1, -1):
+                dh += d_outputs[p]
+                dh_prev, dc_prev = _cell_backward(dh, dc, acts[p], gate_factor[p], c_factor[p],
+                                                  w_rec, dpre[:, p])
+                if not full[p]:  # padded rows pass their gradient straight through
+                    dpre[:, p] *= present[p]
+                    np.copyto(dh_prev, dh, where=padded[p])
+                    np.copyto(dc_prev, dc, where=padded[p])
+                dh, dc = dh_prev, dc_prev
+            flat = dpre.reshape(2, length * batch, 4 * n)
+            d_steps = np.matmul(w_in, flat.swapaxes(1, 2)).reshape(2, -1, length, batch)
+            dx = (d_steps[0] + d_steps[1][:, ::-1]).transpose(2, 1, 0)  # [in,S,B] -> [B,S,in]
+            h_steps = hs[:-1].swapaxes(0, 1).reshape(2, length * batch, n)
+            grads = (np.matmul(x_steps.swapaxes(1, 2), flat),
+                     np.matmul(h_steps.swapaxes(1, 2), flat), flat.sum(axis=1))
+            for direction, cell in enumerate(layers[l]):
+                for w, d_w in zip(cell, grads):
+                    _accumulate(w, d_w[direction])
         _accumulate(xs, dx)
 
-    return _record(backward, x, final_h, final_c)
+    shape = (len(layers), batch, 2 * n)
+    return _record(backward, x, final_h.reshape(shape), final_c.reshape(shape))
 
 
 def attend(top: np.ndarray, annotations: np.ndarray, mask_add: np.ndarray, w_score: np.ndarray,

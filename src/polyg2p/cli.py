@@ -7,6 +7,7 @@ inputs), 2 internal error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import sys
@@ -26,6 +27,7 @@ from .corpus import (
     clean_transcription,
     encode_pairs,
     lang_token,
+    open_text,
     parse_inventory,
     parse_lexicon,
     source_problem,
@@ -65,13 +67,16 @@ def _resolve_config(args) -> RunConfig:
     return apply_overrides(config, {name: getattr(args, name) for name in FIELDS})
 
 
-def _read_lexicon_file(path) -> list[LexiconEntry]:
+def _read_lexicon_file(path, corpus: str) -> list[LexiconEntry]:
+    """Parse lexicon `path`, printing its rejected lines. No entries is an
+    error naming the path and the `corpus` ("training" or "test")."""
     if path is None:
         raise UserError("no lexicon path given (set train_lexicon/test_lexicon)")
-    with open(path, encoding="utf-8") as fh:
-        entries, rejects = parse_lexicon(fh)
+    entries, rejects = parse_lexicon(open_text(path))
     for reject in rejects:
         print(f"{path}:{reject.line_no}: rejected: {reject.reason}", file=sys.stderr)
+    if not entries:
+        raise UserError(f"{path}: empty {corpus} corpus")
     return entries
 
 
@@ -92,8 +97,7 @@ def _clean_entries(entries: list[LexiconEntry], config: RunConfig) -> list[Lexic
         return entries
     if config.inventory is None:
         raise UserError("cleaning requested but no inventory file configured")
-    with open(config.inventory, encoding="utf-8") as fh:
-        table = parse_inventory(fh)
+    table = parse_inventory(open_text(config.inventory))
     cleaned: list[LexiconEntry] = []
     warned: set[str] = set()
     for entry in entries:
@@ -110,10 +114,8 @@ def _clean_entries(entries: list[LexiconEntry], config: RunConfig) -> list[Lexic
 
 
 def _load_dataset(config: RunConfig) -> tuple[DatasetSplit, Vocabulary, Vocabulary]:
-    entries = _read_lexicon_file(config.train_lexicon)
+    entries = _read_lexicon_file(config.train_lexicon, "training")
     entries = _clean_entries(_filter_languages(entries, config), config)
-    if not entries:
-        raise UserError("empty training corpus")
     split = split_train_val(entries, cap=config.cap, val_fraction=config.val_fraction,
                             seed=config.seed)
     src_vocab = build_vocab(split.train, "source", config.min_count, lang_tokens=config.lang_token)
@@ -232,12 +234,11 @@ def cmd_translate(args) -> int:
     if args.word is not None:
         sources.append((args.word, args.lang, ""))
     elif args.input is not None:
-        with open(args.input, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if line.strip() and not line.startswith("#"):
-                    lang, word = line.split("\t", 1) if "\t" in line else (args.lang, line)
-                    sources.append((word, lang, f"{args.input}:{line_no}: "))
+        for line_no, raw in enumerate(open_text(args.input), start=1):
+            line = raw.rstrip("\r\n")
+            if line.strip() and not line.startswith("#"):
+                lang, word = line.split("\t", 1) if "\t" in line else (args.lang, line)
+                sources.append((word, lang, f"{args.input}:{line_no}: "))
     else:
         raise UserError("give either --word or --input")
     jobs = []  # every source is checked before any output
@@ -272,7 +273,7 @@ def cmd_evaluate(args) -> int:
     if config.beam_width is None:
         config.beam_width = EVALUATE_WIDTH  # the manifest records the width decoded at
     width = config.beam_width
-    entries = _read_lexicon_file(config.test_lexicon)
+    entries = _read_lexicon_file(config.test_lexicon, "test")
     entries = _filter_languages(entries, config)
     if args.unseen_only:
         trained = set(bundle.meta.get("languages", []))
@@ -395,9 +396,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """On glibc, keep freed memory for reuse instead of handing it back to the
+    kernel: arrays under 32 MiB come from the heap, and up to 64 MiB of free
+    heap top is kept. Training frees and reallocates the same batch-sized
+    arrays every batch; by default each of them is a fresh mapping, paid for
+    in page faults. A no-op without glibc."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # <malloc.h>
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _keep_freed_heap()
     try:
         return args.func(args)
     # OSError: a missing, unreadable or directory path; ConfigError is a ValueError

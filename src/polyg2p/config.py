@@ -14,10 +14,9 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
-from .corpus import DEFAULT_CAP, DEFAULT_VAL_FRACTION
+from .corpus import DEFAULT_CAP, DEFAULT_VAL_FRACTION, open_text
 from .model import ModelConfig, TrainingSchedule
 
 
@@ -138,7 +137,7 @@ def json_value(name: str, value):
 
 def load_config(path) -> RunConfig:
     """Read `key = value` lines (or a run manifest's JSON) into a RunConfig."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = open_text(path).read()
     config = RunConfig()
     if text.lstrip().startswith("{"):
         try:

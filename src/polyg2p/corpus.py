@@ -6,11 +6,15 @@ Lexicon files are UTF-8, one entry per line::
 
 where ``lang`` is an ISO 639-3 code. Lines starting with ``#`` are ignored.
 Spellings are tokenized into Unicode codepoints after NFC normalization;
-phoneme fields are taken verbatim, split on whitespace.
+phoneme fields are taken verbatim, split on whitespace. Every text input
+(lexicons, inventories, vocabularies, config files, `translate --input`) is
+read through `open_text`.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import math
 import re
 import unicodedata
@@ -94,6 +98,25 @@ def source_problem(lang: str | None, spelling: str) -> str | None:
     return None
 
 
+def open_text(path) -> io.StringIO:
+    """UTF-8 text file `path` as a stream of lines, split like an open text
+    file's (universal newlines) and carrying the path as `name`. A leading
+    byte-order mark is dropped, so files saved by editors that write one read
+    the same. An invalid byte raises ValueError `<path>:<line>: not valid
+    UTF-8`, the line counted from the byte offset."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise ValueError(f"{path}:{line}: not valid UTF-8") from None
+    stream = io.StringIO(text, newline=None)
+    stream.name = str(path)
+    return stream
+
+
 def parse_lexicon(stream: Iterable[str]) -> ParsedLexicon:
     """Parse a lexicon stream, collecting malformed lines instead of raising.
 
@@ -164,8 +187,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+        return cls([line.rstrip("\n") for line in open_text(path) if line.rstrip("\n")])
 
 
 def build_vocab(

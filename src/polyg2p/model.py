@@ -12,11 +12,13 @@ one list, `param_specs(config)`, of (name, canonical shape, kind). Its order
 is the checkpoint order and the order gradient norms sum in.
 
 The math runs as fused autodiff ops. The encoder is one `ad.encoder_sequence`
-over every layer and direction, after a single embedding lookup of the [B,S]
-id matrix. The decoder is one `ad.decoder_sequence` over every target step,
-after a single lookup of the [T,B] previous-token ids; `forward_loss` then
-runs the generator and the loss once over all steps' attentional vectors. A
-training batch records six tape entries for any source or target length.
+over every layer, after a single embedding lookup of the [B,S] id matrix; it
+steps a layer's two directions together, as a leading direction axis of size
+2 over the `fwd` and `bwd` cells' weights. The decoder is one
+`ad.decoder_sequence` over every target step, after a single lookup of the
+[T,B] previous-token ids; `forward_loss` then runs the generator and the loss
+once over all steps' attentional vectors. A training batch records six tape
+entries for any source or target length.
 Dropout masks are drawn once per batch, the encoder's as [layers-1, S, B, h]
 and the decoder's as [T, layers-1, B, h]: the random stream of one [B,h] draw
 per step and upper layer.

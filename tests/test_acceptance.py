@@ -5,6 +5,7 @@ full-scale corpus comparison (criterion 8) only runs when the corpus
 directory is supplied via POLYG2P_WIKTIONARY_DIR.
 """
 
+import hashlib
 import io
 import itertools
 import os
@@ -28,7 +29,7 @@ from polyg2p.synth import (
     bilingual_split,
     held_out_wer,
     memorization_corpus,
-    train_bilingual,
+    train_bilingual_pair,
 )
 from polyg2p.analysis import translate_as
 
@@ -90,11 +91,26 @@ def test_criterion2_overfit_oracle():
 @pytest.fixture(scope="session")
 def bilingual_experiment():
     split = bilingual_split()
-    return {
-        "split": split,
-        "langid": train_bilingual(split, True),
-        "nolangid": train_bilingual(split, False),
-    }
+    langid, nolangid = train_bilingual_pair(split)
+    return {"split": split, "langid": langid, "nolangid": nolangid}
+
+
+# SHA-256 of each experiment model's parameters (name and bytes, in parameter
+# order), recorded when the two models were still trained one after the other
+# in the test process: training them in two processes must not move a bit.
+BILINGUAL_BITS = {
+    "langid": "8ad91868b4d7011d4968b00e8403eae27686476d72b0dc922e0199abc3f00803",
+    "nolangid": "0d4bfaff2b44dd5c3f836f4b483b7a441e60480dceb03f5ce060399c29b38694",
+}
+
+
+@pytest.mark.parametrize("model", sorted(BILINGUAL_BITS))
+def test_bilingual_experiment_models_match_recorded_bits(bilingual_experiment, model):
+    digest = hashlib.sha256()
+    for name, tensor in bilingual_experiment[model].params.items():
+        digest.update(name.encode())
+        digest.update(tensor.data.tobytes())
+    assert digest.hexdigest() == BILINGUAL_BITS[model]
 
 
 def test_criterion3_langid_disambiguation(bilingual_experiment):

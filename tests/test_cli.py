@@ -89,6 +89,47 @@ def test_prepare_unreadable_lexicon_is_user_error(tmp_path, capsys):
     assert str(tmp_path / "missing.tsv") in capsys.readouterr().err
 
 
+# each text reader's input with an invalid UTF-8 byte on line 3 (after a
+# CRLF line, which counts once), and the command that reads it
+INVALID_UTF8 = {
+    "lexicon": (b"aaa\tbaba\t\xce\xb2 \xc9\x91\r\naaa\tbb\t\xce\xb2 \xce\xb2\naaa\tb\xffb\tq q\n",
+                ["prepare", "--out", "{tmp}/prep", "--train-lexicon", "{file}"]),
+    "inventory": (b"lang\tphoneme\tvoice\r\naaa\t\xce\xb2\t+\naaa\t\xff\t-\n",
+                  ["prepare", "--out", "{tmp}/prep", "--train-lexicon", "{lexicon}", "--clean",
+                   "--inventory", "{file}"]),
+    "config": (b"seed = 3\r\n# a comment\nhidden_size = \xff8\n",
+               ["prepare", "--out", "{tmp}/prep", "--train-lexicon", "{lexicon}",
+                "--config", "{file}"]),
+    "translate --input": (b"aaa\tba\r\n\nbbb\t\xffab\n",
+                          ["translate", "--checkpoint", "{run}/final.mg2p", "--input", "{file}"]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(INVALID_UTF8))
+def test_invalid_utf8_names_the_file_and_line(request, tmp_path, lexicon, capsys, reader):
+    data, argv = INVALID_UTF8[reader]
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    run = request.getfixturevalue("run_dir") if reader == "translate --input" else None
+    capsys.readouterr()
+    code = main([arg.format(tmp=tmp_path, file=path, lexicon=lexicon, run=run) for arg in argv])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}:3: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("command,flag,corpus", [("prepare", "--train-lexicon", "training"),
+                                                 ("evaluate", "--test-lexicon", "test")])
+def test_empty_corpus_names_the_file(run_dir, tmp_path, capsys, command, flag, corpus):
+    path = tmp_path / "empty.tsv"
+    path.write_text("# comments only\n", encoding="utf-8")
+    args = ["--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        args += ["--checkpoint", str(run_dir / "final.mg2p")]
+    capsys.readouterr()
+    assert main([command, flag, str(path)] + args) == 1
+    assert capsys.readouterr().err == f"error: {path}: empty {corpus} corpus\n"
+
+
 def test_inventory_error_names_file_and_line(tmp_path, lexicon, capsys):
     inventory = tmp_path / "inv.tsv"
     inventory.write_text("lang\tphoneme\tvoice,nasal\naaa\tβ\t+,-\naaa\tɑ\t+\n",

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import unicodedata
 
 import pytest
@@ -21,6 +22,7 @@ from polyg2p.corpus import (
     clean_transcription,
     hamming,
     lang_token,
+    open_text,
     parse_inventory,
     parse_lexicon,
     source_tokens,
@@ -33,6 +35,28 @@ WIKTIONARY_SAMPLE = (
     "deu\tKaninchen\tk a: n I n x @ n\n"
     "eus\tuntxi\tu n̪ t̪ ʃ i\n"
 )
+
+
+def test_open_text_drops_a_leading_byte_order_mark(tmp_path):
+    # a BOM-first file (as some editors save UTF-8) reads as the same lines;
+    # kept, the BOM would start the first entry's language code
+    text = WIKTIONARY_SAMPLE.replace("\n", "\r\n", 1).encode("utf-8")
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    lines = open_text(plain).readlines()
+    assert lines == open_text(marked).readlines() == WIKTIONARY_SAMPLE.splitlines(keepends=True)
+    assert parse_lexicon(open_text(marked)).entries[0].lang == "deu"
+    assert open_text(marked).name == str(marked)
+
+
+@pytest.mark.parametrize("data,line", [(b"\xff", 1), (b"a\nb\xfe\n", 2), (b"a\r\n\r\n\xc3", 3),
+                                       (b"a\rb\rc\xff", 3), (b"\xef\xbb\xbf\n\n\x80", 3)])
+def test_open_text_names_the_line_of_an_invalid_byte(tmp_path, data, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: not valid UTF-8$"):
+        open_text(path)
 
 
 def test_parse_german_entry():

@@ -164,6 +164,23 @@ def test_encoder_dropout_draw_order_matches_stepwise_draws(monkeypatch):
     assert np.array_equal(seen[0], expected)
 
 
+@pytest.mark.parametrize("enc_layers,length", [(1, 1), (2, 5), (3, 4)])
+def test_encode_runs_both_directions_in_one_cell_update_per_step(monkeypatch, enc_layers, length):
+    # a layer steps its two directions together: one `_cell` call per layer
+    # and source position, not one per direction
+    config, params = tiny_model(seed=3, enc_layers=enc_layers)
+    calls = []
+    cell = ad._cell
+
+    def counting(*args):
+        calls.append(args[1].shape)
+        return cell(*args)
+
+    monkeypatch.setattr(ad, "_cell", counting)
+    encode([list(range(4, 4 + length))], params, config)
+    assert calls == [(2, 1, config.hidden_size // 2)] * (enc_layers * length)
+
+
 def test_dropout_scale_is_zero_or_inverse_keep_rate():
     config, _ = tiny_model(dropout=0.25)
     keep = _keep_scale((200, 50), config, True, np.random.default_rng(0), np.float32)
