@@ -9,7 +9,7 @@ ready to feed to `polyg2p prepare` / `polyg2p train`.
 import argparse
 from pathlib import Path
 
-from polyg2p.corpus import write_lexicon
+from polyg2p.corpus import atomic_write, write_lexicon
 from polyg2p.synth import conflicting_bilingual_corpus, memorization_corpus
 
 
@@ -22,9 +22,9 @@ def main():
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "bilingual.tsv", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "bilingual.tsv") as fh:
         write_lexicon(fh, conflicting_bilingual_corpus(args.words, seed=args.seed))
-    with open(out / "memorize.tsv", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "memorize.tsv") as fh:
         write_lexicon(fh, memorization_corpus(50, seed=args.seed + 4))
     print(f"wrote {out / 'bilingual.tsv'} and {out / 'memorize.tsv'}")
 

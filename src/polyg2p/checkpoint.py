@@ -32,12 +32,11 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
-from .corpus import Vocabulary, source_tokens, tokenize_graphemes
+from .corpus import Vocabulary, atomic_write, source_tokens, tokenize_graphemes
 from .model import GATE_ORDER, ModelConfig, ModelParams, canonical_arrays, params_from_arrays
 
 MAGIC = b"MG2P"
@@ -112,39 +111,29 @@ class _Reader:
 
 
 def save_checkpoint(path, bundle: ModelBundle) -> None:
-    """Write `bundle` to `path` atomically: the bytes go to a temporary file in
-    the same directory, which replaces `path` only once it is complete, so a
-    crash mid-write leaves any earlier checkpoint at `path` as it was."""
+    """Write `bundle` to `path` through `corpus.atomic_write`, so a crash
+    mid-write leaves any earlier checkpoint at `path` as it was."""
     named = list(canonical_arrays(bundle.params, bundle.config).items())
     meta = dict(bundle.meta)
     meta["model"] = asdict(bundle.config)
     meta["gate_order"] = GATE_ORDER
     meta_json = json.dumps(meta, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<I", len(named)))
-            for name, array in named:
-                _write_str(fh, name)
-                fh.write(struct.pack("<I", array.ndim))
-                fh.write(struct.pack(f"<{array.ndim}Q", *array.shape))
-            for _, array in named:
-                fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
-            _write_vocab(fh, bundle.src_vocab)
-            _write_vocab(fh, bundle.tgt_vocab)
-            raw = meta_json.encode("utf-8")
-            fh.write(struct.pack("<Q", len(raw)))
-            fh.write(raw)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        fh.write(struct.pack("<I", len(named)))
+        for name, array in named:
+            _write_str(fh, name)
+            fh.write(struct.pack("<I", array.ndim))
+            fh.write(struct.pack(f"<{array.ndim}Q", *array.shape))
+        for _, array in named:
+            fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
+        _write_vocab(fh, bundle.src_vocab)
+        _write_vocab(fh, bundle.tgt_vocab)
+        raw = meta_json.encode("utf-8")
+        fh.write(struct.pack("<Q", len(raw)))
+        fh.write(raw)
 
 
 def load_checkpoint(path) -> ModelBundle:

@@ -7,6 +7,7 @@ inputs), 2 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import dataclasses
 import json
@@ -23,6 +24,7 @@ from .corpus import (
     DatasetSplit,
     LexiconEntry,
     Vocabulary,
+    atomic_write,
     build_vocab,
     clean_transcription,
     encode_pairs,
@@ -113,6 +115,11 @@ def _clean_entries(entries: list[LexiconEntry], config: RunConfig) -> list[Lexic
     return cleaned
 
 
+def _output(path):
+    """`--out`'s file, written through `atomic_write`, or stdout without one."""
+    return atomic_write(path) if path else contextlib.nullcontext(sys.stdout)
+
+
 def _load_dataset(config: RunConfig) -> tuple[DatasetSplit, Vocabulary, Vocabulary]:
     entries = _read_lexicon_file(config.train_lexicon, "training")
     entries = _clean_entries(_filter_languages(entries, config), config)
@@ -128,13 +135,13 @@ def _load_dataset(config: RunConfig) -> tuple[DatasetSplit, Vocabulary, Vocabula
 
 def cmd_prepare(args) -> int:
     config = _resolve_config(args)
+    split, src_vocab, tgt_vocab = _load_dataset(config)  # checked before anything is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    split, src_vocab, tgt_vocab = _load_dataset(config)
 
-    with open(out_dir / "train.tsv", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "train.tsv") as fh:
         write_lexicon(fh, split.train)
-    with open(out_dir / "val.tsv", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "val.tsv") as fh:
         write_lexicon(fh, split.validation)
     src_vocab.save(out_dir / "src.vocab")
     tgt_vocab.save(out_dir / "tgt.vocab")
@@ -143,7 +150,7 @@ def cmd_prepare(args) -> int:
     val_counts = Counter(e.lang for e in split.validation)
     graphemes = {g for e in split.train for g in e.graphemes}
     phonemes = {p for e in split.train for p in e.phonemes}
-    with open(out_dir / "stats.tsv", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "stats.tsv") as fh:
         fh.write("lang\ttrain_words\tval_words\n")
         for lang in sorted(train_counts):
             fh.write(f"{lang}\t{train_counts[lang]}\t{val_counts.get(lang, 0)}\n")
@@ -175,10 +182,10 @@ def cmd_train(args) -> int:
         start_epoch = bundle.meta.get("epoch", 0) + 1
         if start_epoch > config.epochs:
             raise UserError(f"checkpoint already trained for {start_epoch - 1} epochs")
-    schedule = config.schedule()  # checked before anything is written
+    schedule = config.schedule()  # checked before anything is written, as is the split
+    split, src_vocab, tgt_vocab = _load_dataset(config)
     out_dir = Path(config.checkpoint_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    split, src_vocab, tgt_vocab = _load_dataset(config)
     params = None
     if bundle is not None:
         params, src_vocab, tgt_vocab = bundle.params, bundle.src_vocab, bundle.tgt_vocab
@@ -251,8 +258,7 @@ def cmd_translate(args) -> int:
         except ValueError as exc:
             raise UserError(f"{where}{exc}") from None
 
-    out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out_fh:
         for word, lang, src_ids in jobs:
             unseen = lang is not None and lang_token(lang) not in bundle.src_vocab
             if bundle.uses_lang_token and unseen:
@@ -261,9 +267,6 @@ def cmd_translate(args) -> int:
             nbest = beam_search(src_ids, bundle.params, bundle.config,
                                 bundle.tgt_vocab, width=args.width, max_len=args.max_len)
             write_nbest(out_fh, word, nbest)
-    finally:
-        if args.out:
-            out_fh.close()
     return 0
 
 
@@ -281,6 +284,9 @@ def cmd_evaluate(args) -> int:
         if not entries:
             raise UserError("no unseen-language entries in the test corpus")
 
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:  # made, or found unusable, before the first word is decoded
+        out_dir.mkdir(parents=True, exist_ok=True)
     done = 0
 
     def decode_fn(entry):
@@ -294,12 +300,10 @@ def cmd_evaluate(args) -> int:
 
     report = metrics.evaluate(entries, decode_fn, width=width)
 
-    out_dir = Path(args.out) if args.out else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "report.tsv", "w", encoding="utf-8") as fh:
+        with atomic_write(out_dir / "report.tsv") as fh:
             metrics.write_report(fh, report)
-        with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+        with atomic_write(out_dir / "report.json") as fh:
             json.dump(metrics.report_as_dict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
         write_manifest(out_dir / "run_manifest.json", "evaluate", config,
@@ -311,36 +315,33 @@ def cmd_evaluate(args) -> int:
 
 def cmd_analyze(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
-    out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        if args.mode == "phonemes":
-            if not args.query:
-                raise UserError("phonemes mode needs --query")
-            for symbol in comma_list(args.query):
-                result = analysis.nearest_phonemes(symbol, args.k, bundle)
-                line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
-                out_fh.write(f"{symbol}\t{line}\n")
-        elif args.mode == "languages":
-            if not args.query:
-                raise UserError("languages mode needs --query")
-            for code in comma_list(args.query):
-                result = analysis.nearest_languages(code, args.k, bundle)
-                line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
-                out_fh.write(f"{code}\t{line}\n")
-        elif args.mode == "crosstoken":
-            if not args.word or not args.langs:
-                raise UserError("crosstoken mode needs --word and --langs")
-            table = analysis.translate_as(args.word, comma_list(args.langs), bundle,
-                                          width=args.width)
-            for lang, phones in table.items():
-                out_fh.write(f"{lang}\t{' '.join(phones)}\n")
-        else:  # pragma: no cover - argparse restricts choices
-            raise UserError(f"unknown mode {args.mode!r}")
+        with _output(args.out) as out_fh:
+            if args.mode == "phonemes":
+                if not args.query:
+                    raise UserError("phonemes mode needs --query")
+                for symbol in comma_list(args.query):
+                    result = analysis.nearest_phonemes(symbol, args.k, bundle)
+                    line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
+                    out_fh.write(f"{symbol}\t{line}\n")
+            elif args.mode == "languages":
+                if not args.query:
+                    raise UserError("languages mode needs --query")
+                for code in comma_list(args.query):
+                    result = analysis.nearest_languages(code, args.k, bundle)
+                    line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
+                    out_fh.write(f"{code}\t{line}\n")
+            elif args.mode == "crosstoken":
+                if not args.word or not args.langs:
+                    raise UserError("crosstoken mode needs --word and --langs")
+                table = analysis.translate_as(args.word, comma_list(args.langs), bundle,
+                                              width=args.width)
+                for lang, phones in table.items():
+                    out_fh.write(f"{lang}\t{' '.join(phones)}\n")
+            else:  # pragma: no cover - argparse restricts choices
+                raise UserError(f"unknown mode {args.mode!r}")
     except KeyError as exc:
         raise UserError(str(exc)) from None
-    finally:
-        if args.out:
-            out_fh.close()
     return 0
 
 

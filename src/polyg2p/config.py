@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
-from .corpus import DEFAULT_CAP, DEFAULT_VAL_FRACTION, open_text
+from .corpus import DEFAULT_CAP, DEFAULT_VAL_FRACTION, atomic_write, open_text
 from .model import ModelConfig, TrainingSchedule
 
 
@@ -196,6 +196,6 @@ def write_manifest(path, command: str, config: RunConfig, inputs: dict[str, str]
         "outputs": outputs,
         "version": __version__,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")

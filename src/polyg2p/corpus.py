@@ -8,18 +8,22 @@ where ``lang`` is an ISO 639-3 code. Lines starting with ``#`` are ignored.
 Spellings are tokenized into Unicode codepoints after NFC normalization;
 phoneme fields are taken verbatim, split on whitespace. Every text input
 (lexicons, inventories, vocabularies, config files, `translate --input`) is
-read through `open_text`.
+read through `open_text`, and every file the package writes, text or binary,
+is written through `atomic_write`.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import io
 import math
+import os
 import re
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -117,6 +121,37 @@ def open_text(path) -> io.StringIO:
     return stream
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open `path` for writing (mode "w", UTF-8 text, or "wb") so that it
+    changes all at once. The data goes to `.{name}.{pid}.tmp` in the same
+    directory, which on a clean exit is flushed, synced and renamed over
+    `path`; on an exception it is removed and `path` is left as it was, so a
+    crash mid-write never leaves a torn file. The path is resolved first: a
+    symlink keeps its link and the file it points to is replaced. A path that
+    exists and is not a regular file (a FIFO, a device) is written in place."""
+    target = Path(os.path.realpath(path))
+    encoding = None if "b" in mode else "utf-8"
+    if target.exists() and not target.is_file():  # replacing it would make it a plain file
+        with open(target, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, mode, encoding=encoding)
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def parse_lexicon(stream: Iterable[str]) -> ParsedLexicon:
     """Parse a lexicon stream, collecting malformed lines instead of raising.
 
@@ -181,7 +216,7 @@ class Vocabulary:
         return [self.tokens[i] for i in ids]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for t in self.tokens:
                 fh.write(t + "\n")
 
@@ -241,6 +276,8 @@ def split_train_val(
         raise ValueError("cap must be >= 1")
     if not 0 <= val_fraction < 1:
         raise ValueError("val_fraction must be in [0, 1)")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     by_lang: dict[str, list[LexiconEntry]] = defaultdict(list)
     for e in entries:
         by_lang[e.lang].append(e)

@@ -1,8 +1,19 @@
+import contextlib
 import dataclasses
+import errno
+import io
 import json
+import os
 import re
+import runpy
+import stat
+import sys
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import rewrite_meta
 from polyg2p import cli
@@ -25,6 +36,8 @@ LEXICON = (
     "bbb\taa\ti i\n"
     "bbb\tba\tq i\n"
 )
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 FAST = ["--hidden-size", "8", "--src-embed", "6", "--tgt-embed", "6", "--dropout", "0",
         "--epochs", "2", "--batch-size", "4", "--lr", "0.5", "--seed", "3",
@@ -185,6 +198,22 @@ def test_invalid_schedule_is_user_error_before_anything_is_written(run_dir, lexi
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("command, dir_flag", [("prepare", "--out"),
+                                              ("train", "--checkpoint-dir")])
+@pytest.mark.parametrize("flags, message", [
+    (["--cap", "0"], "cap must be >= 1"),
+    (["--val-fraction", "1.5"], "val_fraction must be in [0, 1)"),
+    (["--seed", "-1"], "seed must be >= 0"),
+], ids=["cap", "val_fraction", "seed"])
+def test_invalid_split_setting_is_user_error_before_any_directory_is_made(
+        tmp_path, lexicon, capsys, command, dir_flag, flags, message):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--train-lexicon", str(lexicon), dir_flag, str(out)] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("trained, opposite", [("--lang-token", "--no-lang-token"),
@@ -376,6 +405,21 @@ def test_evaluate_manifest_records_the_width_it_decoded_at(run_dir, lexicon, tmp
     assert recorded == [2, 2, 100]
     words = len(LEXICON.splitlines())
     assert widths == [2] * (2 * words) + [100] * words
+
+
+def test_evaluate_out_that_is_a_file_fails_before_any_word_is_decoded(run_dir, lexicon, tmp_path,
+                                                                     monkeypatch, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n", encoding="utf-8")
+    decoded = []
+    monkeypatch.setattr(cli, "beam_search", lambda *args, **kwargs: decoded.append(args))
+    capsys.readouterr()
+    code = main(["evaluate", "--checkpoint", str(run_dir / "final.mg2p"),
+                 "--test-lexicon", str(lexicon), "--width", "2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert decoded == []
+    assert out.read_text(encoding="utf-8") == "a file, not a directory\n"
 
 
 @pytest.mark.filterwarnings("ignore:WER 100")
@@ -633,3 +677,170 @@ def test_checkpoint_header_byte_edits_exit_0_or_1(run_dir, tmp_path, capsys):
             if code not in (0, 1) or (code == 1 and not err.startswith(f"error: {path}: ")):
                 faults[offset, value] = (code, err[-200:])
     assert faults == {}
+
+
+# --- one write path -----------------------------------------------------------
+
+PREPARE = ["prepare", "--train-lexicon", "{lexicon}", "--out", "{out}", "--val-fraction", "0.2"]
+EVALUATE = ["evaluate", "--checkpoint", "{run}/final.mg2p", "--test-lexicon", "{lexicon}",
+            "--width", "2", "--out", "{out}"]
+SCRIPT = ["make_synthetic_corpus.py", "--out-dir", "{out}", "--words", "5"]
+
+# every file the package writes, with the command that writes it: (argv, file)
+WRITERS = {
+    "save_checkpoint": (["train", "--train-lexicon", "{lexicon}", "--checkpoint-dir", "{out}"]
+                        + FAST, "final.mg2p"),
+    "Vocabulary.save src": (PREPARE, "src.vocab"),
+    "Vocabulary.save tgt": (PREPARE, "tgt.vocab"),
+    "write_manifest": (PREPARE, "run_manifest.json"),
+    "prepare train.tsv": (PREPARE, "train.tsv"),
+    "prepare val.tsv": (PREPARE, "val.tsv"),
+    "prepare stats.tsv": (PREPARE, "stats.tsv"),
+    "evaluate report.tsv": (EVALUATE, "report.tsv"),
+    "evaluate report.json": (EVALUATE, "report.json"),
+    "translate --out": (["translate", "--checkpoint", "{run}/final.mg2p", "--word", "ba",
+                         "--lang", "aaa", "--width", "2", "--out", "{out}/nbest.tsv"],
+                        "nbest.tsv"),
+    "analyze --out": (["analyze", "--checkpoint", "{run}/final.mg2p", "--mode", "languages",
+                       "--query", "aaa", "--out", "{out}/neighbours.tsv"], "neighbours.tsv"),
+    "script bilingual.tsv": (SCRIPT, "bilingual.tsv"),
+    "script memorize.tsv": (SCRIPT, "memorize.tsv"),
+}
+
+
+def _run(argv, monkeypatch) -> int:
+    """`main(argv)`, or for a script, its exit code when run as a program."""
+    if argv[0].endswith(".py"):
+        monkeypatch.setattr(sys, "argv", argv)
+        try:
+            runpy.run_path(str(SCRIPTS / argv[0]), run_name="__main__")
+        except OSError:
+            return 1  # an uncaught exception
+        return 0
+    return main(argv)
+
+
+@pytest.mark.filterwarnings("ignore:WER 100")
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_a_write_that_fails_part_way_leaves_the_old_file(request, tmp_path, lexicon, monkeypatch,
+                                                         capsys, writer):
+    argv, name = WRITERS[writer]
+    run = request.getfixturevalue("run_dir") if "{run}" in "".join(argv) else None
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / name
+    target.write_bytes(b"the last good copy\n")
+    real_fsync = os.fsync
+
+    def fsync(fd):  # the disk fills up once the new copy of the target is written
+        if any(out.glob(f".{name}.*.tmp")):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    argv = [arg.format(lexicon=lexicon, out=out, run=run) for arg in argv]
+    capsys.readouterr()
+    assert _run(argv, monkeypatch) == 1
+    assert target.read_bytes() == b"the last good copy\n"
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_out_in_a_missing_directory_names_the_file(run_dir, tmp_path, capsys):
+    out = tmp_path / "missing" / "nbest.tsv"
+    capsys.readouterr()
+    code = main(["translate", "--checkpoint", str(run_dir / "final.mg2p"), "--word", "ba",
+                 "--lang", "aaa", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_translate_out_to_a_fifo_writes_into_it(run_dir, tmp_path):
+    # replacing a FIFO, or a device such as /dev/null, would make it a plain file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = main(["translate", "--checkpoint", str(run_dir / "final.mg2p"), "--word", "ba",
+                 "--lang", "aaa", "--width", "2", "--out", str(fifo)])
+    reader.join(timeout=30)
+    assert code == 0 and not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received[0].decode("utf-8").startswith("ba\t1\t")
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_translate_out_through_a_symlink_keeps_the_link(run_dir, tmp_path):
+    target = tmp_path / "io" / "data" / "nbest.tsv"
+    target.parent.mkdir(parents=True)
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "io" / "link.tsv"
+    link.symlink_to(target)
+    code = main(["translate", "--checkpoint", str(run_dir / "final.mg2p"), "--word", "ba",
+                 "--lang", "aaa", "--width", "2", "--out", str(link)])
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8").startswith("ba\t1\t")
+    assert sorted(p.name for p in link.parent.rglob("*")) == ["data", "link.tsv", "nbest.tsv"]
+
+
+# --- fuzzed text readers ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding `LEXICON` and a model trained on it."""
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "train.tsv").write_text(LEXICON, encoding="utf-8")
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--train-lexicon", str(path / "train.tsv"),
+                     "--checkpoint-dir", str(path)] + FAST) == 0
+    return path
+
+
+def _fuzz_inputs(fields: list[str], sep: str):
+    """Bytes for a text reader: two runs of `fields` (pieces of the reader's
+    syntax and values), field separators `sep` and line ends, with or without
+    an invalid UTF-8 byte between the runs; or arbitrary bytes."""
+    pieces = [p.encode("utf-8") for p in fields + [sep, sep, "\n", "\n", "\r\n", "\r"]]
+    valid = st.lists(st.sampled_from(pieces), max_size=30).map(b"".join)
+    bad = st.sampled_from([b""] * 5 + [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\x80"])
+    return st.tuples(valid, bad, valid).map(b"".join) | st.binary(max_size=120)
+
+
+# each text reader: the command that reads it, the pieces of its fields (one
+# may be a whole line) and the field separator. Config values are ones
+# `prepare` accepts: one out of range is reported by the setting's name, as it
+# would be from its flag.
+FUZZED_READERS = {
+    "lexicon": (["prepare", "--out", "{dir}/prep", "--train-lexicon", "{file}"],
+                ["aaa\tba\tβ ɑ", "aaa", "bbb", "AB", "ba", "β ɑ", "q", " ", "#", "<EOS>",
+                 "\ufeff"], "\t"),
+    "inventory": (["prepare", "--out", "{dir}/prep", "--train-lexicon", "{dir}/train.tsv",
+                   "--clean", "--inventory", "{file}"],
+                  ["lang\tphoneme\tvoice,nasal", "aaa\tβ\t+,-", "aaa", "bbb", "β", "ɑ", "q",
+                   "voice,nasal", "+,-", "0,+", "+", ",", "#", " "], "\t"),
+    "config": (["prepare", "--out", "{dir}/prep", "--train-lexicon", "{dir}/train.tsv",
+                "--config", "{file}"],
+               ["seed ", "hidden_size", "epochs", " lang_token", "3", " true", "none", "x", "#",
+                '{"config": {"seed": 3}}', '{"epochs": [', "}", '"', "="], " = "),
+    "translate --input": (["translate", "--checkpoint", "{dir}/final.mg2p", "--lang", "aaa",
+                           "--width", "1", "--input", "{file}"],
+                          ["aaa", "bbb", "XX", "ba", "ab", "β", "\u0301", " ", "#"], "\t"),
+}
+
+
+@pytest.mark.parametrize("reader", list(FUZZED_READERS))
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_text_file_exits_0_or_1_naming_the_file(fuzz_dir, reader, data):
+    argv, fields, sep = FUZZED_READERS[reader]
+    path = fuzz_dir / "input.txt"
+    path.write_bytes(data.draw(_fuzz_inputs(fields, sep), label="file"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([arg.format(dir=fuzz_dir, file=path) for arg in argv])
+    assert code in (0, 1), err.getvalue()[-300:]
+    if code == 1:  # after any rejected lexicon lines, which name the file too
+        assert err.getvalue().splitlines()[-1].startswith(f"error: {path}"), err.getvalue()[-300:]

@@ -1,12 +1,15 @@
+import ast
 import io
 import math
 import re
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyg2p
 from polyg2p.corpus import (
     BOS,
     EOS,
@@ -29,6 +32,8 @@ from polyg2p.corpus import (
     split_train_val,
     tokenize_graphemes,
 )
+
+PACKAGE = Path(polyg2p.__file__).resolve().parent
 
 WIKTIONARY_SAMPLE = (
     "deu\tAnsbach\ta: n s b a: x\n"
@@ -57,6 +62,49 @@ def test_open_text_names_the_line_of_an_invalid_byte(tmp_path, data, line):
     path.write_bytes(data)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: not valid UTF-8$"):
         open_text(path)
+
+
+def _calls_and_attributes(tree: ast.AST):
+    """(innermost enclosing function's name or None, node) for every call and
+    attribute in a module."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Call, ast.Attribute)):
+                yield func, child
+            yield from visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+    return visit(tree, None)
+
+
+def _can_write(call: ast.Call) -> bool:
+    """Whether an `open(...)` call's mode may write: a literal mode with w, a,
+    x or +, or a mode computed at run time."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def test_every_file_is_written_through_atomic_write():
+    # the one write path: an open() that can write, Path.write_text/write_bytes,
+    # os.replace and os.fsync appear only in corpus.atomic_write, except for
+    # training_log.tsv, an append-only log
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func, node in _calls_and_attributes(ast.parse(path.read_text(encoding="utf-8"))):
+            where = (path.name, func)
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id == "os" \
+                        and node.attr in ("replace", "fsync"):
+                    found.append((*where, f"os.{node.attr}"))
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+            if name in ("write_text", "write_bytes"):
+                found.append((*where, name))
+            elif name == "open" and _can_write(node) \
+                    and "training_log.tsv" not in ast.unparse(node.args[0]):
+                found.append((*where, "open"))
+    atomic_write = ("corpus.py", "atomic_write")
+    assert sorted(found) == [(*atomic_write, "open"), (*atomic_write, "open"),
+                             (*atomic_write, "os.fsync"), (*atomic_write, "os.replace")]
 
 
 def test_parse_german_entry():
