@@ -10,27 +10,30 @@ runs fastest. Backward passes keep that: an input gradient is
 `(w @ g.T).T` (the transposed operand is the small gradient, not the
 weight) and a weight gradient is `x.T @ g`, already [in x out].
 
-The model's recurrent and attention math are fused ops with hand-written
-backward rules, so a training batch records a fixed number of tape entries,
-whatever its lengths:
+The model's math is three fused ops with hand-written backward rules, so a
+training batch records three tape entries, whatever its lengths and depth:
 
-- `encoder_sequence` is the whole stacked bidirectional encoder: both
-  directions of every layer, their concatenation and the dropout between
-  layers. A layer's two directions run as one loop over processing steps,
-  on arrays with a leading direction axis of size 2 (direction 1 reads the
-  source right to left) and the two cells' weights stacked to match. The
-  input projection of every step is one GEMM per direction; padded rows keep
-  their state; the only matrix product left in the backward loop over time
-  is `(w_rec @ dpre_p.T).T`, and each weight gradient is one GEMM per
-  direction over the stacked gate gradients.
-- `decoder_sequence` is the whole teacher-forced decoder: every target step
-  of the stacked LSTM layers, bilinear attention, the attentional vector and
-  the dropout between layers. Input feeding keeps its forward pass step by
-  step; each step runs `decoder_step`, a plain-array kernel that inference
-  decoding calls too, so training and decoding share one copy of the math.
-  Its backward loop over time keeps only the products that carry a gradient
-  to the previous step; every weight gradient is one GEMM over the stacked
-  steps and the annotation gradient one batched product.
+- `encoder_sequence` is the source embedding lookup and the whole stacked
+  bidirectional encoder: both directions of every layer, their
+  concatenation and the dropout between layers. A layer's two directions
+  run as one loop over processing steps, on arrays with a leading direction
+  axis of size 2 (direction 1 reads the source right to left) and the two
+  cells' weights stacked to match. The input projection of every step is
+  one GEMM per direction; padded rows keep their state; the only matrix
+  product left in the backward loop over time is `(w_rec @ dpre_p.T).T`,
+  and each weight gradient is one GEMM per direction over the stacked gate
+  gradients.
+- `decoder_sequence` is the target embedding lookup and the whole
+  teacher-forced decoder: every target step of the stacked LSTM layers,
+  bilinear attention, the attentional vector and the dropout between
+  layers. Input feeding keeps its forward pass step by step; each step runs
+  `decoder_step`, a plain-array kernel that inference decoding calls too, so
+  training and decoding share one copy of the math. Its backward loop over
+  time keeps only the products that carry a gradient to the previous step;
+  every weight gradient is one GEMM over the stacked steps and the
+  annotation gradient one batched product.
+- `cross_entropy` is the generator and the loss over every step's
+  attentional vector.
 
 The recurrent state is h and c as [layers, B, n] arrays, from the encoder's
 final states to the decoder's. Both ops run one LSTM update, `_cell`, and
@@ -41,8 +44,9 @@ backward function taking a gradient per output. `Tape.backward` calls it once
 some output has a gradient, passing zeros for any output that has none (say a
 final cell state nothing reads). Every op records through `_record`, so
 `inference_mode` treats fused ops like any other.
-`log_softmax` is a plain array function, not an op: the loss and inference
-decoding share it. `model.train_model` owns the non-finite check.
+`lookup`, the one range check of token ids, and `generator_log_probs` are
+plain array functions, not ops: training and inference decoding share them.
+`model.train_model` owns the non-finite check.
 
 A Tape is single-threaded; distinct tapes over shared read-only parameters
 may run on different threads. Training is float32 by default; building
@@ -143,34 +147,30 @@ def _record(backward: Callable, *outputs: np.ndarray) -> tuple[Tensor, ...]:
     return tensors
 
 
-# --- linear algebra ----------------------------------------------------------
+# --- plain-array functions ---------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ w (+ bias): x is [B x in], w is stored [in x out], bias [out]."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ValueError(f"linear shape mismatch: {x.data.shape} x {w.data.shape}")
-    out = x.data @ w.data
-    if bias is not None:
-        out = out + bias.data
-
-    def backward(g):
-        _accumulate(x, (w.data @ g.T).T)
-        _accumulate(w, x.data.T @ g)
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=0))
-
-    return _record(backward, out)[0]
+def generator_log_probs(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """log_softmax(x @ w + bias) over the vocabulary, for x [N,h] and w stored
+    [h x V]: the generator of the loss and of inference decoding."""
+    logits = x @ w
+    logits += bias
+    logits -= logits.max(axis=-1, keepdims=True)
+    return logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
 
 
-# --- normalizations ----------------------------------------------------------
+def lookup(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows of `table` for an id array of any shape."""
+    if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
+        raise IndexError(f"embedding id out of range for table of {len(table)} rows")
+    return table[ids]
 
 
-def log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis of a plain array; records nothing."""
-    z = x - x.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return z - lse
+def _scatter_rows(t: Tensor, index: np.ndarray, g: np.ndarray) -> None:
+    """Add g's rows into t's gradient at `index`; repeated indices accumulate."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    np.add.at(t.grad, index, g)
 
 
 # --- recurrent cells and attention -------------------------------------------
@@ -250,12 +250,14 @@ def _cell_backward(dh: np.ndarray, dc: np.ndarray, acts: np.ndarray, gate_factor
             dc_new * acts[..., n : 2 * n])
 
 
-def encoder_sequence(xs: Tensor, mask: np.ndarray,
+def encoder_sequence(table: Tensor, ids: np.ndarray, mask: np.ndarray,
                      layers: Sequence[Sequence[tuple[Tensor, Tensor, Tensor]]],
                      keep: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """The stacked bidirectional LSTM encoder over a padded batch, as one op.
+    """The source embedding lookup and the stacked bidirectional LSTM encoder
+    over a padded batch, as one op.
 
-    `xs` [B,S,e] is the embedded source and `mask` [B,S] 1 at real positions.
+    `ids` [B,S] are the source ids, embedded as rows of `table` [V,e], and
+    `mask` [B,S] is 1 at real positions.
     `layers` holds each layer's forward and backward cell (w_in, w_rec, bias),
     both of hidden size n; a layer's output is its two directions' outputs
     concatenated, [B,S,2n], and the input of the next. `keep`
@@ -270,20 +272,21 @@ def encoder_sequence(xs: Tensor, mask: np.ndarray,
     [S, 2, B, .], so each step's [2, B, .] slice is contiguous. Every
     product is one `np.matmul` over the direction axis of the two cells'
     stacked weights. At a padded position a row keeps its previous state."""
-    batch, length = xs.data.shape[:2]
+    batch, length = ids.shape
     n = layers[0][0][1].data.shape[0]
-    in_shapes = [xs.data.shape] + [(batch, length, 2 * n)] * (len(layers) - 1)
+    in_shapes = [(batch, length, table.data.shape[1])]
+    in_shapes += [(batch, length, 2 * n)] * (len(layers) - 1)
     if (mask.shape != (batch, length)
             or any(_check_cell(shape, *cell) != n
                    for shape, cells in zip(in_shapes, layers) for cell in cells)
             or (keep is not None and keep.shape != (len(layers) - 1, batch, length, 2 * n))):
-        raise ValueError(f"encoder shape mismatch: {len(layers)} layers of hidden {n}, input "
-                         f"{xs.data.shape}, mask {mask.shape}")
+        raise ValueError(f"encoder shape mismatch: {len(layers)} layers of hidden {n}, ids "
+                         f"{ids.shape}, mask {mask.shape}")
     real = mask.T.astype(bool)
     present = np.stack((real, real[::-1]), axis=1)[..., None]  # [S,2,B,1] in step order
     padded = ~present
     full = present.all(axis=(1, 2, 3))                         # [S]: no padding at step p
-    x = xs.data
+    x = lookup(table.data, ids)
     final_h = np.empty((len(layers), batch, 2, n), dtype=x.dtype)
     final_c = np.empty_like(final_h)
     saved = []  # per layer, what its backward reads
@@ -340,7 +343,7 @@ def encoder_sequence(xs: Tensor, mask: np.ndarray,
             for direction, cell in enumerate(layers[l]):
                 for w, d_w in zip(cell, grads):
                     _accumulate(w, d_w[direction])
-        _accumulate(xs, dx)
+        _scatter_rows(table, ids, dx)
 
     shape = (len(layers), batch, 2 * n)
     return _record(backward, x, final_h.reshape(shape), final_c.reshape(shape))
@@ -426,18 +429,20 @@ def decoder_step(buf: DecoderBuffers, t: int, x0: np.ndarray, prev_h: np.ndarray
     np.tanh(u, out=buf.attn[t + 1])
 
 
-def decoder_sequence(emb: Tensor, h0: Tensor, c0: Tensor, starts: np.ndarray,
+def decoder_sequence(table: Tensor, ids: np.ndarray, h0: Tensor, c0: Tensor, starts: np.ndarray,
                      annotations: Tensor, mask_add: np.ndarray,
                      cells: Sequence[tuple[Tensor, Tensor, Tensor]],
                      w_score: Tensor, w_out: Tensor, b_out: Tensor,
                      keep: np.ndarray | None = None, input_feeding: bool = True) -> Tensor:
-    """The teacher-forced decoder over every target step, as one op.
+    """The target embedding lookup and the teacher-forced decoder over every
+    target step, as one op.
 
-    `emb` [T,B,e] holds each step's previous-token embedding. Layer l starts
-    from `h0[starts[l]]` and `c0[starts[l]]`, rows of [L,B,n] arrays, so one
-    row may start several layers. `annotations` [B,S,n] is the source, with
-    the constant `mask_add` [B,S] as in `attend`. With `input_feeding`, layer
-    0 reads [emb_t; attn_{t-1}], from a zero attn_{-1}. `keep`
+    `ids` [T,B] holds each step's previous token, embedded as a row of
+    `table` [V,e]. Layer l starts from `h0[starts[l]]` and `c0[starts[l]]`,
+    rows of [L,B,n] arrays, so one row may start several layers.
+    `annotations` [B,S,n] is the source, with the constant `mask_add` [B,S]
+    as in `attend`. With `input_feeding`, layer 0 reads [emb_t; attn_{t-1}],
+    from a zero attn_{-1}. `keep`
     [T, layers-1, B, n] is a constant inverted-dropout scale on the inputs of
     the upper layers. Each step runs `decoder_step`. Returns the attentional
     vectors [T*B, n], step-major.
@@ -447,7 +452,8 @@ def decoder_sequence(emb: Tensor, h0: Tensor, c0: Tensor, starts: np.ndarray,
     w_rec, the upper layers' w_in and the input-fed rows of layer 0's w_in.
     Every weight and bias gradient is one GEMM or sum over the stacked T*B
     rows, and the annotation gradient one batched product over the steps."""
-    steps, batch, e = emb.data.shape
+    steps, batch = ids.shape
+    e = table.data.shape[1]
     layers = len(cells)
     n = cells[0][1].data.shape[0]
     rows, length, ann_h = annotations.data.shape
@@ -461,13 +467,14 @@ def decoder_sequence(emb: Tensor, h0: Tensor, c0: Tensor, starts: np.ndarray,
             or (keep is not None and keep.shape != (steps, layers - 1, batch, n))):
         raise ValueError(f"decoder shape mismatch: {steps} steps of {batch} rows, hidden {n}, "
                          f"annotations {annotations.data.shape}, mask {mask_add.shape}")
-    dtype = emb.data.dtype
+    emb = lookup(table.data, ids)
+    dtype = emb.dtype
     buf = DecoderBuffers(steps, batch, layers, n, length, dtype, dropout=keep is not None)
     if input_feeding:
         x0 = np.empty((steps, batch, in_size), dtype)
-        x0[:, :, :e] = emb.data
+        x0[:, :, :e] = emb
     else:
-        x0 = emb.data
+        x0 = emb
     buf.h[:, 0] = h0.data[starts]
     buf.c[:, 0] = c0.data[starts]
     buf.attn[0] = 0.0
@@ -528,11 +535,9 @@ def decoder_sequence(emb: Tensor, h0: Tensor, c0: Tensor, starts: np.ndarray,
             _accumulate(w_rec, stacked(buf.h[l, :-1]).T @ dpre)
             _accumulate(bias, dpre.sum(axis=0))
         for start, d_start in ((h0, dh), (c0, dc)):
-            if start.grad is None:
-                start.grad = np.zeros_like(start.data)
-            np.add.at(start.grad, starts, d_start)  # sums where one state starts several layers
+            _scatter_rows(start, starts, d_start)  # sums where one state starts several layers
         d_emb = weights[0][0][:e] @ stacked(d_pre[0]).T  # [e, T*B]
-        _accumulate(emb, d_emb.T.reshape(steps, batch, e))
+        _scatter_rows(table, ids, d_emb.T.reshape(steps, batch, e))
         _accumulate(w_out, stacked(buf.cat).T @ stacked(d_u))
         _accumulate(b_out, stacked(d_u).sum(axis=0))
         _accumulate(w_score, stacked(buf.h[-1, 1:]).T @ stacked(d_query))
@@ -544,42 +549,35 @@ def decoder_sequence(emb: Tensor, h0: Tensor, c0: Tensor, starts: np.ndarray,
     return _record(backward, buf.attn[1:].reshape(steps * batch, n))[0]
 
 
-# --- lookups and losses -------------------------------------------------------
+# --- loss --------------------------------------------------------------------
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Rows of `table` for an id array of any shape."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(f"embedding id out of range for table of {table.data.shape[0]} rows")
-
-    def backward(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, g)
-
-    return _record(backward, table.data[ids])[0]
-
-
-def cross_entropy(logits: Tensor, targets, pad_index: int) -> Tensor:
-    """Mean of -log softmax(logits)[target] over non-pad positions."""
+def cross_entropy(x: Tensor, w: Tensor, bias: Tensor, targets, pad_index: int) -> Tensor:
+    """The generator and the loss as one op: the mean of
+    -generator_log_probs(x, w, bias)[target] over non-pad positions, for
+    attentional vectors x [N,h], generator weights w [h x V] and bias [V]."""
     targets = np.asarray(targets, dtype=np.intp)
-    if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
-        raise ValueError(f"cross_entropy expects [N,V] logits and N targets, got {logits.data.shape} and {targets.shape}")
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or bias.data.shape != w.data.shape[1:] or targets.shape != x.data.shape[:1]):
+        raise ValueError(f"cross_entropy shape mismatch: inputs {x.data.shape}, weights "
+                         f"{w.data.shape}, bias {bias.data.shape}, targets {targets.shape}")
     live = targets != pad_index
     n_live = int(live.sum())
     if n_live == 0:
         raise ValueError("empty target: all positions are padding")
-    log_probs = log_softmax(logits.data)
+    log_probs = generator_log_probs(x.data, w.data, bias.data)
     rows = np.arange(len(targets))
     picked = log_probs[rows, targets]
-    loss = np.asarray(-picked[live].sum() / n_live, dtype=logits.data.dtype)
+    loss = np.asarray(-picked[live].sum() / n_live, dtype=x.data.dtype)
 
     def backward(g):
-        grad = np.exp(log_probs)
-        grad[rows, targets] -= 1.0
-        grad[~live] = 0.0
-        _accumulate(logits, grad * (g / n_live))
+        d_logits = np.exp(log_probs)
+        d_logits[rows, targets] -= 1.0
+        d_logits[~live] = 0.0
+        d_logits *= g / n_live
+        _accumulate(x, (w.data @ d_logits.T).T)
+        _accumulate(w, x.data.T @ d_logits)
+        _accumulate(bias, d_logits.sum(axis=0))
 
     return _record(backward, loss)[0]
 

@@ -64,9 +64,26 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, dest=name, type=spec.parse, default=None)
 
 
+def _setting_problem(config: RunConfig) -> str | None:
+    try:
+        config.check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _resolve_config(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    return apply_overrides(config, {name: getattr(args, name) for name in FIELDS})
+    """The config file's settings, if one is given, under the flags given,
+    checked before anything else is read or written. A bad value that the
+    flags alone do not give came from the file, and the error names it."""
+    flags = {name: getattr(args, name) for name in FIELDS}
+    config = apply_overrides(load_config(args.config) if args.config else RunConfig(), flags)
+    problem = _setting_problem(config)
+    if problem is None:
+        return config
+    if args.config and _setting_problem(apply_overrides(RunConfig(), flags)) != problem:
+        problem = f"{args.config}: {problem}"
+    raise UserError(problem)
 
 
 def _read_lexicon_file(path, corpus: str) -> list[LexiconEntry]:
@@ -102,15 +119,21 @@ def _clean_entries(entries: list[LexiconEntry], config: RunConfig) -> list[Lexic
     table = parse_inventory(open_text(config.inventory))
     cleaned: list[LexiconEntry] = []
     warned: set[str] = set()
+
+    def warn(message: str) -> None:  # each distinct warning once
+        if message not in warned:
+            warned.add(message)
+            print(f"{config.inventory}: {message}", file=sys.stderr)
+
     for entry in entries:
         inventory = table.by_lang.get(entry.lang)
         if inventory is None:
-            if entry.lang not in warned:
-                warned.add(entry.lang)
-                print(f"no inventory for {entry.lang}; transcriptions left as-is", file=sys.stderr)
+            warn(f"no inventory for {entry.lang}; transcriptions left as-is")
             cleaned.append(entry)
             continue
         result = clean_transcription(entry.phonemes, inventory, table.features)
+        for message in result.warnings:
+            warn(f"{entry.lang}: {message}")
         cleaned.append(dataclasses.replace(entry, phonemes=result.phonemes))
     return cleaned
 
@@ -182,7 +205,7 @@ def cmd_train(args) -> int:
         start_epoch = bundle.meta.get("epoch", 0) + 1
         if start_epoch > config.epochs:
             raise UserError(f"checkpoint already trained for {start_epoch - 1} epochs")
-    schedule = config.schedule()  # checked before anything is written, as is the split
+    schedule = config.schedule()
     split, src_vocab, tgt_vocab = _load_dataset(config)
     out_dir = Path(config.checkpoint_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -271,8 +294,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    bundle = load_checkpoint(args.checkpoint)
     config = _resolve_config(args)  # --width is an alias of --beam-width here
+    bundle = load_checkpoint(args.checkpoint)
     if config.beam_width is None:
         config.beam_width = EVALUATE_WIDTH  # the manifest records the width decoded at
     width = config.beam_width

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
-from .corpus import DEFAULT_CAP, DEFAULT_VAL_FRACTION, atomic_write, open_text
+from .corpus import DEFAULT_CAP, DEFAULT_VAL_FRACTION, atomic_write, check_split, open_text
 from .model import ModelConfig, TrainingSchedule
 
 
@@ -57,6 +57,17 @@ class RunConfig:
 
     def schedule(self) -> TrainingSchedule:
         return TrainingSchedule(**shared_fields(self, TrainingSchedule))
+
+    def check(self) -> None:
+        """Raise ValueError naming the first setting that no command can run
+        with, through the checks of the code that uses it."""
+        self.model_config(1, 1)  # the vocabulary sizes come from the data
+        self.schedule()
+        check_split(self.cap, self.val_fraction, self.seed)
+        if self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
+        if self.beam_width is not None and self.beam_width < 1:
+            raise ValueError("beam_width must be >= 1")
 
 
 def shared_fields(source, target_cls) -> dict:

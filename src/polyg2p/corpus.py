@@ -126,10 +126,12 @@ def atomic_write(path, mode: str = "w"):
     """Open `path` for writing (mode "w", UTF-8 text, or "wb") so that it
     changes all at once. The data goes to `.{name}.{pid}.tmp` in the same
     directory, which on a clean exit is flushed, synced and renamed over
-    `path`; on an exception it is removed and `path` is left as it was, so a
-    crash mid-write never leaves a torn file. The path is resolved first: a
-    symlink keeps its link and the file it points to is replaced. A path that
-    exists and is not a regular file (a FIFO, a device) is written in place."""
+    `path`, and the directory is synced so that the new name survives a power
+    cut; on an exception the temporary file is removed and `path` is left as
+    it was, so a crash mid-write never leaves a torn file. The path is
+    resolved first: a symlink keeps its link and the file it points to is
+    replaced. A path that exists and is not a regular file (a FIFO, a device)
+    is written in place."""
     target = Path(os.path.realpath(path))
     encoding = None if "b" in mode else "utf-8"
     if target.exists() and not target.is_file():  # replacing it would make it a plain file
@@ -147,6 +149,11 @@ def atomic_write(path, mode: str = "w"):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, target)
+        directory = os.open(target.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -260,6 +267,16 @@ DEFAULT_CAP = 10000          # words kept per language
 DEFAULT_VAL_FRACTION = 0.1   # share of them held out for validation
 
 
+def check_split(cap: int, val_fraction: float, seed: int) -> None:
+    """Raise ValueError naming a split setting that `split_train_val` cannot use."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if not 0 <= val_fraction < 1:
+        raise ValueError("val_fraction must be in [0, 1)")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def split_train_val(
     entries: Sequence[LexiconEntry],
     cap: int = DEFAULT_CAP,
@@ -272,12 +289,7 @@ def split_train_val(
     deterministically, and ceil(val_fraction * kept) go to validation -- except
     that train is never left empty for a language that has any entries.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if not 0 <= val_fraction < 1:
-        raise ValueError("val_fraction must be in [0, 1)")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    check_split(cap, val_fraction, seed)
     by_lang: dict[str, list[LexiconEntry]] = defaultdict(list)
     for e in entries:
         by_lang[e.lang].append(e)

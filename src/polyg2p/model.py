@@ -11,21 +11,22 @@ The parameters are one name-keyed dict of tensors (`ModelParams`) built from
 one list, `param_specs(config)`, of (name, canonical shape, kind). Its order
 is the checkpoint order and the order gradient norms sum in.
 
-The math runs as fused autodiff ops. The encoder is one `ad.encoder_sequence`
-over every layer, after a single embedding lookup of the [B,S] id matrix; it
-steps a layer's two directions together, as a leading direction axis of size
-2 over the `fwd` and `bwd` cells' weights. The decoder is one
-`ad.decoder_sequence` over every target step, after a single lookup of the
-[T,B] previous-token ids; `forward_loss` then runs the generator and the loss
-once over all steps' attentional vectors. A training batch records six tape
-entries for any source or target length.
+The math runs as three fused autodiff ops, so a training batch records three
+tape entries for any source or target length. The encoder is one
+`ad.encoder_sequence` over the [B,S] id matrix: the embedding lookup and every
+layer, stepping a layer's two directions together, as a leading direction
+axis of size 2 over the `fwd` and `bwd` cells' weights. The decoder is one
+`ad.decoder_sequence` over the [T,B] previous-token ids and every target
+step. `ad.cross_entropy` then runs the generator and the loss once over all
+steps' attentional vectors.
 Dropout masks are drawn once per batch, the encoder's as [layers-1, S, B, h]
 and the decoder's as [T, layers-1, B, h]: the random stream of one [B,h] draw
 per step and upper layer.
 
 `decode_step` is inference only and works on plain arrays: it runs
 `ad.decoder_step`, the per-step kernel of `decoder_sequence`, without
-dropout, and the loss's `ad.log_softmax`, so inference has no second copy of
+dropout, reading its embeddings through the ops' `ad.lookup` and its log-probs
+from the loss's `ad.generator_log_probs`, so inference has no second copy of
 the math and records nothing. The recurrent state has one layout, h and c
 [layers, B, h], from the encoder's final states in `EncodedSource` to a
 `DecoderState`; `_start_layers` picks each decoder layer's start with one
@@ -243,7 +244,7 @@ def encode(
     keep = _keep_scale((config.enc_layers - 1, ids.shape[1], len(src_rows), config.hidden_size),
                        config, training, rng, dtype)
     annotations, final_h, final_c = ad.encoder_sequence(
-        ad.embedding_lookup(params["src_embedding"], ids), mask,
+        params["src_embedding"], ids, mask,
         [[_cell(params, f"encoder.l{layer}.{direction}") for direction in ("fwd", "bwd")]
          for layer in range(config.enc_layers)],
         keep=None if keep is None else keep.transpose(0, 2, 1, 3))
@@ -296,9 +297,7 @@ def decode_step(
 
     `encoded` may hold one source row for all B decoder rows (a beam)."""
     prev_ids = np.asarray(prev_ids, dtype=np.intp)
-    if prev_ids.size and (prev_ids.min() < 0 or prev_ids.max() >= config.tgt_vocab_size):
-        raise IndexError("target id out of range")
-    emb = params["tgt_embedding"].data[prev_ids]
+    emb = ad.lookup(params["tgt_embedding"].data, prev_ids)
     x0 = np.concatenate([emb, state.attn], axis=1) if config.input_feeding else emb
     ann = encoded.annotations.data
     buf = ad.DecoderBuffers(1, len(prev_ids), config.dec_layers, config.hidden_size,
@@ -310,9 +309,9 @@ def decode_step(
                      params["attention.output_weights"].data,
                      params["attention.output_bias"].data),
                     ann, encoded.mask_add)
-    logits = buf.attn[1] @ params["generator.weights"].data
-    logits += params["generator.bias"].data
-    return ad.log_softmax(logits), DecoderState(buf.h[:, 1], buf.c[:, 1], buf.attn[1])
+    log_probs = ad.generator_log_probs(buf.attn[1], params["generator.weights"].data,
+                                       params["generator.bias"].data)
+    return log_probs, DecoderState(buf.h[:, 1], buf.c[:, 1], buf.attn[1])
 
 
 def forward_loss(
@@ -327,7 +326,7 @@ def forward_loss(
     Targets are wrapped as BOS ... EOS internally; PAD positions contribute
     no loss, and attention never sees padded source positions. The decoder
     runs as one `ad.decoder_sequence` over all steps, and the generator and
-    loss run once over every step's attentional vectors.
+    loss as one `ad.cross_entropy` over every step's attentional vectors.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -343,17 +342,15 @@ def forward_loss(
     keep = _keep_scale((steps, config.dec_layers - 1, len(batch), config.hidden_size),
                        config, training, rng, dtype)
 
-    emb = ad.embedding_lookup(params["tgt_embedding"], dec_inputs.T)  # [steps, B, e]
     attn_vecs = ad.decoder_sequence(
-        emb, encoded.final_h, encoded.final_c, _start_layers(config),
-        encoded.annotations, encoded.mask_add,
+        params["tgt_embedding"], dec_inputs.T, encoded.final_h, encoded.final_c,
+        _start_layers(config), encoded.annotations, encoded.mask_add,
         [_cell(params, f"decoder.l{layer}") for layer in range(config.dec_layers)],
         params["attention.score_weights"], params["attention.output_weights"],
         params["attention.output_bias"], keep=keep, input_feeding=config.input_feeding)
-    # the generator, [steps*B, Vt], step-major
-    logits = ad.linear(attn_vecs, params["generator.weights"], params["generator.bias"])
-    flat_targets = golds.T.reshape(-1)
-    return ad.cross_entropy(logits, flat_targets, PAD_ID)
+    # attn_vecs are step-major, [steps*B, h]
+    return ad.cross_entropy(attn_vecs, params["generator.weights"], params["generator.bias"],
+                            golds.T.reshape(-1), PAD_ID)
 
 
 def target_token_count(batch: Sequence[tuple[Sequence[int], Sequence[int]]]) -> int:

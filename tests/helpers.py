@@ -60,6 +60,16 @@ def weighted_sum(*terms):
     return ad._record(backward, np.asarray(total, dtype=tensors[0].data.dtype))[0]
 
 
+def matmul(x, w):
+    """x @ w for 2-D tensors, recorded on the active tape: a general op with
+    two inputs for the tape's own tests."""
+    def backward(g):
+        ad._accumulate(x, g @ w.data.T)
+        ad._accumulate(w, x.data.T @ g)
+
+    return ad._record(backward, x.data @ w.data)[0]
+
+
 def _sig(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_difference, rel_err, weighted_sum
+from helpers import finite_difference, matmul, rel_err, weighted_sum
 from polyg2p import autodiff as ad
 from polyg2p.autodiff import Tape, Tensor
 
@@ -17,44 +17,41 @@ def f64(*shape, rng=None, scale=1.0):
 
 def f64_weight(rows, cols, rng):
     """The draws of f64(rows, cols) for an [out x in] weight, stored [in x out]
-    as `ad.linear` and the LSTM ops read it."""
+    as the generator and the LSTM ops read it."""
     return Tensor(np.ascontiguousarray(f64(rows, cols, rng=rng).data.T))
 
 
-# ad.linear (x @ w, w stored [in x out]) is the general matrix product op
+def _loss_of_logits(logits, targets):
+    """cross_entropy of given logits: identity inputs times the logits as the
+    generator weights, with a zero bias, give the logits exactly."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return ad.cross_entropy(Tensor(np.eye(len(logits))), Tensor(logits),
+                            Tensor(np.zeros(logits.shape[1])), targets, pad_index=0)
+
+
+# the generator's product, x @ w with w stored [in x out]
 
 
 def test_matmul_identity():
-    eye = Tensor(np.eye(2))
-    m = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(ad.linear(eye, m).data, m.data)
-    assert np.array_equal(ad.linear(m, eye).data, m.data)
+    eye, zero = np.eye(2), np.zeros(2)
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    expected = m - np.log(np.exp(m).sum(axis=1, keepdims=True))
+    assert np.allclose(ad.generator_log_probs(m, eye, zero), expected, atol=1e-12)
+    assert np.array_equal(ad.generator_log_probs(eye, m, zero),
+                          ad.generator_log_probs(m, eye, zero))
 
 
 def test_matmul_row_times_column():
-    a = Tensor(np.array([[1.0, 2.0]]))
-    b = Tensor(np.array([[3.0], [4.0]]))  # the column [3, 4]
-    assert ad.linear(a, b).data == np.array([[11.0]])
+    a = np.array([[1.0, 2.0]])
+    b = np.array([[3.0, 0.0], [4.0, 0.0]])  # the column [3, 4], then a zero column
+    log_probs = ad.generator_log_probs(a, b, np.zeros(2))
+    assert log_probs[0, 0] - log_probs[0, 1] == pytest.approx(11.0)
 
 
 def test_matmul_shape_mismatch_names_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 4\)"):
-        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
-
-
-def test_matmul_gradient_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    a, b = f64(3, 4, rng=rng), f64_weight(2, 4, rng)
-    w = rng.uniform(-1, 1, (3, 2))
-    with Tape() as tape:
-        loss = weighted_sum((ad.linear(a, b), w))
-        tape.backward(loss)
-
-    def loss_fn():
-        return float((a.data @ b.data * w).sum())
-
-    assert rel_err(a.grad, finite_difference(loss_fn, a)) <= 1e-5
-    assert rel_err(b.grad, finite_difference(loss_fn, b)) <= 1e-5
+        ad.cross_entropy(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
+                         Tensor(np.zeros(4)), [1, 1], pad_index=0)
 
 
 def test_tanh_and_sigmoid_at_zero():
@@ -102,78 +99,102 @@ def test_softmax_sums_to_one_and_shift_invariant(values, shift):
 
 
 def test_log_softmax_normalizes():
-    out = ad.log_softmax(f64(3, 6, rng=np.random.default_rng(2)).data)
+    rng = np.random.default_rng(2)
+    out = ad.generator_log_probs(f64(3, 4, rng=rng).data, f64(4, 6, rng=rng).data,
+                                 f64(6, rng=rng).data)
     assert np.allclose(np.exp(out).sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_embedding_lookup_row():
-    table = Tensor(np.eye(2))
-    assert ad.embedding_lookup(table, [0]).data.tolist() == [[1.0, 0.0]]
+    assert ad.lookup(np.eye(2), np.array([0])).tolist() == [[1.0, 0.0]]
 
 
 def test_embedding_duplicate_ids_accumulate():
-    table = f64(3, 4)
-    with Tape() as tape:
-        out = ad.embedding_lookup(table, [1, 1])
-        loss = weighted_sum((out, 1.0))
-        tape.backward(loss)
-    assert np.allclose(table.grad[1], 2.0)
-    assert np.allclose(table.grad[0], 0.0)
+    # id 1 at two positions gets the sum of what two table rows of the same
+    # values get there, through either sequence op
+    rng = np.random.default_rng(27)
+    cases = ((ad.encoder_sequence, _encoder_inputs(rng, batch=2, length=3, layers=1),
+              [[1, 2, 1], [3, 0, 0]]),
+             (ad.decoder_sequence, _decoder_inputs(rng, steps=2, batch=2, layers=1),
+              [[1, 2], [3, 1]]))
+    for op, inputs, ids in cases:
+        table = inputs["table"].data
+        copy = len(table)  # the index of a new row holding row 1's values
+        split = np.array(ids)
+        split[tuple(np.argwhere(split == 1)[1])] = copy  # the second id 1 reads the copy
+
+        def output(table, ids):
+            out = op(**{**inputs, "table": table, "ids": np.array(ids)})
+            return out[0] if isinstance(out, tuple) else out
+
+        w = rng.uniform(-1, 1, output(Tensor(table), ids).data.shape)
+
+        def table_grad(table, ids):
+            with Tape() as tape:
+                tape.backward(weighted_sum((output(table, ids), w)))
+            return table.grad
+
+        joint = table_grad(Tensor(table.copy()), ids)
+        apart = table_grad(Tensor(np.concatenate([table, table[1:2]])), split)
+        assert np.array_equal(joint[1], apart[1] + apart[copy])
+        assert np.array_equal(np.delete(joint, 1, axis=0), np.delete(apart[:copy], 1, axis=0))
 
 
 def test_embedding_out_of_range():
-    with pytest.raises(IndexError, match="out of range"):
-        ad.embedding_lookup(Tensor(np.zeros((2, 3))), [2])
-
-
-def test_embedding_gradient():
-    table = f64(5, 3, rng=np.random.default_rng(4))
-    ids = [0, 2, 2, 4]
-    w = np.random.default_rng(5).uniform(-1, 1, (4, 3))
-    with Tape() as tape:
-        loss = weighted_sum((ad.embedding_lookup(table, ids), w))
-        tape.backward(loss)
-    fd = finite_difference(lambda: float((table.data[ids] * w).sum()), table)
-    assert rel_err(table.grad, fd) <= 1e-5
+    for ids in ([2], [-1]):
+        with pytest.raises(IndexError, match="out of range"):
+            ad.lookup(np.zeros((2, 3)), np.array(ids))
+    # the sequence ops raise before they record anything
+    rng = np.random.default_rng(28)
+    for op, inputs in ((ad.encoder_sequence, _encoder_inputs(rng, batch=2, length=3, layers=1)),
+                       (ad.decoder_sequence, _decoder_inputs(rng, steps=2, batch=2, layers=1))):
+        ids = inputs["ids"].copy()
+        ids[0, 0] = len(inputs["table"].data)
+        with Tape() as tape, pytest.raises(IndexError, match="out of range"):
+            op(**{**inputs, "ids": ids})
+        assert tape.nodes == []
 
 
 def test_cross_entropy_certain_prediction_is_zero():
     logits = np.full((2, 4), -1e3)
     logits[0, 1] = logits[1, 2] = 1e3
-    loss = ad.cross_entropy(Tensor(logits), [1, 2], pad_index=0)
+    loss = _loss_of_logits(logits, [1, 2])
     assert float(loss.data) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cross_entropy_uniform_is_log_vocab():
-    loss = ad.cross_entropy(Tensor(np.zeros((3, 4))), [1, 2, 3], pad_index=0)
+    loss = _loss_of_logits(np.zeros((3, 4)), [1, 2, 3])
     assert float(loss.data) == pytest.approx(math.log(4.0), rel=1e-9)
 
 
 def test_cross_entropy_pad_positions_contribute_nothing():
     logits = np.random.default_rng(6).uniform(-1, 1, (4, 5))
-    full = ad.cross_entropy(Tensor(logits), [1, 2, 0, 0], pad_index=0)
-    live = ad.cross_entropy(Tensor(logits[:2]), [1, 2], pad_index=0)
+    full = _loss_of_logits(logits, [1, 2, 0, 0])
+    live = _loss_of_logits(logits[:2], [1, 2])
     assert float(full.data) == pytest.approx(float(live.data), rel=1e-9)
 
 
 def test_cross_entropy_all_pad_errors():
     with pytest.raises(ValueError, match="empty target"):
-        ad.cross_entropy(Tensor(np.zeros((2, 3))), [0, 0], pad_index=0)
+        _loss_of_logits(np.zeros((2, 3)), [0, 0])
 
 
 def test_cross_entropy_gradient():
-    logits = f64(3, 5, rng=np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    x, w, bias = f64(3, 4, rng=rng), f64_weight(5, 4, rng), f64(5, rng=rng)
     targets = [1, 4, 0]
-    with Tape() as tape:
-        loss = ad.cross_entropy(logits, targets, pad_index=0)
-        tape.backward(loss)
 
     def loss_fn():
-        z = logits.data - logits.data.max(axis=-1, keepdims=True)
+        logits = x.data @ w.data + bias.data
+        z = logits - logits.max(axis=-1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         return float(-(logp[0, 1] + logp[1, 4]) / 2.0)
 
-    assert rel_err(logits.grad, finite_difference(loss_fn, logits)) <= 1e-5
+    with Tape() as tape:
+        tape.backward(ad.cross_entropy(x, w, bias, targets, pad_index=0))
+    for t in (x, w, bias):
+        assert rel_err(t.grad, finite_difference(loss_fn, t)) <= 1e-5
+    assert np.all(x.grad[2] == 0.0)  # a pad position feeds nothing
 
 
 def test_backward_identity():
@@ -189,7 +210,7 @@ def test_backward_sum_of_squares():
     # x is not symmetric, so a transposed input or weight gradient fails
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with Tape() as tape:
-        loss = weighted_sum((ad.linear(x, x), 1.0))
+        loss = weighted_sum((matmul(x, x), 1.0))
         tape.backward(loss)
     assert np.allclose(x.grad, [[7.0, 11.0], [9.0, 13.0]])
 
@@ -197,7 +218,7 @@ def test_backward_sum_of_squares():
 def test_backward_requires_scalar_loss():
     x = Tensor(np.zeros((1, 3)))
     with Tape() as tape:
-        y = ad.linear(x, Tensor(np.ones((3, 2))))
+        y = matmul(x, Tensor(np.ones((3, 2))))
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
@@ -205,23 +226,27 @@ def test_backward_requires_scalar_loss():
 def test_backward_ignored_node_gets_no_gradient():
     x, unused = Tensor(np.ones(2)), Tensor(np.ones((1, 2)))
     with Tape() as tape:
-        ad.linear(unused, Tensor(np.ones((2, 2))))  # on the tape but not feeding the loss
+        matmul(unused, Tensor(np.ones((2, 2))))  # on the tape but not feeding the loss
         loss = weighted_sum((x, 1.0))
         tape.backward(loss)
     assert unused.grad is None
 
 
-def test_linear_matches_manual_composition():
+def test_cross_entropy_matches_manual_composition():
+    # the loss of log_softmax(x @ w + bias) at the live targets, and the bias
+    # gradient: the mean over live rows of softmax minus the one-hot target
     rng = np.random.default_rng(15)
-    x, w, b = f64(3, 4, rng=rng), f64_weight(5, 4, rng), f64(5, rng=rng)
-    out = ad.linear(x, w, b)
-    assert np.allclose(out.data, x.data @ w.data + b.data)
+    x, w, bias = f64(3, 4, rng=rng), f64_weight(5, 4, rng), f64(5, rng=rng)
+    targets = [2, 0, 3]
+    logits = x.data @ w.data + bias.data
+    probs = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
     with Tape() as tape:
-        loss = weighted_sum((ad.linear(x, w, b), 1.0))
+        loss = ad.cross_entropy(x, w, bias, targets, pad_index=0)
         tape.backward(loss)
-    fd = finite_difference(lambda: float((x.data @ w.data + b.data).sum()), w)
-    assert rel_err(w.grad, fd) <= 1e-5
-    assert np.allclose(b.grad, 3.0)
+    live = [0, 2]
+    assert float(loss.data) == pytest.approx(-np.log(probs[live, [2, 3]]).mean(), rel=1e-12)
+    onehot = np.eye(5)[[2, 3]]
+    assert np.allclose(bias.grad, (probs[live] - onehot).mean(axis=0), atol=1e-12)
 
 
 def test_sgd_update_arithmetic():
@@ -273,7 +298,7 @@ def test_clip_leaves_small_gradients():
 
 def test_ops_without_tape_build_no_graph():
     x = Tensor(np.ones((1, 3)))
-    y = ad.linear(x, Tensor(np.ones((3, 2))))  # outside any tape: nothing links y back to x
+    y = matmul(x, Tensor(np.ones((3, 2))))  # outside any tape: nothing links y back to x
     with Tape() as tape:
         loss = weighted_sum((y, 1.0))
         tape.backward(loss)
@@ -285,7 +310,8 @@ def test_each_op_call_records_one_tape_entry():
     encoder = _encoder_inputs(rng, batch=2, length=5, layers=2, keep=True)
     inputs = _decoder_inputs(rng, steps=3, batch=2, layers=2)
     calls = (lambda: ad.encoder_sequence(**encoder),
-             lambda: ad.decoder_sequence(**inputs))
+             lambda: ad.decoder_sequence(**inputs),
+             lambda: _loss_of_logits(np.zeros((3, 4)), [1, 2, 0]))
     for call in calls:
         with Tape() as tape:
             call()
@@ -300,7 +326,7 @@ def test_inference_mode_masks_active_tape():
     x = Tensor(np.ones((1, 3)))
     with Tape() as tape:
         with ad.inference_mode():
-            ad.linear(x, Tensor(np.ones((3, 2))))
+            matmul(x, Tensor(np.ones((3, 2))))
         assert tape.nodes == []
 
 
@@ -327,10 +353,20 @@ def _cell_weights(rng, in_size, hidden):
             for n, s in zip(names, shapes)]
 
 
+VOCAB = 5  # embedding table rows; id 0 is padding, so real ids repeat
+
+
+def _embedding(rng, in_size, real):
+    """A random [VOCAB, in_size] table and ids of 1 or more where `real` holds,
+    0 elsewhere."""
+    ids = np.where(real, rng.integers(1, VOCAB, real.shape), 0)
+    return Tensor(rng.uniform(-1, 1, (VOCAB, in_size)), name="table"), ids
+
+
 def _encoder_inputs(rng, batch, length, layers, in_size=3, hidden=2, keep=False):
     """Random float64 inputs of `ad.encoder_sequence`: source row b has
-    length - 2b real positions (at least 1), the rest padding; with `keep`, a
-    0/2 inverted-dropout scale between the layers."""
+    length - 2b real positions (at least 1), the rest padding (id 0); with
+    `keep`, a 0/2 inverted-dropout scale between the layers."""
     mask = np.zeros((batch, length))
     for b in range(batch):
         mask[b, : max(length - 2 * b, 1)] = 1.0
@@ -343,12 +379,12 @@ def _encoder_inputs(rng, batch, length, layers, in_size=3, hidden=2, keep=False)
     scale = None
     if keep:
         scale = (rng.random((layers - 1, batch, length, 2 * hidden)) >= 0.5) / 0.5
-    return dict(xs=Tensor(rng.uniform(-1, 1, (batch, length, in_size)), name="xs"), mask=mask,
-                layers=cells, keep=scale)
+    table, ids = _embedding(rng, in_size, mask == 1)
+    return dict(table=table, ids=ids, mask=mask, layers=cells, keep=scale)
 
 
 def _encoder_tensors(inputs):
-    return [inputs["xs"], *(w for pair in inputs["layers"] for cell in pair for w in cell)]
+    return [inputs["table"], *(w for pair in inputs["layers"] for cell in pair for w in cell)]
 
 
 @pytest.mark.parametrize("case", ["one_layer", "dropout"])
@@ -366,7 +402,7 @@ def test_encoder_sequence_gradient(case):
                             (final_c, w_finals[:, 1]))
 
     _check_gradients(loss_of, _encoder_tensors(inputs))
-    assert np.all(inputs["xs"].grad[inputs["mask"] == 0] == 0.0)  # padded inputs feed nothing
+    assert np.all(inputs["table"].grad[0] == 0.0)  # padding's id feeds nothing
 
 
 def _encode_with_gradients(inputs, w_ann):
@@ -434,8 +470,10 @@ def _decoder_inputs(rng, steps, batch, layers, emb_size=3, hidden=4, length=5,
     keep = None
     if dropout:
         keep = (rng.random((steps, layers - 1, batch, hidden)) >= 0.5) / 0.5
+    table, ids = _embedding(rng, emb_size, np.ones((steps, batch), bool))
     return dict(
-        emb=t(steps, batch, emb_size, name="emb"),
+        table=table,
+        ids=ids,
         h0=h0,
         c0=c0,
         starts=np.minimum(np.arange(layers), len(starts) - 1),
@@ -453,7 +491,7 @@ def _decoder_inputs(rng, steps, batch, layers, emb_size=3, hidden=4, length=5,
 
 def _decoder_tensors(inputs):
     """Every differentiable input of `ad.decoder_sequence`."""
-    return [inputs["emb"], inputs["annotations"], inputs["w_score"], inputs["w_out"],
+    return [inputs["table"], inputs["annotations"], inputs["w_score"], inputs["w_out"],
             inputs["b_out"], inputs["h0"], inputs["c0"],
             *(w for cell in inputs["cells"] for w in cell)]
 

@@ -153,6 +153,21 @@ def test_inventory_error_names_file_and_line(tmp_path, lexicon, capsys):
     assert capsys.readouterr().err == f"error: {inventory}:3: expected 2 feature values\n"
 
 
+def test_clean_warns_once_per_language_naming_the_inventory(tmp_path, lexicon, capsys):
+    # no language's inventory gives β a feature vector, so aaa keeps its β;
+    # bbb has no inventory at all
+    inventory = tmp_path / "inv.tsv"
+    inventory.write_text("lang\tphoneme\tvoice\naaa\tɑ\t+\n", encoding="utf-8")
+    out = tmp_path / "prep"
+    capsys.readouterr()
+    assert main(["prepare", "--train-lexicon", str(lexicon), "--out", str(out),
+                 "--clean", "--inventory", str(inventory)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"{inventory}: aaa: no feature vector for 'β'; left unchanged",
+        f"{inventory}: no inventory for bbb; transcriptions left as-is"]
+    assert "β" in (out / "train.tsv").read_text(encoding="utf-8")
+
+
 def test_train_writes_checkpoints_and_log(run_dir):
     assert (run_dir / "final.mg2p").exists()
     assert (run_dir / "best.mg2p").exists()
@@ -214,6 +229,47 @@ def test_invalid_split_setting_is_user_error_before_any_directory_is_made(
     assert main([command, "--train-lexicon", str(lexicon), dir_flag, str(out)] + flags) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--hidden-size", "3"], "hidden_size must be even (split across encoder directions)"),
+    (["--dropout", "1.0"], "dropout must be in [0, 1)"),
+], ids=["hidden_size", "dropout"])
+def test_invalid_model_setting_is_user_error_before_any_directory_is_made(
+        tmp_path, lexicon, capsys, flags, message):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--train-lexicon", str(lexicon), "--checkpoint-dir", str(out)]
+                + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_evaluate_width_zero_is_user_error_before_anything_is_decoded(
+        run_dir, lexicon, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "beam_search", lambda *args, **kwargs: pytest.fail("decoded"))
+    out = tmp_path / "report"
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(run_dir / "final.mg2p"),
+                 "--test-lexicon", str(lexicon), "--width", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: beam_width must be >= 1\n"
+    assert not out.exists()
+
+
+def test_out_of_range_config_value_names_the_file_that_set_it(tmp_path, lexicon, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("cap = 0\n", encoding="utf-8")
+    prepare = ["prepare", "--train-lexicon", str(lexicon), "--config", str(config)]
+    capsys.readouterr()
+    assert main(prepare + ["--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err == f"error: {config}: cap must be >= 1\n"
+    assert not (tmp_path / "a").exists()
+    # a flag's value wins over the file's, and a bad one is the flag's
+    assert main(prepare + ["--out", str(tmp_path / "b"), "--cap", "2"]) == 0
+    config.write_text("cap = 2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(prepare + ["--out", str(tmp_path / "c"), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 @pytest.mark.parametrize("trained, opposite", [("--lang-token", "--no-lang-token"),
@@ -380,7 +436,7 @@ def test_evaluate_width_zero_is_user_error(run_dir, lexicon, capsys, width):
     code = main(["evaluate", "--checkpoint", str(run_dir / "final.mg2p"),
                  "--test-lexicon", str(lexicon)] + width)
     assert code == 1
-    assert "beam width must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: beam_width must be >= 1\n"
 
 
 @pytest.mark.filterwarnings("ignore:WER 100")
@@ -536,7 +592,7 @@ def test_manifest_round_trips_every_value(tmp_path, lexicon):
     out = tmp_path / "prep"
     assert main(["prepare", "--train-lexicon", str(lexicon), "--out", str(out),
                  "--language-filter", "aaa,bbb", "--val-fraction", "0.2",
-                 "--lr-decay-factor", "0.5", "--no-lang-token"]) == 0
+                 "--lr-decay-factor", "0.5", "--lr-decay-start", "3", "--no-lang-token"]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert dataclasses.asdict(load_config(out / "run_manifest.json")) == manifest["config"]
 
@@ -809,9 +865,7 @@ def _fuzz_inputs(fields: list[str], sep: str):
 
 
 # each text reader: the command that reads it, the pieces of its fields (one
-# may be a whole line) and the field separator. Config values are ones
-# `prepare` accepts: one out of range is reported by the setting's name, as it
-# would be from its flag.
+# may be a whole line) and the field separator
 FUZZED_READERS = {
     "lexicon": (["prepare", "--out", "{dir}/prep", "--train-lexicon", "{file}"],
                 ["aaa\tba\tβ ɑ", "aaa", "bbb", "AB", "ba", "β ɑ", "q", " ", "#", "<EOS>",
@@ -822,8 +876,9 @@ FUZZED_READERS = {
                    "voice,nasal", "+,-", "0,+", "+", ",", "#", " "], "\t"),
     "config": (["prepare", "--out", "{dir}/prep", "--train-lexicon", "{dir}/train.tsv",
                 "--config", "{file}"],
-               ["seed ", "hidden_size", "epochs", " lang_token", "3", " true", "none", "x", "#",
-                '{"config": {"seed": 3}}', '{"epochs": [', "}", '"', "="], " = "),
+               ["seed ", "hidden_size", "epochs", " lang_token", "3", "0", "-1", "1.5", " true",
+                "none", "x", "#", '{"config": {"seed": 3}}', '{"epochs": [', "}", '"', "="],
+               " = "),
     "translate --input": (["translate", "--checkpoint", "{dir}/final.mg2p", "--lang", "aaa",
                            "--width", "1", "--input", "{file}"],
                           ["aaa", "bbb", "XX", "ba", "ab", "β", "\u0301", " ", "#"], "\t"),

@@ -1,6 +1,7 @@
 import ast
 import io
 import math
+import os
 import re
 import unicodedata
 from pathlib import Path
@@ -21,6 +22,7 @@ from polyg2p.corpus import (
     LexiconEntry,
     PhonemeInventory,
     Vocabulary,
+    atomic_write,
     build_vocab,
     clean_transcription,
     hamming,
@@ -77,9 +79,11 @@ def _calls_and_attributes(tree: ast.AST):
 
 def _can_write(call: ast.Call) -> bool:
     """Whether an `open(...)` call's mode may write: a literal mode with w, a,
-    x or +, or a mode computed at run time."""
+    x or +, or a mode computed at run time other than `os.open`'s O_RDONLY."""
     mode = call.args[1] if len(call.args) > 1 else next(
         (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    if isinstance(mode, ast.Attribute):
+        return mode.attr != "O_RDONLY"
     return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
 
 
@@ -104,7 +108,32 @@ def test_every_file_is_written_through_atomic_write():
                 found.append((*where, "open"))
     atomic_write = ("corpus.py", "atomic_write")
     assert sorted(found) == [(*atomic_write, "open"), (*atomic_write, "open"),
-                             (*atomic_write, "os.fsync"), (*atomic_write, "os.replace")]
+                             (*atomic_write, "os.fsync"), (*atomic_write, "os.fsync"),
+                             (*atomic_write, "os.replace")]
+
+
+def test_atomic_write_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    # a rename is durable only once its directory is synced (Pillai et al.,
+    # OSDI 2014): the file's data, then the rename, then the directory
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    target = tmp_path / "out.txt"
+    with atomic_write(target) as fh:
+        fh.write("new\n")
+    assert events == [("fsync", target.stat().st_ino), ("replace", "out.txt"),
+                      ("fsync", tmp_path.stat().st_ino)]
+    assert target.read_text(encoding="utf-8") == "new\n"
 
 
 def test_parse_german_entry():

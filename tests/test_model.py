@@ -119,7 +119,7 @@ def test_encode_matches_scalar_oracle():
 
 
 def test_encode_tape_nodes_do_not_grow_with_source_length():
-    # the source lookup and the encoder
+    # the encoder, with its source lookup
     config, params = tiny_model(seed=3, dropout=0.3)
 
     def nodes(length):
@@ -128,11 +128,11 @@ def test_encode_tape_nodes_do_not_grow_with_source_length():
                    training=True, rng=np.random.default_rng(0))
         return len(tape.nodes)
 
-    assert nodes(3) == nodes(12) == 2
+    assert nodes(3) == nodes(12) == 1
 
 
 def test_forward_loss_tape_entries_do_not_grow_with_target_length():
-    # two lookups, the encoder, the decoder, the generator and the loss
+    # the encoder, the decoder (each with its lookup) and the generator with the loss
     def entries(layers, src_length, tgt_length):
         config, params = tiny_model(seed=3, dropout=0.3, **layers)
         batch = [([4 + i % 5 for i in range(src_length)], [4 + i % 5 for i in range(tgt_length)]),
@@ -142,7 +142,7 @@ def test_forward_loss_tape_entries_do_not_grow_with_target_length():
         return len(tape.nodes)
 
     assert {entries(layers, s, t) for layers in ({}, {"enc_layers": 3, "dec_layers": 1})
-            for s in (1, 3, 11) for t in (1, 2, 9)} == {6}
+            for s in (1, 3, 11) for t in (1, 2, 9)} == {3}
 
 
 def test_encoder_dropout_draw_order_matches_stepwise_draws(monkeypatch):
@@ -230,6 +230,14 @@ def test_encode_rejects_out_of_range_ids():
     config, params = tiny_model(src_vocab=6)
     with pytest.raises(IndexError):
         encode([[7]], params, config)
+
+
+def test_decode_step_rejects_out_of_range_ids():
+    config, params = tiny_model(tgt_vocab=7)
+    encoded = encode([[4]], params, config)
+    for ids in ([7], [-1]):
+        with pytest.raises(IndexError, match="out of range"):
+            decode_step(ids, initial_state(encoded, config), encoded, params, config)
 
 
 def test_attend_single_position_takes_the_annotation():
