@@ -23,6 +23,11 @@ header's tensor count. Meta `epoch`, `languages` and `lang_token`, when
 present, must be an integer >= 0, a list of strings and a boolean.
 
 Round trips are bit-exact: loading and re-saving reproduces the same bytes.
+
+`ModelBundle.source_ids` is the one gate from a user's spelling to the
+model: it applies the lexicon's rules (`corpus.source_problem`) before it
+builds the encoder's ids, so every command that decodes a typed word rejects
+what a lexicon line would be rejected for, with the same message.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .corpus import Vocabulary, atomic_write, source_tokens, tokenize_graphemes
+from .corpus import Vocabulary, atomic_write, source_problem, source_tokens, tokenize_graphemes
 from .model import GATE_ORDER, ModelConfig, ModelParams, canonical_arrays, params_from_arrays
 
 MAGIC = b"MG2P"
@@ -60,8 +65,14 @@ class ModelBundle:
         return bool(self.meta.get("lang_token", True))
 
     def source_ids(self, word: str, lang: str | None) -> list[int]:
-        """The encoder input for `word` in `lang` under this model's rule; `lang`
-        may be None only for a model without language tokens."""
+        """The encoder input for `word` in `lang` under this model's rule: the one
+        gate from a user's spelling to the model. A word or language that a
+        lexicon line would be rejected for (`corpus.source_problem`) raises
+        ValueError with the lexicon's message; `lang` may be None only for a
+        model without language tokens."""
+        problem = source_problem(lang, word)
+        if problem is not None:
+            raise ValueError(problem)
         use_lang_token = self.uses_lang_token
         if use_lang_token and lang is None:
             raise ValueError("this model uses language tokens and needs a language code")

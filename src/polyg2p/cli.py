@@ -32,7 +32,6 @@ from .corpus import (
     open_text,
     parse_inventory,
     parse_lexicon,
-    source_problem,
     split_train_val,
     write_lexicon,
 )
@@ -62,6 +61,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                                 default=None)
         else:
             parser.add_argument(flag, dest=name, type=spec.parse, default=None)
+
+
+def _positive_int(raw: str) -> int:
+    """argparse `type` of the decode flags: a bad value is an error naming the
+    flag, before any file is read."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
 
 
 def _setting_problem(config: RunConfig) -> str | None:
@@ -202,6 +213,9 @@ def cmd_train(args) -> int:
             raise UserError(f"{args.resume}: {exc}") from None
         config = dataclasses.replace(config, lang_token=bundle.uses_lang_token, **split,
                                      **shared_fields(bundle.config, RunConfig))
+        problem = _setting_problem(config)
+        if problem is not None:  # the flags were checked, so the checkpoint set it
+            raise UserError(f"{args.resume}: {problem}")
         start_epoch = bundle.meta.get("epoch", 0) + 1
         if start_epoch > config.epochs:
             raise UserError(f"checkpoint already trained for {start_epoch - 1} epochs")
@@ -257,6 +271,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _warn_if_unseen(bundle: ModelBundle, lang: str | None) -> None:
+    """Warn that the model reads `lang`'s token untrained: the language was
+    not in its training data."""
+    if bundle.uses_lang_token and lang is not None and lang_token(lang) not in bundle.src_vocab:
+        print(f"warning: language {lang!r} unseen in training; using an untrained token",
+              file=sys.stderr)
+
+
 def cmd_translate(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
 
@@ -274,19 +296,13 @@ def cmd_translate(args) -> int:
     jobs = []  # every source is checked before any output
     for word, lang, where in sources:
         try:
-            problem = source_problem(lang, word)
-            if problem is not None:
-                raise ValueError(problem)
             jobs.append((word, lang, bundle.source_ids(word, lang)))
         except ValueError as exc:
             raise UserError(f"{where}{exc}") from None
 
     with _output(args.out) as out_fh:
         for word, lang, src_ids in jobs:
-            unseen = lang is not None and lang_token(lang) not in bundle.src_vocab
-            if bundle.uses_lang_token and unseen:
-                print(f"warning: language {lang!r} unseen in training; using an untrained token",
-                      file=sys.stderr)
+            _warn_if_unseen(bundle, lang)
             nbest = beam_search(src_ids, bundle.params, bundle.config,
                                 bundle.tgt_vocab, width=args.width, max_len=args.max_len)
             write_nbest(out_fh, word, nbest)
@@ -340,29 +356,26 @@ def cmd_analyze(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
     try:
         with _output(args.out) as out_fh:
-            if args.mode == "phonemes":
-                if not args.query:
-                    raise UserError("phonemes mode needs --query")
-                for symbol in comma_list(args.query):
-                    result = analysis.nearest_phonemes(symbol, args.k, bundle)
-                    line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
-                    out_fh.write(f"{symbol}\t{line}\n")
-            elif args.mode == "languages":
-                if not args.query:
-                    raise UserError("languages mode needs --query")
-                for code in comma_list(args.query):
-                    result = analysis.nearest_languages(code, args.k, bundle)
-                    line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
-                    out_fh.write(f"{code}\t{line}\n")
-            elif args.mode == "crosstoken":
-                if not args.word or not args.langs:
+            if args.mode == "crosstoken":
+                langs = comma_list(args.langs or "")
+                if not args.word or not langs:
                     raise UserError("crosstoken mode needs --word and --langs")
-                table = analysis.translate_as(args.word, comma_list(args.langs), bundle,
-                                              width=args.width)
+                for lang in langs:  # every language passes the gate before any is decoded
+                    bundle.source_ids(args.word, lang)
+                for lang in langs:
+                    _warn_if_unseen(bundle, lang)
+                table = analysis.translate_as(args.word, langs, bundle, width=args.width)
                 for lang, phones in table.items():
                     out_fh.write(f"{lang}\t{' '.join(phones)}\n")
-            else:  # pragma: no cover - argparse restricts choices
-                raise UserError(f"unknown mode {args.mode!r}")
+            else:
+                if not args.query:
+                    raise UserError(f"{args.mode} mode needs --query")
+                nearest = (analysis.nearest_phonemes if args.mode == "phonemes"
+                           else analysis.nearest_languages)
+                for query in comma_list(args.query):
+                    result = nearest(query, args.k, bundle)
+                    line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
+                    out_fh.write(f"{query}\t{line}\n")
     except KeyError as exc:
         raise UserError(str(exc)) from None
     return 0
@@ -391,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word")
     p.add_argument("--input", help="file of words (or lang<TAB>word lines)")
     p.add_argument("--lang")
-    p.add_argument("--width", type=int, default=10, help="beam width (default 10)")
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--width", type=_positive_int, default=10, help="beam width (default 10)")
+    p.add_argument("--max-len", type=_positive_int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_translate)
 
@@ -410,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", choices=("phonemes", "languages", "crosstoken"), required=True)
     p.add_argument("--query", help="comma-separated phonemes or language codes")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_positive_int, default=3)
     p.add_argument("--word")
     p.add_argument("--langs", help="comma-separated language codes")
-    p.add_argument("--width", type=int, default=10, help="beam width (default 10)")
+    p.add_argument("--width", type=_positive_int, default=10, help="beam width (default 10)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 

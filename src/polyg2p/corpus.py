@@ -5,8 +5,9 @@ Lexicon files are UTF-8, one entry per line::
     lang<TAB>spelling<TAB>phoneme tokens separated by spaces
 
 where ``lang`` is an ISO 639-3 code. Lines starting with ``#`` are ignored.
-Spellings are tokenized into Unicode codepoints after NFC normalization;
-phoneme fields are taken verbatim, split on whitespace. Every text input
+Spellings pass `source_problem`, then are tokenized into Unicode codepoints
+after NFC normalization; phoneme fields are taken verbatim, split on
+whitespace (`metrics` normalizes them only to score). Every text input
 (lexicons, inventories, vocabularies, config files, `translate --input`) is
 read through `open_text`, and every file the package writes, text or binary,
 is written through `atomic_write`.
@@ -73,11 +74,9 @@ class ParsedLexicon(NamedTuple):
 
 def tokenize_graphemes(word: str) -> tuple[str, ...]:
     """Split a spelling into codepoint tokens after NFC normalization; case is
-    preserved. Raises ValueError on an empty word."""
-    word = unicodedata.normalize("NFC", word)
-    if not word:
-        raise ValueError("empty source")
-    return tuple(word)
+    preserved. Checks nothing: a spelling from outside the program has passed
+    `source_problem` before it gets here."""
+    return tuple(unicodedata.normalize("NFC", word))
 
 
 def source_tokens(graphemes: tuple[str, ...], lang: str,
@@ -91,8 +90,9 @@ def source_tokens(graphemes: tuple[str, ...], lang: str,
 
 def source_problem(lang: str | None, spelling: str) -> str | None:
     """Why `spelling` in language `lang` cannot be a source, or None if it can:
-    the one home of the lexicon's rules, which `translate` applies to its input
-    too. A `lang` of None (no language given) is not checked."""
+    the one home of the lexicon's rules. Two callers apply them:
+    `parse_lexicon` to each line, and `ModelBundle.source_ids` to every word a
+    command decodes. A `lang` of None (no language given) is not checked."""
     if lang is not None and not _LANG_RE.fullmatch(lang):
         return f"invalid language code {lang!r}"
     if not spelling:

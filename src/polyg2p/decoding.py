@@ -19,7 +19,7 @@ parents, one fancy index per array. `greedy_decode` is a separate argmax
 loop, the independent width-1 reference that tests compare `beam_search`
 against. `decode_step` records no tape entries; the decoders and
 `score_sequence` run `encode` under `ad.inference_mode`, so inference builds
-no graph at all.
+no graph at all. An empty source is `encode`'s error, raised before any step.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ def beam_search(
     max_len: int | None = None,
 ) -> list[NBestEntry]:
     """N-best beam search over phoneme sequences for one source sequence."""
-    if not src_ids:
-        raise ValueError("empty source")
     if width < 1:
         raise ValueError("beam width must be >= 1")
     if max_len is None:
@@ -132,8 +130,6 @@ def greedy_decode(
     max_len: int | None = None,
 ) -> tuple[tuple[str, ...], float]:
     """Argmax decoding until EOS or max_len; equals beam_search with width 1."""
-    if not src_ids:
-        raise ValueError("empty source")
     if max_len is None:
         max_len = default_max_len(len(src_ids))
     if max_len < 1:

@@ -1,9 +1,14 @@
 """Edit-distance evaluation: PER, WER, and WER over the 100-best list.
 
 Per-language scores are macro-averaged with equal weight per language.
-Exact match compares NFC-normalized phoneme token sequences. PER is averaged
-per word, then per language (mean of ratios); a corpus-level ratio-of-sums
-variant is also provided.
+All three metrics compare phoneme tokens under one rule: each token is
+NFC-normalized (Unicode Standard Annex #15), so a gold transcription and a
+prediction that differ only in how a symbol is composed score as equal.
+A word's WER and WER 100 misses are decided in one place, `_word_misses`;
+`wer`, `wer100` and `evaluate` all call it. `per` normalizes its arguments;
+`evaluate` normalizes each word's gold and n-best tokens once and takes WER,
+WER 100 and both PERs from those. PER is averaged per word, then per language
+(mean of ratios); a corpus-level ratio-of-sums variant is also provided.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ def levenshtein(a: TokenSeq, b: TokenSeq) -> int:
 
 def per(pred: TokenSeq, gold: TokenSeq) -> float:
     """Phoneme error rate for one word: edit distance / gold length (ratio)."""
-    return _per_of(levenshtein(pred, gold), gold)
+    return _per_of(levenshtein(_nfc(pred), _nfc(gold)), gold)
 
 
 def _per_of(distance: int, gold: TokenSeq) -> float:
@@ -48,16 +53,30 @@ def _nfc(tokens: TokenSeq) -> tuple[str, ...]:
     return tuple(unicodedata.normalize("NFC", t) for t in tokens)
 
 
-def exact_match(pred: TokenSeq, gold: TokenSeq) -> bool:
-    return _nfc(pred) == _nfc(gold)
+def _word_misses(
+    guesses: Sequence[TokenSeq], gold: tuple[str, ...]
+) -> tuple[tuple[str, ...], bool, bool]:
+    """One word's normalized top guess, whether it misses the normalized
+    `gold` (WER), and whether all of the first 100 guesses do (WER 100).
+    Ranks 2-100 are normalized only until one matches."""
+    top = _nfc(guesses[0]) if guesses else ()
+    miss = top != gold
+    return top, miss, miss and all(_nfc(g) != gold for g in guesses[1:100])
 
 
 def wer(pairs: Sequence[tuple[TokenSeq, TokenSeq]]) -> float:
     """Percentage of (top-1 prediction, gold) pairs that do not match exactly."""
     if not pairs:
         raise ValueError("no pairs to score")
-    misses = sum(1 for pred, gold in pairs if not exact_match(pred, gold))
+    misses = sum(_word_misses([pred], _nfc(gold))[1] for pred, gold in pairs)
     return 100.0 * misses / len(pairs)
+
+
+def _warn_if_narrow(width: int | None) -> None:
+    """Warn the caller of `wer100` or `evaluate` that a beam narrower than 100
+    cannot hold the 100 guesses WER 100 counts."""
+    if width is not None and width < 100:
+        warnings.warn(f"WER 100 computed from beam width {width} (< 100)", stacklevel=3)
 
 
 def wer100(
@@ -67,12 +86,8 @@ def wer100(
     """Percentage of words whose gold sequence is absent from the first 100 guesses."""
     if not nbest_pairs:
         raise ValueError("no n-best lists to score")
-    if width is not None and width < 100:
-        warnings.warn(f"WER 100 computed from beam width {width} (< 100)", stacklevel=2)
-    misses = 0
-    for candidates, gold in nbest_pairs:
-        if not any(exact_match(c, gold) for c in list(candidates)[:100]):
-            misses += 1
+    _warn_if_narrow(width)
+    misses = sum(_word_misses(list(c), _nfc(gold))[2] for c, gold in nbest_pairs)
     return 100.0 * misses / len(nbest_pairs)
 
 
@@ -107,7 +122,9 @@ def evaluate(
 
     `entries` are LexiconEntry-like objects (lang + phonemes); `decode_fn`
     maps an entry to its n-best list (objects with a .phonemes attribute,
-    best first). Languages unseen in training are scored like any other.
+    best first). Each word's gold and n-best tokens are NFC-normalized once,
+    and all the scores are taken from those. Languages unseen in training are
+    scored like any other.
     """
     by_lang: dict[str, list] = {}
     for entry in entries:
@@ -115,27 +132,29 @@ def evaluate(
     if not by_lang:
         raise ValueError("empty test corpus")
 
+    _warn_if_narrow(width)
+
     per_language: dict[str, LanguageScores] = {}
     for lang in sorted(by_lang):
-        top_pairs = []
-        nbest_pairs = []
+        misses = misses100 = edits = gold_tokens = 0
         ratios = []
-        edits, gold_tokens = 0, 0
         for entry in by_lang[lang]:
             nbest = decode_fn(entry)
-            top = nbest[0].phonemes if nbest else ()
-            top_pairs.append((top, entry.phonemes))
-            nbest_pairs.append(([c.phonemes for c in nbest], entry.phonemes))
-            distance = levenshtein(top, entry.phonemes)
-            ratios.append(_per_of(distance, entry.phonemes))
+            gold = _nfc(entry.phonemes)
+            top, miss, miss100 = _word_misses([c.phonemes for c in nbest], gold)
+            misses += miss
+            misses100 += miss100
+            distance = levenshtein(top, gold)
+            ratios.append(_per_of(distance, gold))
             edits += distance
-            gold_tokens += len(entry.phonemes)
+            gold_tokens += len(gold)
+        words = len(by_lang[lang])
         per_language[lang] = LanguageScores(
-            wer=wer(top_pairs),
-            wer100=wer100(nbest_pairs, width=width),
-            per=100.0 * sum(ratios) / len(ratios),
+            wer=100.0 * misses / words,
+            wer100=100.0 * misses100 / words,
+            per=100.0 * sum(ratios) / words,
             per_corpus=100.0 * edits / gold_tokens,
-            word_count=len(by_lang[lang]),
+            word_count=words,
         )
 
     langs = list(per_language.values())

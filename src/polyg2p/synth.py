@@ -21,7 +21,8 @@ import numpy as np
 from .checkpoint import ModelBundle
 from .corpus import (DatasetSplit, LexiconEntry, build_vocab, encode_pairs, split_train_val,
                      tokenize_graphemes)
-from .decoding import greedy_decode
+from .decoding import NBestEntry, greedy_decode
+from .metrics import evaluate
 from .model import ModelConfig, TrainingSchedule, train_model
 
 LETTERS = tuple("abcdefgh")
@@ -131,14 +132,11 @@ def train_bilingual_pair(split: DatasetSplit) -> tuple[ModelBundle, ModelBundle]
 
 
 def held_out_wer(bundle: ModelBundle, split: DatasetSplit) -> dict[str, float]:
-    """Greedy-decoding WER (%) on the held-out words, per language."""
-    scores = {}
-    for lang in sorted({e.lang for e in split.validation}):
-        held_out = [e for e in split.validation if e.lang == lang]
-        wrong = 0
-        for entry in held_out:
-            src = bundle.source_ids("".join(entry.graphemes), entry.lang)
-            tokens, _ = greedy_decode(src, bundle.params, bundle.config, bundle.tgt_vocab)
-            wrong += tokens != entry.phonemes
-        scores[lang] = 100.0 * wrong / len(held_out)
-    return scores
+    """Greedy-decoding WER (%) on the held-out words, per language, scored by
+    `metrics.evaluate`."""
+    def decode_fn(entry):
+        src = bundle.source_ids("".join(entry.graphemes), entry.lang)
+        return [NBestEntry(*greedy_decode(src, bundle.params, bundle.config, bundle.tgt_vocab))]
+
+    report = evaluate(split.validation, decode_fn)
+    return {lang: scores.wer for lang, scores in report.per_language.items()}

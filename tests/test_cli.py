@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import rewrite_meta
-from polyg2p import cli
+from polyg2p import analysis, cli
 from polyg2p.checkpoint import load_checkpoint
 from polyg2p.cli import main
 from polyg2p.config import ConfigError, RunConfig, load_config
@@ -331,6 +331,22 @@ def test_resume_keeps_the_checkpoints_split(tmp_path, lexicon, run_dir, monkeypa
     assert load_checkpoint(out / "final.mg2p").meta.items() >= recorded.items()
 
 
+@pytest.mark.parametrize("setting, value, message", [
+    ("cap", 0, "cap must be >= 1"),
+    ("val_fraction", 1.5, "val_fraction must be in [0, 1)"),
+])
+def test_resume_out_of_range_split_setting_names_the_checkpoint(run_dir, tmp_path, lexicon,
+                                                                capsys, setting, value, message):
+    path = tmp_path / "bad.mg2p"
+    path.write_bytes((run_dir / "final.mg2p").read_bytes())
+    rewrite_meta(path, lambda meta: meta.update({setting: value}))
+    code = main(["train", "--train-lexicon", str(lexicon), "--checkpoint-dir",
+                 str(tmp_path / "resumed"), "--resume", str(path)] + FAST + ["--epochs", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "resumed").exists()
+
+
 def test_translate_single_word(run_dir, capsys):
     code = main(["translate", "--checkpoint", str(run_dir / "final.mg2p"),
                  "--word", "ba", "--lang", "aaa", "--width", "5"])
@@ -387,15 +403,23 @@ def test_translate_input_is_checked_like_a_lexicon(run_dir, tmp_path, capsys, li
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["translate", "crosstoken"])
 @pytest.mark.parametrize("word,lang,reason", [
     ("a b", "aaa", "spelling contains whitespace"),
     ("", "aaa", "empty spelling"),
     ("ba", "XX", "invalid language code 'XX'"),
     ("ba", "", "invalid language code ''"),
 ])
-def test_translate_word_is_checked_like_a_lexicon(run_dir, capsys, word, lang, reason):
-    code = main(["translate", "--checkpoint", str(run_dir / "final.mg2p"), "--word", word,
-                 "--lang", lang])
+def test_translate_word_is_checked_like_a_lexicon(run_dir, capsys, word, lang, reason, command):
+    # both commands reach the model through ModelBundle.source_ids; crosstoken
+    # asks for a word and a language before that gate
+    if command == "translate":
+        argv = ["translate", "--word", word, "--lang", lang]
+    else:
+        argv = ["analyze", "--mode", "crosstoken", "--word", word, "--langs", lang]
+        if not word or not lang:
+            reason = "crosstoken mode needs --word and --langs"
+    code = main(argv + ["--checkpoint", str(run_dir / "final.mg2p")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: {reason}\n"
@@ -520,6 +544,25 @@ def test_analyze_crosstoken_mode(run_dir, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("aaa\t") and lines[1].startswith("bbb\t")
+
+
+def test_crosstoken_warns_about_unseen_languages_before_decoding(run_dir, capsys, monkeypatch):
+    err_at_first_decode = []
+
+    def recording_beam_search(*args, **kwargs):
+        if not err_at_first_decode:
+            err_at_first_decode.append(capsys.readouterr().err)
+        return beam_search(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "beam_search", recording_beam_search)
+    code = main(["analyze", "--checkpoint", str(run_dir / "final.mg2p"),
+                 "--mode", "crosstoken", "--word", "ba", "--langs", "zzz,aaa,qal"])
+    assert code == 0
+    assert err_at_first_decode == ["".join(
+        f"warning: language {lang!r} unseen in training; using an untrained token\n"
+        for lang in ("zzz", "qal"))]
+    assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == \
+        ["zzz", "aaa", "qal"]
 
 
 def test_analyze_unknown_phoneme_is_user_error(run_dir, capsys):
@@ -709,12 +752,20 @@ def test_malformed_checkpoint_meta_is_user_error_naming_the_file(run_dir, tmp_pa
     assert not (tmp_path / "resumed").exists()
 
 
-@pytest.mark.parametrize("k", ["0", "-1"])
-def test_analyze_k_below_one_is_user_error(run_dir, capsys, k):
-    code = main(["analyze", "--checkpoint", str(run_dir / "final.mg2p"),
-                 "--mode", "phonemes", "--query", "ɑ", "--k", k])
-    assert code == 1
-    assert "k must be at least 1" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, flag, value", [
+    (["analyze", "--mode", "phonemes", "--query", "ɑ"], "--k", "0"),
+    (["analyze", "--mode", "phonemes", "--query", "ɑ"], "--k", "-1"),
+    (["translate", "--word", "ba", "--lang", "eng"], "--width", "0"),
+    (["translate", "--word", "ba", "--lang", "eng"], "--max-len", "0"),
+    (["analyze", "--mode", "crosstoken", "--word", "ba", "--langs", "aaa"], "--width", "0"),
+], ids=["0", "-1", "translate_width", "translate_max_len", "crosstoken_width"])
+def test_analyze_k_below_one_is_user_error(tmp_path, capsys, argv, flag, value):
+    # checked when parsed: the checkpoint, which does not exist, is never read
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--checkpoint", str(tmp_path / "none.mg2p"), flag, value])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err == (f"polyg2p {argv[0]}: error: argument {flag}: "
+                                       f"must be a positive integer, got {value!r}\n")
 
 
 def test_checkpoint_header_byte_edits_exit_0_or_1(run_dir, tmp_path, capsys):

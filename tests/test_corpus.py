@@ -203,11 +203,6 @@ def test_tokenize_applies_nfc():
     assert len(tokenize_graphemes(decomposed)) == 1
 
 
-def test_tokenize_empty_word_errors():
-    with pytest.raises(ValueError, match="empty source"):
-        tokenize_graphemes("")
-
-
 @given(st.text(min_size=1, max_size=10).filter(lambda w: unicodedata.normalize("NFC", w)))
 def test_lang_token_is_exactly_a_prefix(word):
     graphemes = tokenize_graphemes(word)

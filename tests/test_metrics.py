@@ -10,7 +10,6 @@ from helpers import recursive_levenshtein
 from polyg2p.metrics import (
     EvalReport,
     evaluate,
-    exact_match,
     levenshtein,
     per,
     wer,
@@ -87,7 +86,14 @@ def test_low_per_can_coexist_with_total_wer():
 
 
 def test_exact_match_normalizes_unicode():
-    assert exact_match(["é"], ["é"])  # NFC-equivalent tokens
+    assert wer([(["é"], ["é"])]) == 0.0  # NFC-equivalent tokens
+    # an NFD gold against its NFC prediction: one rule for every metric
+    nfd, nfc = ("e\u0301", "t"), ("\u00e9", "t")
+    assert per(nfc, nfd) == 0.0
+    scores = evaluate([_Entry("aaa", nfd)], lambda e: [_Hyp(nfc)]).per_language["aaa"]
+    assert (scores.wer, scores.wer100, scores.per, scores.per_corpus) == (0.0, 0.0, 0.0, 0.0)
+    scores = evaluate([_Entry("aaa", nfd)], lambda e: [_Hyp(("x",)), _Hyp(nfc)])
+    assert scores.per_language["aaa"].wer100 == 0.0
 
 
 def _fake_nbest(gold, rank, depth):
@@ -96,14 +102,21 @@ def _fake_nbest(gold, rank, depth):
     return filler
 
 
+def _evaluate_wer100(gold, nbest, width=None):
+    hyps = [_Hyp(tuple(p)) for p in nbest]
+    return evaluate([_Entry("aaa", tuple(gold))], lambda e: hyps, width=width).macro.wer100
+
+
 def test_wer100_boundary_rank_100_found():
     gold = ["a", "b"]
     assert wer100([(_fake_nbest(gold, 100, 120), gold)]) == 0.0
+    assert _evaluate_wer100(gold, _fake_nbest(gold, 100, 120)) == 0.0
 
 
 def test_wer100_boundary_rank_101_missed():
     gold = ["a", "b"]
     assert wer100([(_fake_nbest(gold, 101, 120), gold)]) == 100.0
+    assert _evaluate_wer100(gold, _fake_nbest(gold, 101, 120)) == 100.0
 
 
 def test_wer100_gold_on_top():
@@ -114,6 +127,8 @@ def test_wer100_gold_on_top():
 def test_wer100_warns_on_narrow_beam():
     with pytest.warns(UserWarning, match="beam width"):
         wer100([([["a"]], ["a"])], width=10)
+    with pytest.warns(UserWarning, match="beam width 10"):
+        _evaluate_wer100(["a"], [["a"]], width=10)
 
 
 @dataclass
