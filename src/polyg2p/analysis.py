@@ -64,13 +64,14 @@ def nearest_languages(lang: str, k: int, bundle: ModelBundle) -> NeighborList:
 
 def translate_as(word: str, langs: list[str], bundle: ModelBundle,
                  width: int = 10) -> dict[str, tuple[str, ...]]:
-    """Pronounce one spelling under several language-ID tokens (top-1 each)."""
+    """Pronounce one spelling under several language-ID tokens (top-1 each).
+    Every language passes `bundle.source_ids` before any is decoded."""
     if not bundle.uses_lang_token:
         raise ValueError("cross-token translation needs a model trained with language "
                          "tokens; this one was trained without them")
+    sources = {lang: bundle.source_ids(word, lang) for lang in langs}
     results: dict[str, tuple[str, ...]] = {}
-    for lang in langs:
-        nbest = beam_search(bundle.source_ids(word, lang), bundle.params, bundle.config,
-                            bundle.tgt_vocab, width=width)
+    for lang, src_ids in sources.items():
+        nbest = beam_search(src_ids, bundle.params, bundle.config, bundle.tgt_vocab, width=width)
         results[lang] = nbest[0].phonemes if nbest else ()
     return results

@@ -38,12 +38,19 @@ training batch records three tape entries, whatever its lengths and depth:
 The recurrent state is h and c as [layers, B, n] arrays, from the encoder's
 final states to the decoder's. Both ops run one LSTM update, `_cell`, and
 step back through it with `_cell_backward`, from `_cell_partials` over all steps.
+The backward passes write over what they no longer read: `decoder_sequence`'s
+gate activations are overwritten by the gate factors and then by each step's
+pre-activation gradient, and the encoder writes its factors straight into its
+gradient buffer, so neither keeps a second all-step array of gate size.
 
 The tape holds one entry per op call: the call's output tensors and one
 backward function taking a gradient per output. `Tape.backward` calls it once
 some output has a gradient, passing zeros for any output that has none (say a
-final cell state nothing reads). Every op records through `_record`, so
-`inference_mode` treats fused ops like any other.
+final cell state nothing reads). A tape walks backward once: each entry's
+function, and with it everything the op saved, is dropped as soon as the walk
+passes it, so after `backward` the tape holds only its entries' outputs.
+Every op records through `_record`, so `inference_mode` treats fused ops
+like any other.
 `lookup`, the one range check of token ids, and `generator_log_probs` are
 plain array functions, not ops: training and inference decoding share them.
 `model.train_model` owns the non-finite check.
@@ -92,11 +99,14 @@ class Tensor:
 
 
 class Tape:
-    """Append-only record of op calls, each (outputs, backward); backward
-    walks it in reverse."""
+    """Append-only record of op calls, each (outputs, backward); `backward`
+    walks it in reverse, once. The walk replaces each entry's function with
+    None as it passes, which frees what that op saved; the entries and their
+    outputs stay, so `len(nodes)` still counts the op calls."""
 
     def __init__(self):
-        self.nodes: list[tuple[tuple[Tensor, ...], Callable]] = []
+        self.nodes: list[tuple[tuple[Tensor, ...], Callable | None]] = []
+        self.walked = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -110,8 +120,15 @@ class Tape:
         """Accumulate gradients of `loss` into every tensor that feeds it."""
         if loss.data.shape != ():
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        if self.walked:
+            raise RuntimeError("this tape has already run backward, which freed what its ops "
+                               "saved; record the forward on a new tape")
+        self.walked = True
         loss.grad = np.ones_like(loss.data)
-        for outputs, backward in reversed(self.nodes):
+        nodes = self.nodes
+        for k in range(len(nodes) - 1, -1, -1):
+            outputs, backward = nodes[k]
+            nodes[k] = (outputs, None)  # what the op saved dies with `backward`
             grads = [t.grad for t in outputs]
             if any(g is not None for g in grads):
                 backward(*(np.zeros_like(t.data) if g is None else g
@@ -209,22 +226,40 @@ def _cell(acts: np.ndarray, h: np.ndarray, c: np.ndarray, w_rec: np.ndarray, bia
     acts *= scale
     acts += offset
     np.multiply(acts[..., n : 2 * n], c, out=c_new)
-    c_new += acts[..., :n] * acts[..., 2 * n : 3 * n]
+    np.multiply(acts[..., :n], acts[..., 2 * n : 3 * n], out=tanh_c)  # i*g, as scratch
+    c_new += tanh_c
     np.tanh(c_new, out=tanh_c)
     np.multiply(acts[..., 3 * n :], tanh_c, out=h_new)
 
 
-def _cell_partials(acts: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray):
-    """Backward factors of `_cell` for any leading shape: with dc' already
-    including dh' * c_factor, dpre = [dc', dc', dc', dh'] * gate_factor and
-    dc = dc' * f."""
+def _cell_partials(acts: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray, out: np.ndarray):
+    """Backward factors of `_cell` for any leading shape, written into `out`
+    [..., 4n], which may be `acts` itself: with dc' already including
+    dh' * c_factor, dpre = [dc', dc', dc', dh'] * out and dc = dc' * f.
+    Returns the forget gate f and c_factor, each [..., n]; the only other
+    array is one quarter-size scratch."""
     n = tanh_c.shape[-1]
-    i, g, o = acts[..., :n], acts[..., 2 * n : 3 * n], acts[..., 3 * n :]
-    dact = acts * (1.0 - acts)
-    dact[..., 2 * n : 3 * n] = 1.0 - g * g
-    gate_factor = np.concatenate([g, c_prev, i, tanh_c], axis=-1)
-    gate_factor *= dact
-    return gate_factor, o * (1.0 - tanh_c * tanh_c)
+    i, f, g, o = (acts[..., k * n : (k + 1) * n] for k in range(4))
+    d_i, d_f, d_g, d_o = (out[..., k * n : (k + 1) * n] for k in range(4))
+    c_factor = tanh_c * tanh_c
+    np.subtract(1.0, c_factor, out=c_factor)
+    c_factor *= o
+    forget = f.copy()
+    # each gate's slot is written only after its last read
+    scratch = np.subtract(1.0, o)
+    scratch *= o
+    np.multiply(scratch, tanh_c, out=d_o)
+    np.subtract(1.0, f, out=scratch)
+    scratch *= f
+    np.multiply(scratch, c_prev, out=d_f)
+    np.subtract(1.0, i, out=scratch)
+    scratch *= i
+    scratch *= g
+    np.multiply(g, g, out=d_g)
+    np.subtract(1.0, d_g, out=d_g)
+    d_g *= i
+    d_i[...] = scratch
+    return forget, c_factor
 
 
 def _check_cell(x_shape, w_in: Tensor, w_rec: Tensor, bias: Tensor) -> int:
@@ -236,18 +271,17 @@ def _check_cell(x_shape, w_in: Tensor, w_rec: Tensor, bias: Tensor) -> int:
     return n
 
 
-def _cell_backward(dh: np.ndarray, dc: np.ndarray, acts: np.ndarray, gate_factor: np.ndarray,
-                   c_factor: np.ndarray, w_rec: np.ndarray, dpre: np.ndarray):
+def _cell_backward(dh: np.ndarray, dc: np.ndarray, forget: np.ndarray, c_factor: np.ndarray,
+                   w_rec: np.ndarray, dpre: np.ndarray):
     """One step back through `_cell` and the recurrent product h @ w_rec: from
-    the gradients dh of the step's new h and dc of its new c, write the
-    pre-activation gradient into `dpre` [..., B, 4n] and return the previous
-    state's (dh, dc). `gate_factor` and `c_factor` are `_cell_partials`'."""
-    n = dh.shape[-1]
+    the gradients dh of the step's new h and dc of its new c, overwrite the
+    step's gate factors in `dpre` [..., B, 4n] with its pre-activation
+    gradient and return the previous state's (dh, dc). The gate factors,
+    `forget` and `c_factor` are `_cell_partials`'."""
     dc_new = dh * c_factor
     dc_new += dc
-    np.multiply(np.concatenate([dc_new, dc_new, dc_new, dh], axis=-1), gate_factor, out=dpre)
-    return (np.matmul(w_rec, dpre.swapaxes(-1, -2)).swapaxes(-1, -2),
-            dc_new * acts[..., n : 2 * n])
+    np.multiply(np.concatenate([dc_new, dc_new, dc_new, dh], axis=-1), dpre, out=dpre)
+    return (np.matmul(w_rec, dpre.swapaxes(-1, -2)).swapaxes(-1, -2), dc_new * forget)
 
 
 def encoder_sequence(table: Tensor, ids: np.ndarray, mask: np.ndarray,
@@ -316,19 +350,21 @@ def encoder_sequence(table: Tensor, ids: np.ndarray, mask: np.ndarray,
     def backward(g_annotations, g_h, g_c):
         dx = g_annotations
         for l in range(len(layers) - 1, -1, -1):
-            x_steps, w_in, w_rec, acts, hs, cs, tanh_cs = saved[l]
+            x_steps, w_in, w_rec, acts, hs, cs, tanh_cs = saved.pop()
             if l + 1 < len(layers) and keep is not None:
                 dx = dx * keep[l]
             g = dx.transpose(1, 0, 2).reshape(length, batch, 2, n)
             d_outputs = np.stack((g[:, :, 0], g[::-1, :, 1]), axis=1)  # [S,2,B,n] in step order
-            gate_factor, c_factor = _cell_partials(acts, cs[:-1], tanh_cs)
             dpre = np.empty((2, length, batch, 4 * n), dtype=acts.dtype)  # so `flat` is a view
+            # the gate factors, then each step's dpre
+            forget, c_factor = _cell_partials(acts, cs[:-1], tanh_cs, dpre.transpose(1, 0, 2, 3))
+            del acts, cs, tanh_cs  # read only by the partials
             dh = g_h[l].reshape(batch, 2, n).swapaxes(0, 1).copy()  # accumulates in place
             dc = g_c[l].reshape(batch, 2, n).swapaxes(0, 1)         # is only rebound
             for p in range(length - 1, -1, -1):
                 dh += d_outputs[p]
-                dh_prev, dc_prev = _cell_backward(dh, dc, acts[p], gate_factor[p], c_factor[p],
-                                                  w_rec, dpre[:, p])
+                dh_prev, dc_prev = _cell_backward(dh, dc, forget[p], c_factor[p], w_rec,
+                                                  dpre[:, p])
                 if not full[p]:  # padded rows pass their gradient straight through
                     dpre[:, p] *= present[p]
                     np.copyto(dh_prev, dh, where=padded[p])
@@ -374,7 +410,8 @@ def attend(top: np.ndarray, annotations: np.ndarray, mask_add: np.ndarray, w_sco
 
 class DecoderBuffers:
     """The activations of `steps` decoder steps over `batch` rows, as
-    `decoder_step` writes them and `decoder_sequence`'s backward reads them.
+    `decoder_step` writes them and `decoder_sequence`'s backward reads them;
+    that backward overwrites `acts` with the gate gradients.
     The state before step t is `h[:, t]` and `c[:, t]`, each [layers, batch, n]."""
 
     __slots__ = ("dropped", "h", "c", "acts", "tanh_c", "query", "weights", "cat", "attn")
@@ -493,8 +530,9 @@ def decoder_sequence(table: Tensor, ids: np.ndarray, h0: Tensor, c0: Tensor, sta
         d_ctx = np.empty_like(buf.query)
         d_query = np.empty_like(buf.query)
         d_scores = np.empty_like(buf.weights)
-        d_pre = np.empty_like(buf.acts)
-        gate_factor, c_factor = _cell_partials(buf.acts, buf.c[:, :-1], buf.tanh_c)
+        # the gate factors, then each step's dpre, overwrite the activations
+        d_pre = buf.acts
+        forget, c_factor = _cell_partials(buf.acts, buf.c[:, :-1], buf.tanh_c, d_pre)
         dh = np.zeros((layers, batch, n), dtype)  # of the state before the step
         dc = np.zeros_like(dh)
         w_fed = weights[0][0][e:]  # layer 0's input-fed rows
@@ -513,14 +551,15 @@ def decoder_sequence(table: Tensor, ids: np.ndarray, h0: Tensor, c0: Tensor, sta
             for l in range(layers - 1, -1, -1):
                 w_in, w_rec, _ = weights[l]
                 dpre = d_pre[l, t]
-                dh[l], dc[l] = _cell_backward(dh[l] + d_in, dc[l], buf.acts[l, t],
-                                              gate_factor[l, t], c_factor[l, t], w_rec, dpre)
+                dh[l], dc[l] = _cell_backward(dh[l] + d_in, dc[l], forget[l, t], c_factor[l, t],
+                                              w_rec, dpre)
                 if l:
                     d_in = (w_in @ dpre.T).T
                     if keep is not None:
                         d_in *= keep[t, l - 1]
                 elif input_feeding:
                     d_fed = (w_fed @ dpre.T).T
+        del forget, c_factor  # before the weight-gradient products, where the backward peaks
 
         def stacked(a):
             return a.reshape(steps * batch, a.shape[-1])

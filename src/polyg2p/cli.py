@@ -299,10 +299,11 @@ def cmd_translate(args) -> int:
             jobs.append((word, lang, bundle.source_ids(word, lang)))
         except ValueError as exc:
             raise UserError(f"{where}{exc}") from None
+    for lang in dict.fromkeys(lang for _, lang, _ in jobs):  # once per language, in input order
+        _warn_if_unseen(bundle, lang)
 
     with _output(args.out) as out_fh:
         for word, lang, src_ids in jobs:
-            _warn_if_unseen(bundle, lang)
             nbest = beam_search(src_ids, bundle.params, bundle.config,
                                 bundle.tgt_vocab, width=args.width, max_len=args.max_len)
             write_nbest(out_fh, word, nbest)

@@ -1,11 +1,13 @@
 """Shared test oracles: finite differences, scalar LSTM math, a per-hypothesis
-beam search, recursive edit distance; and a checkpoint meta editor."""
+beam search, recursive edit distance; a checkpoint meta editor; and traced
+memory of a backward pass."""
 
 from __future__ import annotations
 
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -302,3 +304,32 @@ def rewrite_meta(path, edit):
     edit(meta)
     new = json.dumps(meta).encode()
     path.write_bytes(raw[: start - 8] + struct.pack("<Q", len(new)) + new)
+
+
+def traced_backward(loss_of):
+    """Run `loss_of()` and its backward on one tape under tracemalloc.
+    Returns (forward-held, backward peak, held after backward, tape): traced
+    bytes above the level before the forward. The tape is still alive at the
+    last reading."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with ad.Tape() as tape:
+            loss = loss_of()
+            forward = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return forward, peak - base, held - base, tape
+
+
+def buffer_bytes(arrays) -> int:
+    """Bytes of the distinct buffers behind `arrays`; a view counts as its whole base."""
+    roots = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        roots[id(a)] = a.nbytes
+    return sum(roots.values())

@@ -223,6 +223,17 @@ def test_backward_requires_scalar_loss():
             tape.backward(y)
 
 
+def test_backward_runs_once_and_frees_each_entrys_backward():
+    x = Tensor(np.array([[1.0, 2.0, 3.0]]))
+    with Tape() as tape:
+        loss = weighted_sum((matmul(x, Tensor(np.ones((3, 2)))), 1.0))
+        tape.backward(loss)
+        assert len(tape.nodes) == 2 and all(fn is None for _, fn in tape.nodes)
+        with pytest.raises(RuntimeError, match="already run backward"):
+            tape.backward(loss)
+    assert np.array_equal(x.grad, [[2.0, 2.0, 2.0]])  # the second call added nothing
+
+
 def test_backward_ignored_node_gets_no_gradient():
     x, unused = Tensor(np.ones(2)), Tensor(np.ones((1, 2)))
     with Tape() as tape:

@@ -385,6 +385,29 @@ def test_translate_input_file(run_dir, tmp_path):
     assert any(line.startswith("ab\t1\t") for line in lines)
 
 
+def test_translate_input_warns_once_per_unseen_language_before_decoding(run_dir, tmp_path,
+                                                                        capsys, monkeypatch):
+    err_at_first_decode = []
+
+    def recording_beam_search(*args, **kwargs):
+        if not err_at_first_decode:
+            err_at_first_decode.append(capsys.readouterr().err)
+        return beam_search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "beam_search", recording_beam_search)
+    words = tmp_path / "words.txt"
+    words.write_text("zzz\tba\nzzz\tab\nzzz\tbab\n", encoding="utf-8")
+    code = main(["translate", "--checkpoint", str(run_dir / "final.mg2p"),
+                 "--input", str(words), "--width", "2"])
+    assert code == 0
+    assert err_at_first_decode == [
+        "warning: language 'zzz' unseen in training; using an untrained token\n"]
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line.split("\t")[:2] for line in captured.out.splitlines()
+            if line.split("\t")[1] == "1"] == [["ba", "1"], ["ab", "1"], ["bab", "1"]]
+
+
 @pytest.mark.parametrize("line,reason", [
     ("\tba", "invalid language code ''"),
     ("XX\tba", "invalid language code 'XX'"),

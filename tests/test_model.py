@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import OracleModel, assert_in_x_out, in_x_out_shapes, scalar_cell_step, tiny_model
+from helpers import (
+    OracleModel,
+    assert_in_x_out,
+    buffer_bytes,
+    in_x_out_shapes,
+    scalar_cell_step,
+    tiny_model,
+    traced_backward,
+)
 from polyg2p import autodiff as ad
 from polyg2p.autodiff import Tape
 from polyg2p.corpus import EOS_ID, PAD_ID
@@ -216,6 +224,46 @@ def test_training_loss_and_gradients_match_recorded_bits():
         digest.update(name.encode())
         digest.update(tensor.grad.tobytes())
     assert digest.hexdigest() == TRAINING_BITS
+
+
+def _memory_batch(hidden, batch_size, src_len, tgt_len, vocab=20):
+    """A dropout-training forward_loss of a random batch, run once to warm
+    every cache, and the model's parameters."""
+    config, params = tiny_model(src_vocab=vocab, tgt_vocab=vocab, hidden=hidden,
+                                src_embed=hidden, tgt_embed=hidden, dropout=0.3)
+    rng = np.random.default_rng(1)
+    batch = [(list(rng.integers(4, vocab, src_len - i % 3)),
+              list(rng.integers(4, vocab, tgt_len - i % 2))) for i in range(batch_size)]
+
+    def loss_of():
+        for t in params.values():
+            t.grad = None
+        return forward_loss(batch, params, config, training=True, rng=np.random.default_rng(2))
+
+    with Tape() as tape:
+        tape.backward(loss_of())
+    return loss_of, params
+
+
+def test_backward_keeps_only_gradients_and_op_outputs():
+    # nothing an op saved for its backward outlives the walk; the tape still
+    # holds its entries' outputs, and every tensor its gradient
+    loss_of, params = _memory_batch(hidden=32, batch_size=8, src_len=10, tgt_len=9)
+    _, _, held, tape = traced_backward(loss_of)
+    outputs = [t for entry_outputs, _ in tape.nodes for t in entry_outputs]
+    arrays = [t.data for t in outputs]
+    arrays += [t.grad for t in outputs + list(params.values()) if t.grad is not None]
+    object_bytes = 256 * (len(arrays) + len(outputs))  # each array's and tensor's header
+    assert held <= buffer_bytes(arrays) + object_bytes
+
+
+def test_backward_peak_stays_near_the_forward():
+    # the gate factors and then each step's dpre overwrite the activations, and
+    # each entry's saved arrays go once its backward has run: measured 1.38 here,
+    # against 1.85 with a separate factor array and nothing freed
+    loss_of, _ = _memory_batch(hidden=64, batch_size=16, src_len=12, tgt_len=10)
+    forward, peak, _, _ = traced_backward(loss_of)
+    assert peak / forward < 1.55
 
 
 def test_encode_rejects_empty_input():
