@@ -38,10 +38,20 @@ training batch records three tape entries, whatever its lengths and depth:
 The recurrent state is h and c as [layers, B, n] arrays, from the encoder's
 final states to the decoder's. Both ops run one LSTM update, `_cell`, and
 step back through it with `_cell_backward`, from `_cell_partials` over all steps.
-The backward passes write over what they no longer read: `decoder_sequence`'s
-gate activations are overwritten by the gate factors and then by each step's
-pre-activation gradient, and the encoder writes its factors straight into its
-gradient buffer, so neither keeps a second all-step array of gate size.
+
+Memory. The forward saves only what its backward cannot rebuild bit for bit:
+per layer the gate activations and the h and c of every step, and in the
+decoder the attention's query, weights and [context; top] and the
+attentional vectors. No product is recomputed, since a GEMM's bits depend on
+its row count. What is only a copy or one elementwise op is rebuilt, as a
+fresh C-contiguous array in the layout the forward used, since bits also
+depend on memory layout: each layer's stacked input (an embedding lookup, or
+the layer below's h times its dropout scale) and tanh(c), which
+`_cell_partials` then turns into c_factor in place. The backward passes write
+over what they no longer read: the gate factors and then each step's
+pre-activation gradient overwrite the decoder's activations, and the encoder
+writes its factors straight into its gradient buffer. Each all-step buffer
+is dropped after its last read.
 
 The tape holds one entry per op call: the call's output tensors and one
 backward function taking a gradient per output. `Tape.backward` calls it once
@@ -236,22 +246,20 @@ def _cell_partials(acts: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray, out
     """Backward factors of `_cell` for any leading shape, written into `out`
     [..., 4n], which may be `acts` itself: with dc' already including
     dh' * c_factor, dpre = [dc', dc', dc', dh'] * out and dc = dc' * f.
-    Returns the forget gate f and c_factor, each [..., n]; the only other
-    array is one quarter-size scratch."""
+    Consumes `tanh_c`, tanh(c') [..., n] as a fresh array no one else holds:
+    it becomes c_factor in place. Returns the forget gate f and c_factor; the
+    only other array is one quarter-size scratch, freed before f is copied."""
     n = tanh_c.shape[-1]
     i, f, g, o = (acts[..., k * n : (k + 1) * n] for k in range(4))
     d_i, d_f, d_g, d_o = (out[..., k * n : (k + 1) * n] for k in range(4))
-    c_factor = tanh_c * tanh_c
-    np.subtract(1.0, c_factor, out=c_factor)
-    c_factor *= o
-    forget = f.copy()
     # each gate's slot is written only after its last read
     scratch = np.subtract(1.0, o)
     scratch *= o
-    np.multiply(scratch, tanh_c, out=d_o)
-    np.subtract(1.0, f, out=scratch)
-    scratch *= f
-    np.multiply(scratch, c_prev, out=d_f)
+    scratch *= tanh_c  # d_o, held until o's last read
+    c_factor = np.multiply(tanh_c, tanh_c, out=tanh_c)
+    np.subtract(1.0, c_factor, out=c_factor)
+    c_factor *= o
+    d_o[...] = scratch
     np.subtract(1.0, i, out=scratch)
     scratch *= i
     scratch *= g
@@ -259,6 +267,11 @@ def _cell_partials(acts: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray, out
     np.subtract(1.0, d_g, out=d_g)
     d_g *= i
     d_i[...] = scratch
+    del scratch  # before forget is made
+    forget = f.copy()
+    np.subtract(1.0, forget, out=d_f)
+    d_f *= forget
+    d_f *= c_prev
     return forget, c_factor
 
 
@@ -320,45 +333,61 @@ def encoder_sequence(table: Tensor, ids: np.ndarray, mask: np.ndarray,
     present = np.stack((real, real[::-1]), axis=1)[..., None]  # [S,2,B,1] in step order
     padded = ~present
     full = present.all(axis=(1, 2, 3))                         # [S]: no padding at step p
-    x = lookup(table.data, ids)
-    final_h = np.empty((len(layers), batch, 2, n), dtype=x.dtype)
-    final_c = np.empty_like(final_h)
     saved = []  # per layer, what its backward reads
-    for l, cells in enumerate(layers):
-        if l and keep is not None:
-            x = x * keep[l - 1]
-        w_in, w_rec, bias = (np.stack([cell[k].data for cell in cells]) for k in range(3))
+
+    def outputs(hs):
+        # step-major in memory, [S,B,2,n] in time order: later products' bits depend on it
+        x = np.stack((hs[1:, 0], hs[:0:-1, 1]), axis=2).reshape(length, batch, 2 * n)
+        return x.transpose(1, 0, 2)
+
+    def input_steps(l):
+        """Layer l's input as [2, S*B, in], a fresh C-contiguous array: step
+        p's rows are position p for direction 0 and S-1-p for direction 1. It
+        comes from `ids`, or from the saved states of the layer below, so the
+        backward rebuilds it bit for bit instead of saving it."""
+        if l == 0:
+            x = lookup(table.data, ids)
+        else:
+            x = outputs(saved[l - 1][-1])
+            if keep is not None:
+                x = x * keep[l - 1]
         x_time = x.transpose(1, 0, 2)
-        x_steps = np.stack((x_time, x_time[::-1])).reshape(2, length * batch, -1)
-        acts = np.matmul(x_steps, w_in).reshape(2, length, batch, 4 * n)  # input projections first
+        return np.stack((x_time, x_time[::-1])).reshape(2, length * batch, -1)
+
+    dtype = table.data.dtype
+    final_h = np.empty((len(layers), batch, 2, n), dtype=dtype)
+    final_c = np.empty_like(final_h)
+    tanh_c = np.empty((2, batch, n), dtype=dtype)  # one step's scratch
+    for l, cells in enumerate(layers):
+        w_in, w_rec, bias = (np.stack([cell[k].data for cell in cells]) for k in range(3))
+        # the input projections first
+        acts = np.matmul(input_steps(l), w_in).reshape(2, length, batch, 4 * n)
         acts = np.ascontiguousarray(acts.transpose(1, 0, 2, 3))
-        hs = np.zeros((length + 1, 2, batch, n), dtype=x.dtype)  # hs[p]: state before step p
+        hs = np.zeros((length + 1, 2, batch, n), dtype=dtype)  # hs[p]: state before step p
         cs = np.zeros_like(hs)
-        tanh_cs = np.empty((length, 2, batch, n), dtype=x.dtype)
         for p in range(length):
-            _cell(acts[p], hs[p], cs[p], w_rec, bias[:, None], cs[p + 1], tanh_cs[p], hs[p + 1])
+            _cell(acts[p], hs[p], cs[p], w_rec, bias[:, None], cs[p + 1], tanh_c, hs[p + 1])
             if not full[p]:
                 np.copyto(hs[p + 1], hs[p], where=padded[p])
                 np.copyto(cs[p + 1], cs[p], where=padded[p])
-        # step-major in memory, [S,B,2,n] in time order: later products' bits depend on it
-        x = np.stack((hs[1:, 0], hs[:0:-1, 1]), axis=2).reshape(length, batch, 2 * n)
-        x = x.transpose(1, 0, 2)
         final_h[l] = hs[-1].swapaxes(0, 1)
         final_c[l] = cs[-1].swapaxes(0, 1)
-        saved.append((x_steps, w_in, w_rec, acts, hs, cs, tanh_cs))
+        saved.append((w_in, w_rec, acts, cs, hs))
 
     def backward(g_annotations, g_h, g_c):
         dx = g_annotations
         for l in range(len(layers) - 1, -1, -1):
-            x_steps, w_in, w_rec, acts, hs, cs, tanh_cs = saved.pop()
+            w_in, w_rec, acts, cs, hs = saved.pop()
             if l + 1 < len(layers) and keep is not None:
                 dx = dx * keep[l]
             g = dx.transpose(1, 0, 2).reshape(length, batch, 2, n)
             d_outputs = np.stack((g[:, :, 0], g[::-1, :, 1]), axis=1)  # [S,2,B,n] in step order
             dpre = np.empty((2, length, batch, 4 * n), dtype=acts.dtype)  # so `flat` is a view
-            # the gate factors, then each step's dpre
-            forget, c_factor = _cell_partials(acts, cs[:-1], tanh_cs, dpre.transpose(1, 0, 2, 3))
-            del acts, cs, tanh_cs  # read only by the partials
+            # the gate factors, then each step's dpre; at padded rows tanh(c) is
+            # not the forward's, but dpre is zeroed there
+            forget, c_factor = _cell_partials(acts, cs[:-1], np.tanh(cs[1:]),
+                                              dpre.transpose(1, 0, 2, 3))
+            del acts, cs  # read only by the partials
             dh = g_h[l].reshape(batch, 2, n).swapaxes(0, 1).copy()  # accumulates in place
             dc = g_c[l].reshape(batch, 2, n).swapaxes(0, 1)         # is only rebound
             for p in range(length - 1, -1, -1):
@@ -370,17 +399,20 @@ def encoder_sequence(table: Tensor, ids: np.ndarray, mask: np.ndarray,
                     np.copyto(dh_prev, dh, where=padded[p])
                     np.copyto(dc_prev, dc, where=padded[p])
                 dh, dc = dh_prev, dc_prev
+            del forget, c_factor, d_outputs
             flat = dpre.reshape(2, length * batch, 4 * n)
             d_steps = np.matmul(w_in, flat.swapaxes(1, 2)).reshape(2, -1, length, batch)
             dx = (d_steps[0] + d_steps[1][:, ::-1]).transpose(2, 1, 0)  # [in,S,B] -> [B,S,in]
+            del d_steps
             h_steps = hs[:-1].swapaxes(0, 1).reshape(2, length * batch, n)
-            grads = (np.matmul(x_steps.swapaxes(1, 2), flat),
+            grads = (np.matmul(input_steps(l).swapaxes(1, 2), flat),
                      np.matmul(h_steps.swapaxes(1, 2), flat), flat.sum(axis=1))
             for direction, cell in enumerate(layers[l]):
                 for w, d_w in zip(cell, grads):
                     _accumulate(w, d_w[direction])
         _scatter_rows(table, ids, dx)
 
+    x = outputs(saved[-1][-1])
     shape = (len(layers), batch, 2 * n)
     return _record(backward, x, final_h.reshape(shape), final_c.reshape(shape))
 
@@ -412,19 +444,22 @@ class DecoderBuffers:
     """The activations of `steps` decoder steps over `batch` rows, as
     `decoder_step` writes them and `decoder_sequence`'s backward reads them;
     that backward overwrites `acts` with the gate gradients.
-    The state before step t is `h[:, t]` and `c[:, t]`, each [layers, batch, n]."""
+    The state before step t is `h[:, t]` and `c[:, t]`, each [layers, batch, n].
+    `dropped` and `tanh_c` are one step's scratch, overwritten by the next
+    step: the backward rebuilds them from `h` and `c`. Every other buffer
+    holds all steps."""
 
     __slots__ = ("dropped", "h", "c", "acts", "tanh_c", "query", "weights", "cat", "attn")
 
     def __init__(self, steps: int, batch: int, layers: int, n: int, length: int, dtype,
                  dropout: bool = False):
         shape = (steps, batch, n)
-        # dropped[l-1, t]: the dropped-out input of layer l > 0
-        self.dropped = np.empty((layers - 1, *shape), dtype) if dropout else None
+        # dropped[l-1]: the dropped-out input of layer l > 0
+        self.dropped = np.empty((layers - 1, batch, n), dtype) if dropout else None
         self.h = np.empty((layers, steps + 1, batch, n), dtype)  # h[l, t]: state before step t
         self.c = np.empty_like(self.h)
         self.acts = np.empty((layers, steps, batch, 4 * n), dtype)  # gate activations
-        self.tanh_c = np.empty((layers, *shape), dtype)
+        self.tanh_c = np.empty((layers, batch, n), dtype)
         self.query = np.empty(shape, dtype)                 # top @ w_score
         self.weights = np.empty((steps, batch, length), dtype)
         self.cat = np.empty((steps, batch, 2 * n), dtype)   # [context; top]
@@ -451,11 +486,11 @@ def decoder_step(buf: DecoderBuffers, t: int, x0: np.ndarray, prev_h: np.ndarray
     x = x0
     for layer, (w_in, w_rec, bias) in enumerate(cells):
         if layer and keep is not None:
-            x = np.multiply(x, keep[layer - 1], out=buf.dropped[layer - 1, t])
+            x = np.multiply(x, keep[layer - 1], out=buf.dropped[layer - 1])
         acts = np.matmul(x, w_in, out=buf.acts[layer, t])
         x = buf.h[layer, t + 1]
         _cell(acts, prev_h[layer], prev_c[layer], w_rec, bias, buf.c[layer, t + 1],
-              buf.tanh_c[layer, t], x)
+              buf.tanh_c[layer], x)
     w_score, w_out, b_out = attention
     n = x.shape[1]
     cat = buf.cat[t]
@@ -507,11 +542,7 @@ def decoder_sequence(table: Tensor, ids: np.ndarray, h0: Tensor, c0: Tensor, sta
     emb = lookup(table.data, ids)
     dtype = emb.dtype
     buf = DecoderBuffers(steps, batch, layers, n, length, dtype, dropout=keep is not None)
-    if input_feeding:
-        x0 = np.empty((steps, batch, in_size), dtype)
-        x0[:, :, :e] = emb
-    else:
-        x0 = emb
+    fed = np.empty((batch, in_size), dtype) if input_feeding else None  # one step's scratch
     buf.h[:, 0] = h0.data[starts]
     buf.c[:, 0] = c0.data[starts]
     buf.attn[0] = 0.0
@@ -519,20 +550,31 @@ def decoder_sequence(table: Tensor, ids: np.ndarray, h0: Tensor, c0: Tensor, sta
     weights = [tuple(t.data for t in cell) for cell in cells]
     attention = (w_score.data, w_out.data, b_out.data)
     for t in range(steps):
-        if input_feeding:
-            x0[t, :, e:] = buf.attn[t]
-        decoder_step(buf, t, x0[t], buf.h[:, t], buf.c[:, t], weights, attention, ann,
+        x0 = emb[t] if fed is None else np.concatenate((emb[t], buf.attn[t]), axis=1, out=fed)
+        decoder_step(buf, t, x0, buf.h[:, t], buf.c[:, t], weights, attention, ann,
                      mask_add, None if keep is None else keep[t])
 
+    def stacked(a):
+        return a.reshape(steps * batch, a.shape[-1])
+
+    def layer_inputs(l):
+        """Layer l's inputs of every step, [T,B,in], rebuilt bit for bit as a
+        fresh C-contiguous array, the layout of the forward's all-step input."""
+        if l == 0:
+            emb = lookup(table.data, ids)
+            return np.concatenate([emb, buf.attn[:-1]], axis=-1) if input_feeding else emb
+        return buf.h[l - 1, 1:] if keep is None else buf.h[l - 1, 1:] * keep[:, l - 1]
+
     def backward(g):
+        # the gate factors, then each step's dpre, overwrite the activations
+        d_pre = buf.acts
+        forget, c_factor = _cell_partials(d_pre, buf.c[:, :-1], np.tanh(buf.c[:, 1:]), d_pre)
+        buf.c = None  # read only by the partials
         d_attn = g.reshape(steps, batch, n)
         d_u = 1.0 - buf.attn[1:] * buf.attn[1:]  # tanh' now, times the gradient in the loop
         d_ctx = np.empty_like(buf.query)
         d_query = np.empty_like(buf.query)
         d_scores = np.empty_like(buf.weights)
-        # the gate factors, then each step's dpre, overwrite the activations
-        d_pre = buf.acts
-        forget, c_factor = _cell_partials(buf.acts, buf.c[:, :-1], buf.tanh_c, d_pre)
         dh = np.zeros((layers, batch, n), dtype)  # of the state before the step
         dc = np.zeros_like(dh)
         w_fed = weights[0][0][e:]  # layer 0's input-fed rows
@@ -559,20 +601,8 @@ def decoder_sequence(table: Tensor, ids: np.ndarray, h0: Tensor, c0: Tensor, sta
                         d_in *= keep[t, l - 1]
                 elif input_feeding:
                     d_fed = (w_fed @ dpre.T).T
-        del forget, c_factor  # before the weight-gradient products, where the backward peaks
+        forget = c_factor = du = dpre = None  # before the weight-gradient products
 
-        def stacked(a):
-            return a.reshape(steps * batch, a.shape[-1])
-
-        for l, (w_in, w_rec, bias) in enumerate(cells):
-            dpre = stacked(d_pre[l])
-            if l == 0:
-                x = x0
-            else:
-                x = buf.h[l - 1, 1:] if keep is None else buf.dropped[l - 1]
-            _accumulate(w_in, stacked(x).T @ dpre)
-            _accumulate(w_rec, stacked(buf.h[l, :-1]).T @ dpre)
-            _accumulate(bias, dpre.sum(axis=0))
         for start, d_start in ((h0, dh), (c0, dc)):
             _scatter_rows(start, starts, d_start)  # sums where one state starts several layers
         d_emb = weights[0][0][:e] @ stacked(d_pre[0]).T  # [e, T*B]
@@ -580,6 +610,15 @@ def decoder_sequence(table: Tensor, ids: np.ndarray, h0: Tensor, c0: Tensor, sta
         _accumulate(w_out, stacked(buf.cat).T @ stacked(d_u))
         _accumulate(b_out, stacked(d_u).sum(axis=0))
         _accumulate(w_score, stacked(buf.h[-1, 1:]).T @ stacked(d_query))
+        # each buffer goes after its last read, before the cells' weight gradients
+        d_emb = buf.cat = d_u = None
+        for l, (w_in, w_rec, bias) in enumerate(cells):
+            d_layer = stacked(d_pre[l])
+            _accumulate(w_in, stacked(layer_inputs(l)).T @ d_layer)
+            _accumulate(w_rec, stacked(buf.h[l, :-1]).T @ d_layer)
+            _accumulate(bias, d_layer.sum(axis=0))
+        buf.acts = buf.h = d_pre = d_layer = None
+        # what is left is read by the annotation gradient:
         # d annotations[b] = sum_t weights[t,b]^T d_ctx[t,b] + d_scores[t,b]^T query[t,b]
         over_s = np.concatenate([buf.weights, d_scores]).transpose(1, 2, 0)  # [B,S,2T]
         over_h = np.concatenate([d_ctx, buf.query]).transpose(1, 0, 2)       # [B,2T,n]
@@ -646,10 +685,12 @@ def clip_gradients(tensors: Sequence[Tensor], max_norm: float) -> float:
 
 
 def sgd_step(tensors: Sequence[Tensor], lr: float) -> None:
-    """In-place w <- w - lr*g."""
+    """In-place w <- w - lr*g. It consumes the gradients: each is scaled by
+    `lr` in place, with no temporary, and `zero_grads` then drops it."""
     for t in tensors:
         if t.grad is not None:
-            t.data -= lr * t.grad
+            t.grad *= lr
+            t.data -= t.grad
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

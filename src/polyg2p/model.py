@@ -37,6 +37,7 @@ as the rows of one `DecoderState`, so the model knows nothing of the beam.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -198,14 +199,11 @@ class DecoderState:
 
 def pad_batch(rows: Sequence[Sequence[int]], pad_id: int = PAD_ID) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad integer sequences into an id matrix plus a 0/1 mask."""
-    batch = len(rows)
-    width = max(len(r) for r in rows)
-    ids = np.full((batch, width), pad_id, dtype=np.intp)
-    mask = np.zeros((batch, width), dtype=np.float64)
-    for i, r in enumerate(rows):
-        ids[i, : len(r)] = r
-        mask[i, : len(r)] = 1.0
-    return ids, mask
+    lengths = [len(r) for r in rows]
+    real = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    ids = np.full(real.shape, pad_id, dtype=np.intp)
+    ids[real] = np.fromiter(itertools.chain.from_iterable(rows), np.intp, sum(lengths))
+    return ids, real.astype(np.float64)
 
 
 def _keep_scale(shape, config: ModelConfig, training: bool, rng, dtype) -> np.ndarray | None:

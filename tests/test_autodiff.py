@@ -274,6 +274,18 @@ def test_sgd_zero_gradient_leaves_weight():
     assert w.data == np.array([1.5])
 
 
+def test_sgd_step_is_bit_identical_to_subtracting_lr_times_the_gradient():
+    # the gradient is scaled in place: a Python float lr is a weak scalar, so
+    # float32 `lr * g` rounds the same as before
+    rng = np.random.default_rng(27)
+    w = Tensor(rng.normal(size=(50, 7)).astype(np.float32))
+    w.grad = rng.normal(size=w.data.shape).astype(np.float32)
+    expected = w.data - 0.1 * w.grad
+    ad.sgd_step([w], lr=0.1)
+    assert w.data.dtype == np.float32
+    assert w.data.tobytes() == expected.tobytes()
+
+
 def test_sgd_lr_zero_is_identity():
     w = Tensor(np.array([1.0, -2.0]))
     w.grad = np.array([3.0, 4.0])

@@ -30,6 +30,7 @@ from polyg2p.model import (
     forward_loss,
     init_params,
     initial_state,
+    pad_batch,
     param_specs,
     params_from_arrays,
     target_token_count,
@@ -259,11 +260,64 @@ def test_backward_keeps_only_gradients_and_op_outputs():
 
 def test_backward_peak_stays_near_the_forward():
     # the gate factors and then each step's dpre overwrite the activations, and
-    # each entry's saved arrays go once its backward has run: measured 1.38 here,
-    # against 1.85 with a separate factor array and nothing freed
+    # each entry's saved arrays go once its backward has run: measured 1.25 here
+    # (2.20 over 1.76 MB), 1.38 while the forward also saved what its backward
+    # rebuilds, and 1.85 with a separate factor array and nothing freed
     loss_of, _ = _memory_batch(hidden=64, batch_size=16, src_len=12, tgt_len=10)
     forward, peak, _, _ = traced_backward(loss_of)
     assert peak / forward < 1.55
+
+
+def test_forward_saves_only_what_backward_cannot_rebuild():
+    # The arrays the forward saves, from their shapes: float32, 2+2 layers,
+    # encoder cells of m=32 per direction, decoder cells of n=64, B=16 rows,
+    # S=12 source steps and T=11 target steps (10 and EOS).
+    loss_of, params = _memory_batch(hidden=64, batch_size=16, src_len=12, tgt_len=10)
+    layers, batch, src, tgt, n, vocab = 2, 16, 12, 11, 64, 20
+    m = n // 2
+    encoder = layers * (2 * n * 4 * m + 2 * m * 4 * m  # stacked w_in (input 64) and w_rec
+                        + src * 2 * batch * 4 * m      # gate activations
+                        + 2 * (src + 1) * 2 * batch * m)  # h and c
+    encoder += ((layers - 1) * src * batch * n         # dropout scale
+                + batch * src * n + 2 * layers * batch * n)  # outputs: annotations, final h, c
+    decoder = (2 * layers * (tgt + 1) * batch * n      # h and c
+               + layers * tgt * batch * 4 * n          # gate activations
+               + tgt * batch * (n + src + 2 * n)       # query, attention weights, [context; top]
+               + (tgt + 1) * batch * n                 # attentional vectors, the output
+               + (2 * layers - 1) * batch * n          # one step's dropped input and tanh(c)
+               + tgt * (layers - 1) * batch * n)       # dropout scale
+    saved = 4 * (encoder + decoder + tgt * batch * vocab)  # and the loss's log-probs
+    # Below one all-step [T,B,n] array, the smallest that the backward
+    # rebuilds: ids, masks and array headers fit in it, a rebuilt array does not.
+    allowance = 4 * tgt * batch * n
+    forward, peak, _, _ = traced_backward(loss_of)
+    assert forward < saved + allowance
+    # The backward's working arrays fit in the saved arrays it has freed, so it
+    # peaks below the saved arrays plus every parameter gradient.
+    grads = sum(t.data.nbytes for t in params.values())
+    assert peak < saved + grads + allowance
+
+
+def test_pad_batch_equals_the_per_row_loop():
+    def padded_by_rows(rows, pad_id):
+        ids = np.full((len(rows), max(len(r) for r in rows)), pad_id, dtype=np.intp)
+        mask = np.zeros(ids.shape)
+        for i, r in enumerate(rows):
+            ids[i, : len(r)] = r
+            mask[i, : len(r)] = 1.0
+        return ids, mask
+
+    rng = np.random.default_rng(28)
+    ragged = [list(rng.integers(4, 50, rng.integers(1, 15))) for _ in range(64)]
+    cases = ([[4, 5, 6], [7], [8, 9]], [[5]], [[4, 9, 9, 4]], [(6, 7), np.array([8, 9, 4])],
+             [[3], [], [6, 7]], ragged)
+    for rows in cases:
+        for pad_id in (PAD_ID, 2):
+            ids, mask = pad_batch(rows, pad_id)
+            want_ids, want_mask = padded_by_rows(rows, pad_id)
+            assert (ids.dtype, mask.dtype) == (np.intp, np.float64)
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(mask, want_mask)
 
 
 def test_encode_rejects_empty_input():
