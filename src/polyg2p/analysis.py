@@ -12,7 +12,7 @@ import numpy as np
 
 from .checkpoint import ModelBundle
 from .corpus import RESERVED, is_lang_token, lang_token
-from .decoding import beam_search
+from .decoding import decode_words
 
 
 @dataclass
@@ -70,8 +70,5 @@ def translate_as(word: str, langs: list[str], bundle: ModelBundle,
         raise ValueError("cross-token translation needs a model trained with language "
                          "tokens; this one was trained without them")
     sources = {lang: bundle.source_ids(word, lang) for lang in langs}
-    results: dict[str, tuple[str, ...]] = {}
-    for lang, src_ids in sources.items():
-        nbest = beam_search(src_ids, bundle.params, bundle.config, bundle.tgt_vocab, width=width)
-        results[lang] = nbest[0].phonemes if nbest else ()
-    return results
+    nbests = decode_words(sources.values(), bundle.params, bundle.config, bundle.tgt_vocab, width)
+    return {lang: nbest[0].phonemes if nbest else () for lang, nbest in zip(sources, nbests)}

@@ -35,7 +35,7 @@ from .corpus import (
     split_train_val,
     write_lexicon,
 )
-from .decoding import beam_search, write_nbest
+from .decoding import decode_words, write_nbest
 from .model import train_model
 
 
@@ -271,12 +271,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _warn_if_unseen(bundle: ModelBundle, lang: str | None) -> None:
-    """Warn that the model reads `lang`'s token untrained: the language was
-    not in its training data."""
-    if bundle.uses_lang_token and lang is not None and lang_token(lang) not in bundle.src_vocab:
-        print(f"warning: language {lang!r} unseen in training; using an untrained token",
-              file=sys.stderr)
+def _gate_sources(bundle: ModelBundle, sources) -> list[list[int]]:
+    """The encoder ids of every (word, lang, error prefix) in `sources`, each
+    passed through `bundle.source_ids` before any is decoded. Then a warning,
+    once per language and in input order, for each language the model was not
+    trained on: it reads that language's token untrained."""
+    ids = []
+    for word, lang, where in sources:
+        try:
+            ids.append(bundle.source_ids(word, lang))
+        except ValueError as exc:
+            raise UserError(f"{where}{exc}") from None
+    for lang in dict.fromkeys(lang for _, lang, _ in sources):
+        if bundle.uses_lang_token and lang is not None and lang_token(lang) not in bundle.src_vocab:
+            print(f"warning: language {lang!r} unseen in training; using an untrained token",
+                  file=sys.stderr)
+    return ids
+
+
+def _with_progress(nbests):
+    """`nbests` as they come, printing a count every 200 words."""
+    for done, nbest in enumerate(nbests, start=1):
+        if done % 200 == 0:
+            print(f"decoded {done} words", file=sys.stderr)
+        yield nbest
 
 
 def cmd_translate(args) -> int:
@@ -293,19 +311,12 @@ def cmd_translate(args) -> int:
                 sources.append((word, lang, f"{args.input}:{line_no}: "))
     else:
         raise UserError("give either --word or --input")
-    jobs = []  # every source is checked before any output
-    for word, lang, where in sources:
-        try:
-            jobs.append((word, lang, bundle.source_ids(word, lang)))
-        except ValueError as exc:
-            raise UserError(f"{where}{exc}") from None
-    for lang in dict.fromkeys(lang for _, lang, _ in jobs):  # once per language, in input order
-        _warn_if_unseen(bundle, lang)
+    ids = _gate_sources(bundle, sources)  # every source is checked before any output
 
     with _output(args.out) as out_fh:
-        for word, lang, src_ids in jobs:
-            nbest = beam_search(src_ids, bundle.params, bundle.config,
-                                bundle.tgt_vocab, width=args.width, max_len=args.max_len)
+        nbests = decode_words(ids, bundle.params, bundle.config, bundle.tgt_vocab,
+                              args.width, args.max_len)
+        for (word, _, _), nbest in zip(sources, nbests):
             write_nbest(out_fh, word, nbest)
     return 0
 
@@ -323,22 +334,13 @@ def cmd_evaluate(args) -> int:
         entries = [e for e in entries if e.lang not in trained]
         if not entries:
             raise UserError("no unseen-language entries in the test corpus")
+    ids = [bundle.source_ids("".join(e.graphemes), e.lang) for e in entries]
 
     out_dir = Path(args.out) if args.out else None
     if out_dir:  # made, or found unusable, before the first word is decoded
         out_dir.mkdir(parents=True, exist_ok=True)
-    done = 0
-
-    def decode_fn(entry):
-        nonlocal done
-        src_ids = bundle.source_ids("".join(entry.graphemes), entry.lang)
-        nbest = beam_search(src_ids, bundle.params, bundle.config, bundle.tgt_vocab, width=width)
-        done += 1
-        if done % 200 == 0:
-            print(f"decoded {done} words", file=sys.stderr)
-        return nbest
-
-    report = metrics.evaluate(entries, decode_fn, width=width)
+    nbests = decode_words(ids, bundle.params, bundle.config, bundle.tgt_vocab, width)
+    report = metrics.score(entries, _with_progress(nbests), width=width)
 
     if out_dir:
         with atomic_write(out_dir / "report.tsv") as fh:
@@ -361,10 +363,7 @@ def cmd_analyze(args) -> int:
                 langs = comma_list(args.langs or "")
                 if not args.word or not langs:
                     raise UserError("crosstoken mode needs --word and --langs")
-                for lang in langs:  # every language passes the gate before any is decoded
-                    bundle.source_ids(args.word, lang)
-                for lang in langs:
-                    _warn_if_unseen(bundle, lang)
+                _gate_sources(bundle, [(args.word, lang, "") for lang in langs])
                 table = analysis.translate_as(args.word, langs, bundle, width=args.width)
                 for lang, phones in table.items():
                     out_fh.write(f"{lang}\t{' '.join(phones)}\n")

@@ -1,5 +1,11 @@
 """Greedy and beam-search decoding with n-best output.
 
+`decode_words` is the one entry point for decoding a list of words: every
+caller in the package decodes through it, except the independent oracles
+(`greedy_decode`, `score_sequence`) and criterion 3's greedy measure
+(`synth.held_out_wer`). It decides how the words are searched; today that is
+one `beam_search` per word, in input order.
+
 Hypotheses are ranked by cumulative log-probability with no length
 normalization, the paper's one ranking rule. Ties are broken by earlier
 completion step, then lexicographically by token ids, so n-best lists are
@@ -25,7 +31,7 @@ no graph at all. An empty source is `encode`'s error, raised before any step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,6 +126,25 @@ def beam_search(
                    truncated=end == live_done)
         for row, score, end in zip(paths, scores, done.tolist())
     ]
+
+
+def decode_words(
+    sources: Iterable[Sequence[int]],
+    params: ModelParams,
+    config: ModelConfig,
+    tgt_vocab: Vocabulary,
+    width: int,
+    max_len: int | None = None,
+) -> Iterator[list[NBestEntry]]:
+    """One n-best list per source id sequence, yielded in input order as each
+    word is decoded, so a caller never holds every word's list. `width` and
+    `max_len` are checked here, before the first search."""
+    if width < 1:
+        raise ValueError("beam width must be >= 1")
+    if max_len is not None and max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    return (beam_search(src_ids, params, config, tgt_vocab, width=width, max_len=max_len)
+            for src_ids in sources)
 
 
 def greedy_decode(

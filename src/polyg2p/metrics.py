@@ -5,14 +5,18 @@ All three metrics compare phoneme tokens under one rule: each token is
 NFC-normalized (Unicode Standard Annex #15), so a gold transcription and a
 prediction that differ only in how a symbol is composed score as equal.
 A word's WER and WER 100 misses are decided in one place, `_word_misses`;
-`wer`, `wer100` and `evaluate` all call it. `per` normalizes its arguments;
-`evaluate` normalizes each word's gold and n-best tokens once and takes WER,
-WER 100 and both PERs from those. PER is averaged per word, then per language
-(mean of ratios); a corpus-level ratio-of-sums variant is also provided.
+`wer`, `wer100` and `score` all call it. `per` normalizes its arguments.
+`score` is the one scoring loop over a test corpus: it takes the entries and
+their n-best lists, one list at a time, normalizes each word's gold and n-best
+tokens once and takes WER, WER 100 and both PERs from those. `evaluate` is its
+wrapper for a per-entry decode function. PER is averaged per word, then per
+language (mean of ratios); a corpus-level ratio-of-sums variant is also
+provided.
 """
 
 from __future__ import annotations
 
+import sys
 import unicodedata
 import warnings
 from dataclasses import dataclass
@@ -73,10 +77,14 @@ def wer(pairs: Sequence[tuple[TokenSeq, TokenSeq]]) -> float:
 
 
 def _warn_if_narrow(width: int | None) -> None:
-    """Warn the caller of `wer100` or `evaluate` that a beam narrower than 100
-    cannot hold the 100 guesses WER 100 counts."""
+    """Warn that a beam narrower than 100 cannot hold the 100 guesses WER 100
+    counts. The warning names the first caller outside this module, so
+    `evaluate`, which calls `score`, blames its own caller too."""
     if width is not None and width < 100:
-        warnings.warn(f"WER 100 computed from beam width {width} (< 100)", stacklevel=3)
+        depth = 1  # frames up from here: 1 is `wer100` or `score`
+        while sys._getframe(depth).f_code.co_filename == __file__:
+            depth += 1
+        warnings.warn(f"WER 100 computed from beam width {width} (< 100)", stacklevel=depth + 1)
 
 
 def wer100(
@@ -113,47 +121,44 @@ class EvalReport:
     macro: MacroScores
 
 
-def evaluate(
-    entries: Iterable,
-    decode_fn: Callable[[object], Sequence],
+def score(
+    entries: Sequence,
+    nbests: Iterable[Sequence],
     width: int | None = None,
 ) -> EvalReport:
     """Score a test corpus with equal-per-language averaging.
 
-    `entries` are LexiconEntry-like objects (lang + phonemes); `decode_fn`
-    maps an entry to its n-best list (objects with a .phonemes attribute,
-    best first). Each word's gold and n-best tokens are NFC-normalized once,
-    and all the scores are taken from those. Languages unseen in training are
-    scored like any other.
+    `entries` are LexiconEntry-like objects (lang + phonemes); `nbests` gives
+    each entry's n-best list in the same order (objects with a .phonemes
+    attribute, best first). It is read one list at a time, so it may be an
+    iterator that decodes as it goes; a count that differs from the entries'
+    raises ValueError. Each word's gold and n-best tokens are NFC-normalized
+    once, and all the scores are taken from those. Languages unseen in
+    training are scored like any other.
     """
-    by_lang: dict[str, list] = {}
-    for entry in entries:
-        by_lang.setdefault(entry.lang, []).append(entry)
-    if not by_lang:
+    if not entries:
         raise ValueError("empty test corpus")
 
     _warn_if_narrow(width)
 
+    # per language, in input order: (miss, WER 100 miss, edits, gold tokens, PER) per word
+    tallies: dict[str, list[tuple[bool, bool, int, int, float]]] = {}
+    for entry, nbest in zip(entries, nbests, strict=True):
+        gold = _nfc(entry.phonemes)
+        top, miss, miss100 = _word_misses([c.phonemes for c in nbest], gold)
+        distance = levenshtein(top, gold)
+        tallies.setdefault(entry.lang, []).append(
+            (miss, miss100, distance, len(gold), _per_of(distance, gold)))
+
     per_language: dict[str, LanguageScores] = {}
-    for lang in sorted(by_lang):
-        misses = misses100 = edits = gold_tokens = 0
-        ratios = []
-        for entry in by_lang[lang]:
-            nbest = decode_fn(entry)
-            gold = _nfc(entry.phonemes)
-            top, miss, miss100 = _word_misses([c.phonemes for c in nbest], gold)
-            misses += miss
-            misses100 += miss100
-            distance = levenshtein(top, gold)
-            ratios.append(_per_of(distance, gold))
-            edits += distance
-            gold_tokens += len(gold)
-        words = len(by_lang[lang])
+    for lang in sorted(tallies):
+        misses, misses100, edits, gold_tokens, ratios = zip(*tallies[lang])
+        words = len(ratios)
         per_language[lang] = LanguageScores(
-            wer=100.0 * misses / words,
-            wer100=100.0 * misses100 / words,
+            wer=100.0 * sum(misses) / words,
+            wer100=100.0 * sum(misses100) / words,
             per=100.0 * sum(ratios) / words,
-            per_corpus=100.0 * edits / gold_tokens,
+            per_corpus=100.0 * sum(edits) / sum(gold_tokens),
             word_count=words,
         )
 
@@ -164,6 +169,16 @@ def evaluate(
         per=sum(s.per for s in langs) / len(langs),
     )
     return EvalReport(per_language, macro)
+
+
+def evaluate(
+    entries: Iterable,
+    decode_fn: Callable[[object], Sequence],
+    width: int | None = None,
+) -> EvalReport:
+    """`score` over `entries` and `decode_fn(entry)` for each, in input order."""
+    entries = list(entries)
+    return score(entries, map(decode_fn, entries), width)
 
 
 def write_report(fh, report: EvalReport) -> None:

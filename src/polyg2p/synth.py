@@ -22,7 +22,7 @@ from .checkpoint import ModelBundle
 from .corpus import (DatasetSplit, LexiconEntry, build_vocab, encode_pairs, split_train_val,
                      tokenize_graphemes)
 from .decoding import NBestEntry, greedy_decode
-from .metrics import evaluate
+from .metrics import score
 from .model import ModelConfig, TrainingSchedule, train_model
 
 LETTERS = tuple("abcdefgh")
@@ -133,10 +133,9 @@ def train_bilingual_pair(split: DatasetSplit) -> tuple[ModelBundle, ModelBundle]
 
 def held_out_wer(bundle: ModelBundle, split: DatasetSplit) -> dict[str, float]:
     """Greedy-decoding WER (%) on the held-out words, per language, scored by
-    `metrics.evaluate`."""
-    def decode_fn(entry):
-        src = bundle.source_ids("".join(entry.graphemes), entry.lang)
-        return [NBestEntry(*greedy_decode(src, bundle.params, bundle.config, bundle.tgt_vocab))]
-
-    report = evaluate(split.validation, decode_fn)
+    `metrics.score`."""
+    sources = [bundle.source_ids("".join(e.graphemes), e.lang) for e in split.validation]
+    nbests = ([NBestEntry(*greedy_decode(src, bundle.params, bundle.config, bundle.tgt_vocab))]
+              for src in sources)
+    report = score(split.validation, nbests)
     return {lang: scores.wer for lang, scores in report.per_language.items()}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import tiny_model
-from polyg2p import analysis
+from polyg2p import decoding
 from polyg2p.analysis import nearest_languages, nearest_phonemes, translate_as
 from polyg2p.checkpoint import ModelBundle
 from polyg2p.corpus import RESERVED, Vocabulary
@@ -91,7 +91,7 @@ def test_translate_as_gates_every_language_before_decoding(monkeypatch):
         calls.append(args)
         return []
 
-    monkeypatch.setattr(analysis, "beam_search", counting_beam_search)
+    monkeypatch.setattr(decoding, "beam_search", counting_beam_search)
     with pytest.raises(ValueError, match="invalid language code 'XX'"):
         translate_as("ab", ["aaa", "XX"], _bundle())
     assert calls == []

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import rewrite_meta
-from polyg2p import analysis, cli
+from polyg2p import cli, decoding
 from polyg2p.checkpoint import load_checkpoint
 from polyg2p.cli import main
 from polyg2p.config import ConfigError, RunConfig, load_config
@@ -247,7 +247,7 @@ def test_invalid_model_setting_is_user_error_before_any_directory_is_made(
 
 def test_evaluate_width_zero_is_user_error_before_anything_is_decoded(
         run_dir, lexicon, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "beam_search", lambda *args, **kwargs: pytest.fail("decoded"))
+    monkeypatch.setattr(decoding, "beam_search", lambda *args, **kwargs: pytest.fail("decoded"))
     out = tmp_path / "report"
     capsys.readouterr()
     assert main(["evaluate", "--checkpoint", str(run_dir / "final.mg2p"),
@@ -394,7 +394,7 @@ def test_translate_input_warns_once_per_unseen_language_before_decoding(run_dir,
             err_at_first_decode.append(capsys.readouterr().err)
         return beam_search(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "beam_search", recording_beam_search)
+    monkeypatch.setattr(decoding, "beam_search", recording_beam_search)
     words = tmp_path / "words.txt"
     words.write_text("zzz\tba\nzzz\tab\nzzz\tbab\n", encoding="utf-8")
     code = main(["translate", "--checkpoint", str(run_dir / "final.mg2p"),
@@ -496,7 +496,7 @@ def test_evaluate_manifest_records_the_width_it_decoded_at(run_dir, lexicon, tmp
         widths.append(width)
         return beam_search(*args, width=width, **kwargs)
 
-    monkeypatch.setattr(cli, "beam_search", recording_beam_search)
+    monkeypatch.setattr(decoding, "beam_search", recording_beam_search)
     base = ["evaluate", "--checkpoint", str(run_dir / "final.mg2p"),
             "--test-lexicon", str(lexicon)]
     first, again, default = (tmp_path / name for name in ("first", "again", "default"))
@@ -515,7 +515,7 @@ def test_evaluate_out_that_is_a_file_fails_before_any_word_is_decoded(run_dir, l
     out = tmp_path / "taken"
     out.write_text("a file, not a directory\n", encoding="utf-8")
     decoded = []
-    monkeypatch.setattr(cli, "beam_search", lambda *args, **kwargs: decoded.append(args))
+    monkeypatch.setattr(decoding, "beam_search", lambda *args, **kwargs: decoded.append(args))
     capsys.readouterr()
     code = main(["evaluate", "--checkpoint", str(run_dir / "final.mg2p"),
                  "--test-lexicon", str(lexicon), "--width", "2", "--out", str(out)])
@@ -577,7 +577,7 @@ def test_crosstoken_warns_about_unseen_languages_before_decoding(run_dir, capsys
             err_at_first_decode.append(capsys.readouterr().err)
         return beam_search(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "beam_search", recording_beam_search)
+    monkeypatch.setattr(decoding, "beam_search", recording_beam_search)
     code = main(["analyze", "--checkpoint", str(run_dir / "final.mg2p"),
                  "--mode", "crosstoken", "--word", "ba", "--langs", "zzz,aaa,qal"])
     assert code == 0

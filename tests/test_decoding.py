@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import itertools
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 
 from helpers import reference_beam, tiny_model, toy_tgt_vocab
+from polyg2p import decoding
 from polyg2p.checkpoint import load_checkpoint
 from polyg2p.corpus import BOS_ID, EOS_ID
 from polyg2p.decoding import (
     NBestEntry,
     beam_search,
+    decode_words,
     default_max_len,
     greedy_decode,
     score_sequence,
@@ -35,14 +38,60 @@ INFERENCE_BITS = "50a3e4e026b5f64a44c2f156d0a0163768a653f50fc4f9397735ad8b357353
 
 
 def test_beam_search_nbest_match_recorded_bits():
+    # one search per word, and `decode_words` over the same words
     bundle = load_checkpoint(FIXTURE)
-    digest = hashlib.sha256()
-    for width in (1, 10, 100):
-        for src in FIXTURE_SOURCES:
-            for entry in beam_search(src, bundle.params, bundle.config, bundle.tgt_vocab, width):
-                digest.update(f"{' '.join(entry.phonemes)}\t{entry.log_prob.hex()}\t"
-                              f"{entry.truncated}\n".encode())
-    assert digest.hexdigest() == INFERENCE_BITS
+    model = (bundle.params, bundle.config, bundle.tgt_vocab)
+    searches = {
+        "beam_search": lambda width: (beam_search(src, *model, width) for src in FIXTURE_SOURCES),
+        "decode_words": lambda width: decode_words(FIXTURE_SOURCES, *model, width),
+    }
+    for name, search in searches.items():
+        digest = hashlib.sha256()
+        for width in (1, 10, 100):
+            for nbest in search(width):
+                for entry in nbest:
+                    digest.update(f"{' '.join(entry.phonemes)}\t{entry.log_prob.hex()}\t"
+                                  f"{entry.truncated}\n".encode())
+        assert digest.hexdigest() == INFERENCE_BITS, name
+
+
+def test_decode_words_of_no_sources_yields_nothing():
+    vocab = toy_tgt_vocab(5)
+    config, params = tiny_model(tgt_vocab=len(vocab))
+    assert list(decode_words([], params, config, vocab, width=3)) == []
+
+
+@pytest.mark.parametrize("width,max_len,message", [(0, None, "beam width"), (3, 0, "max_len")])
+def test_decode_words_checks_its_settings_before_any_search(monkeypatch, width, max_len,
+                                                            message):
+    vocab = toy_tgt_vocab(5)
+    config, params = tiny_model(tgt_vocab=len(vocab))
+    monkeypatch.setattr(decoding, "beam_search",
+                        lambda *args, **kwargs: pytest.fail("searched"))
+    for sources in ([], [[4, 5]]):
+        with pytest.raises(ValueError, match=message):
+            decode_words(sources, params, config, vocab, width, max_len)
+
+
+def _names_of(tree: ast.AST, name: str):
+    """The innermost enclosing function (or None) of every reference to
+    `name` in a module: a call, a load, an attribute or an import."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.alias) and name in (child.name, child.asname)):
+                yield func
+            yield from visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+    return visit(tree, None)
+
+
+def test_beam_search_is_called_only_by_decode_words():
+    # the one decode entry point: nothing else in the package names `beam_search`
+    package = Path(decoding.__file__).resolve().parent
+    found = [(path.name, func) for path in sorted(package.glob("*.py"))
+             for func in _names_of(ast.parse(path.read_text(encoding="utf-8")), "beam_search")]
+    assert found == [("decoding.py", "decode_words")]
 
 
 def test_beam_width_one_equals_greedy_on_random_models():

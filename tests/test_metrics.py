@@ -1,4 +1,5 @@
 import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ from polyg2p.metrics import (
     evaluate,
     levenshtein,
     per,
+    score,
     wer,
     wer100,
     write_report,
@@ -131,6 +133,20 @@ def test_wer100_warns_on_narrow_beam():
         _evaluate_wer100(["a"], [["a"]], width=10)
 
 
+def test_narrow_beam_warning_names_the_callers_file():
+    entries, hyps = [_Entry("aaa", ("a",))], [_Hyp(("a",))]
+    calls = {
+        "wer100": lambda: wer100([([["a"]], ["a"])], width=10),
+        "evaluate": lambda: evaluate(entries, lambda e: hyps, width=10),
+        "score": lambda: score(entries, [hyps], width=10),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)], name
+
+
 @dataclass
 class _Hyp:
     phonemes: tuple
@@ -148,6 +164,13 @@ def _decoder(table):
     return decode_fn
 
 
+def _evaluate(entries, decode_fn):
+    """`evaluate`'s report, checked equal to `score` over the same n-best lists."""
+    report = evaluate(entries, decode_fn)
+    assert score(entries, [decode_fn(e) for e in entries]) == report
+    return report
+
+
 def test_evaluate_equal_weight_macro():
     entries = [
         _Entry("aaa", ("p",)), _Entry("aaa", ("q",)),
@@ -157,7 +180,7 @@ def test_evaluate_equal_weight_macro():
         ("aaa", ("p",)): [("x",)], ("aaa", ("q",)): [("x",)],   # all wrong
         ("bbb", ("p",)): [("p",)], ("bbb", ("q",)): [("q",)],   # all right
     }
-    report = evaluate(entries, _decoder(table))
+    report = _evaluate(entries, _decoder(table))
     assert report.per_language["aaa"].wer == 100.0
     assert report.per_language["bbb"].wer == 0.0
     assert report.macro.wer == pytest.approx(50.0, abs=1e-9)
@@ -166,7 +189,7 @@ def test_evaluate_equal_weight_macro():
 def test_evaluate_single_language_macro_equals_language():
     entries = [_Entry("aaa", ("p",)), _Entry("aaa", ("q", "r"))]
     table = {("aaa", ("p",)): [("p",)], ("aaa", ("q", "r")): [("q", "q")]}
-    report = evaluate(entries, _decoder(table))
+    report = _evaluate(entries, _decoder(table))
     lang = report.per_language["aaa"]
     assert report.macro.wer == lang.wer == 50.0
     assert report.macro.per == lang.per == pytest.approx(100.0 * (0.0 + 0.5) / 2)
@@ -176,8 +199,8 @@ def test_evaluate_macro_invariant_to_word_counts():
     base = [_Entry("aaa", ("p",)), _Entry("bbb", ("q",))]
     doubled = base + [_Entry("bbb", ("q",))] * 3
     table = {("aaa", ("p",)): [("x",)], ("bbb", ("q",)): [("q",)]}
-    assert evaluate(base, _decoder(table)).macro.wer == \
-        evaluate(doubled, _decoder(table)).macro.wer
+    assert _evaluate(base, _decoder(table)).macro.wer == \
+        _evaluate(doubled, _decoder(table)).macro.wer
 
 
 def test_evaluate_wer100_never_exceeds_wer():
@@ -190,7 +213,7 @@ def test_evaluate_wer100_never_exceeds_wer():
             entries.append(entry)
             top = tuple(rng.choice(["p", "q", "r"], size=3))
             table[(lang, gold)] = [top, gold] if rng.random() < 0.5 else [top]
-    report = evaluate(entries, _decoder(table))
+    report = _evaluate(entries, _decoder(table))
     for scores in report.per_language.values():
         assert scores.wer100 <= scores.wer + 1e-12
 
@@ -202,7 +225,7 @@ def test_evaluate_per_scores_match_their_definitions():
         gold = tuple(rng.choice(["p", "q", "r"], size=1 + i % 4))
         entries.append(_Entry("aaa", gold))
         table[("aaa", gold)] = [tuple(rng.choice(["p", "q", "r"], size=rng.integers(0, 5)))]
-    scores = evaluate(entries, _decoder(table)).per_language["aaa"]
+    scores = _evaluate(entries, _decoder(table)).per_language["aaa"]
     tops = [table[("aaa", e.phonemes)][0] for e in entries]
     assert scores.per == 100.0 * sum(per(t, e.phonemes) for t, e in zip(tops, entries)) / 12
     assert scores.per_corpus == (100.0 * sum(levenshtein(t, e.phonemes)
@@ -220,10 +243,17 @@ def test_evaluate_empty_corpus_errors():
         evaluate([], lambda e: [])
 
 
+@pytest.mark.parametrize("lists", [0, 1, 3])
+def test_score_rejects_a_count_of_nbest_lists_unlike_the_entries(lists):
+    entries = [_Entry("aaa", ("p",)), _Entry("bbb", ("q",))]
+    with pytest.raises(ValueError):
+        score(entries, iter([[_Hyp(("p",))]] * lists))
+
+
 def test_report_format_two_decimals_and_macro_row():
     entries = [_Entry("aaa", ("p",)), _Entry("aaa", ("q",)), _Entry("aaa", ("r",))]
     table = {("aaa", ("p",)): [("p",)], ("aaa", ("q",)): [("x",)], ("aaa", ("r",)): [("r",)]}
-    report = evaluate(entries, _decoder(table))
+    report = _evaluate(entries, _decoder(table))
     buf = io.StringIO()
     write_report(buf, report)
     lines = buf.getvalue().splitlines()
