@@ -51,7 +51,10 @@ the layer below's h times its dropout scale) and tanh(c), which
 over what they no longer read: the gate factors and then each step's
 pre-activation gradient overwrite the decoder's activations, and the encoder
 writes its factors straight into its gradient buffer. Each all-step buffer
-is dropped after its last read.
+is dropped after its last read. The one exception to the save rule:
+`encoder_sequence` keeps each layer's `np.stack`ed copies of both
+directions' `w_in` and `w_rec`, which its backward could stack again from
+the parameters.
 
 The tape holds one entry per op call: the call's output tensors and one
 backward function taking a gradient per output. `Tape.backward` calls it once
@@ -157,9 +160,11 @@ class inference_mode:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # the first gradient is a private copy: g may be a view of another buffer
+    """Add `g` into `t`'s gradient. The first gradient is kept, not copied: an
+    op passes an array that it will not write again and passes to no other
+    tensor (a fresh product, or a view of one that no other view overlaps)."""
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype)
+        t.grad = g.astype(t.data.dtype, copy=False)
     else:
         t.grad += g
 

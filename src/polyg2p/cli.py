@@ -234,21 +234,30 @@ def cmd_train(args) -> int:
     print(f"training on {len(train_pairs)} words ({len(languages)} languages), "
           f"validating on {len(val_pairs)}", file=sys.stderr)
 
-    log_fh = open(out_dir / "training_log.tsv", "a" if bundle else "w", encoding="utf-8")
-    if log_fh.tell() == 0:  # a new log, also when a resumed run writes to a new directory
-        log_fh.write("epoch\tlr\ttrain_loss\tval_loss\n")
+    # rewritten whole before training and after each epoch; a resumed run keeps
+    # the logged epochs before its first, the history of the resumed checkpoint,
+    # and drops the header and any torn last line (it has no newline)
+    log_path = out_dir / "training_log.tsv"
+    log = ["epoch\tlr\ttrain_loss\tval_loss\n"]
+    if bundle is not None and log_path.is_file():
+        for line in open_text(log_path):
+            first = line.split("\t", 1)[0]
+            if line.endswith("\n") and first.isdecimal() and int(first) < start_epoch:
+                log.append(line)
+
+    def write_log():
+        with atomic_write(log_path) as fh:
+            fh.writelines(log)
 
     def on_epoch(epoch, _params, stats):
         val = f"{stats.val_loss:.6f}" if stats.val_loss is not None else "-"
-        log_fh.write(f"{epoch}\t{stats.lr:.6f}\t{stats.train_loss:.6f}\t{val}\n")
-        log_fh.flush()
+        log.append(f"{epoch}\t{stats.lr:.6f}\t{stats.train_loss:.6f}\t{val}\n")
+        write_log()
         print(f"epoch {epoch}: train {stats.train_loss:.4f} val {val}", file=sys.stderr)
 
-    try:
-        result = train_model(train_pairs, val_pairs, model_config, schedule,
-                             params=params, start_epoch=start_epoch, epoch_callback=on_epoch)
-    finally:
-        log_fh.close()
+    write_log()
+    result = train_model(train_pairs, val_pairs, model_config, schedule,
+                         params=params, start_epoch=start_epoch, epoch_callback=on_epoch)
 
     def bundle_for(p, epoch):
         meta = {

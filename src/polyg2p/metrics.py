@@ -16,7 +16,6 @@ provided.
 
 from __future__ import annotations
 
-import sys
 import unicodedata
 import warnings
 from dataclasses import dataclass
@@ -78,13 +77,10 @@ def wer(pairs: Sequence[tuple[TokenSeq, TokenSeq]]) -> float:
 
 def _warn_if_narrow(width: int | None) -> None:
     """Warn that a beam narrower than 100 cannot hold the 100 guesses WER 100
-    counts. The warning names the first caller outside this module, so
-    `evaluate`, which calls `score`, blames its own caller too."""
+    counts. The warning names the caller of the public function that calls
+    this one, so `evaluate` warns itself and passes `score` no width."""
     if width is not None and width < 100:
-        depth = 1  # frames up from here: 1 is `wer100` or `score`
-        while sys._getframe(depth).f_code.co_filename == __file__:
-            depth += 1
-        warnings.warn(f"WER 100 computed from beam width {width} (< 100)", stacklevel=depth + 1)
+        warnings.warn(f"WER 100 computed from beam width {width} (< 100)", stacklevel=3)
 
 
 def wer100(
@@ -178,7 +174,8 @@ def evaluate(
 ) -> EvalReport:
     """`score` over `entries` and `decode_fn(entry)` for each, in input order."""
     entries = list(entries)
-    return score(entries, map(decode_fn, entries), width)
+    _warn_if_narrow(width)
+    return score(entries, map(decode_fn, entries))
 
 
 def write_report(fh, report: EvalReport) -> None:

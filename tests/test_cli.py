@@ -195,6 +195,38 @@ def test_train_resume_continues_epoch_numbering(tmp_path, lexicon, run_dir):
     assert [line.split("\t")[0] for line in log[1:]] == ["1", "2", "3", "4"]
 
 
+def test_resume_from_an_earlier_checkpoint_drops_the_superseded_epochs(tmp_path, lexicon):
+    # the log is the history of the final.mg2p next to it: resuming the 2-epoch
+    # checkpoint a second time replaces the first resume's epochs 3 and 4
+    run = tmp_path / "run"
+    train = ["train", "--train-lexicon", str(lexicon), "--checkpoint-dir", str(run)] + FAST
+    assert main(train) == 0
+    first = (run / "training_log.tsv").read_text(encoding="utf-8").splitlines()
+    earlier = tmp_path / "epoch2.mg2p"
+    earlier.write_bytes((run / "final.mg2p").read_bytes())
+    for lr in ("0.5", "0.25"):
+        assert main(train + ["--epochs", "4", "--lr", lr, "--resume", str(earlier)]) == 0
+    log = (run / "training_log.tsv").read_text(encoding="utf-8").splitlines()
+    assert [line.split("\t")[0] for line in log[1:]] == ["1", "2", "3", "4"]
+    assert log[:3] == first
+    assert [line.split("\t")[1] for line in log[3:]] == ["0.250000", "0.250000"]
+
+
+def test_resume_drops_a_torn_last_line_of_the_log(tmp_path, lexicon, run_dir):
+    # a crash mid-write of an older writer could leave the last line without
+    # its newline; the resumed log keeps only whole lines of earlier epochs
+    log_path = run_dir / "training_log.tsv"
+    whole = log_path.read_text(encoding="utf-8")
+    log_path.write_text(whole + "3\t0.5", encoding="utf-8")
+    assert main(["train", "--train-lexicon", str(lexicon), "--checkpoint-dir", str(run_dir),
+                 "--resume", str(run_dir / "final.mg2p")] + FAST + ["--epochs", "3"]) == 0
+    log = log_path.read_text(encoding="utf-8")
+    assert log.startswith(whole)
+    fields = [line.split("\t") for line in log.splitlines()]
+    assert [row[0] for row in fields[1:]] == ["1", "2", "3"]
+    assert {len(row) for row in fields} == {4}
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--epochs", "0"], "epochs must be >= 1"),
     (["--batch-size", "0"], "batch_size must be >= 1"),

@@ -36,6 +36,7 @@ from polyg2p.corpus import (
 )
 
 PACKAGE = Path(polyg2p.__file__).resolve().parent
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 WIKTIONARY_SAMPLE = (
     "deu\tAnsbach\ta: n s b a: x\n"
@@ -88,11 +89,13 @@ def _can_write(call: ast.Call) -> bool:
 
 
 def test_every_file_is_written_through_atomic_write():
-    # the one write path: an open() that can write, Path.write_text/write_bytes,
-    # os.replace and os.fsync appear only in corpus.atomic_write, except for
-    # training_log.tsv, an append-only log
+    # the one write path, with no exception: an open() that can write,
+    # Path.write_text/write_bytes, os.replace and os.fsync appear only in
+    # corpus.atomic_write, in the package and in its scripts
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    assert scripts
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + scripts:
         for func, node in _calls_and_attributes(ast.parse(path.read_text(encoding="utf-8"))):
             where = (path.name, func)
             if isinstance(node, ast.Attribute):
@@ -103,8 +106,7 @@ def test_every_file_is_written_through_atomic_write():
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", "")
             if name in ("write_text", "write_bytes"):
                 found.append((*where, name))
-            elif name == "open" and _can_write(node) \
-                    and "training_log.tsv" not in ast.unparse(node.args[0]):
+            elif name == "open" and _can_write(node):
                 found.append((*where, "open"))
     atomic_write = ("corpus.py", "atomic_write")
     assert sorted(found) == [(*atomic_write, "open"), (*atomic_write, "open"),

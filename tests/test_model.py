@@ -212,7 +212,8 @@ def test_dropout_scale_is_zero_or_inverse_keep_rate():
 TRAINING_BITS = "4066cb16c767d2811f6562152a3efd8bd1ac446858a3aff7a428a370b7026e86"
 
 
-def test_training_loss_and_gradients_match_recorded_bits():
+def _recorded_training_batch():
+    """The loss, parameters and walked tape of TRAINING_BITS' batch."""
     config = ModelConfig(src_vocab_size=12, tgt_vocab_size=10, hidden_size=8, src_embed=6,
                          tgt_embed=5, dropout=0.3)
     params = init_params(config, seed=23)
@@ -220,11 +221,28 @@ def test_training_loss_and_gradients_match_recorded_bits():
     with Tape() as tape:
         loss = forward_loss(batch, params, config, training=True, rng=np.random.default_rng(4))
         tape.backward(loss)
+    return loss, params, tape
+
+
+def test_training_loss_and_gradients_match_recorded_bits():
+    loss, params, _ = _recorded_training_batch()
     digest = hashlib.sha256(loss.data.tobytes())
     for name, tensor in params.items():
         digest.update(name.encode())
         digest.update(tensor.grad.tobytes())
     assert digest.hexdigest() == TRAINING_BITS
+
+
+def test_no_two_gradients_share_memory():
+    # `_accumulate` keeps the first gradient it is given, so an op must pass
+    # each tensor an array that no other tensor's gradient overlaps
+    _, params, tape = _recorded_training_batch()
+    tensors = list(params.values()) + [t for outputs, _ in tape.nodes for t in outputs]
+    grads = [t.grad for t in tensors if t.grad is not None]
+    assert len(grads) > len(params)
+    for i, g in enumerate(grads):
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(g, other)
 
 
 def _memory_batch(hidden, batch_size, src_len, tgt_len, vocab=20):
