@@ -47,7 +47,7 @@ def nearest_phonemes(symbol: str, k: int, bundle: ModelBundle) -> NeighborList:
     """Top-k phonemes by target-embedding cosine similarity to `symbol`."""
     vocab = bundle.tgt_vocab
     if symbol not in vocab:
-        raise KeyError(f"unknown phoneme {symbol!r}")
+        raise ValueError(f"unknown phoneme {symbol!r}")
     candidates = {t for t in vocab.tokens if t not in RESERVED}
     return _nearest(bundle.params["tgt_embedding"].data, vocab.tokens, symbol, k, candidates)
 
@@ -57,7 +57,7 @@ def nearest_languages(lang: str, k: int, bundle: ModelBundle) -> NeighborList:
     vocab = bundle.src_vocab
     token = lang_token(lang)
     if token not in vocab:
-        raise KeyError(f"unknown language token {token!r}")
+        raise ValueError(f"unknown language token {token!r}")
     candidates = {t for t in vocab.tokens if is_lang_token(t)}
     return _nearest(bundle.params["src_embedding"].data, vocab.tokens, token, k, candidates)
 

@@ -1,8 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy buffers.
 
-Ops compute eagerly and, when a Tape is active on the current thread, append
-an entry with their backward rule. Without an active tape (or inside
-`inference_mode`), ops are plain numpy math with no graph overhead.
+Ops compute eagerly and, only inside `with Tape()` on the current thread,
+append an entry with their backward rule. Outside a tape, ops are plain numpy
+math with no graph overhead. Tapes do not nest: opening a tape while another
+records on the same thread raises RuntimeError, because the inner tape's
+entries would never reach the outer tape's backward.
 
 Weight matrices are stored [in x out], C-contiguous, so every product with
 a weight is `x @ w` with an untransposed right operand, the orientation BLAS
@@ -62,8 +64,8 @@ some output has a gradient, passing zeros for any output that has none (say a
 final cell state nothing reads). A tape walks backward once: each entry's
 function, and with it everything the op saved, is dropped as soon as the walk
 passes it, so after `backward` the tape holds only its entries' outputs.
-Every op records through `_record`, so `inference_mode` treats fused ops
-like any other.
+Every op records through `_record`, the one reader of the active tape, so a
+fused op records or not like any other.
 `lookup`, the one range check of token ids, and `generator_log_probs` are
 plain array functions, not ops: training and inference decoding share them.
 `model.train_model` owns the non-finite check.
@@ -84,16 +86,8 @@ import numpy as np
 _local = threading.local()
 
 
-def _tape_stack() -> list:
-    stack = getattr(_local, "tapes", None)
-    if stack is None:
-        stack = _local.tapes = []
-    return stack
-
-
 def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_local, "tape", None)
 
 
 class Tensor:
@@ -122,12 +116,13 @@ class Tape:
         self.walked = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        if active_tape() is not None:
+            raise RuntimeError("a tape is already recording on this thread; tapes do not nest")
+        _local.tape = self
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _tape_stack().pop()
-        assert popped is self
+        _local.tape = None
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate gradients of `loss` into every tensor that feeds it."""
@@ -146,17 +141,6 @@ class Tape:
             if any(g is not None for g in grads):
                 backward(*(np.zeros_like(t.data) if g is None else g
                            for t, g in zip(outputs, grads)))
-
-
-class inference_mode:
-    """Context that disables graph recording on the current thread."""
-
-    def __enter__(self):
-        _tape_stack().append(None)
-        return self
-
-    def __exit__(self, *exc):
-        _tape_stack().pop()
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

@@ -366,27 +366,24 @@ def cmd_evaluate(args) -> int:
 
 def cmd_analyze(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
-    try:
-        with _output(args.out) as out_fh:
-            if args.mode == "crosstoken":
-                langs = comma_list(args.langs or "")
-                if not args.word or not langs:
-                    raise UserError("crosstoken mode needs --word and --langs")
-                _gate_sources(bundle, [(args.word, lang, "") for lang in langs])
-                table = analysis.translate_as(args.word, langs, bundle, width=args.width)
-                for lang, phones in table.items():
-                    out_fh.write(f"{lang}\t{' '.join(phones)}\n")
-            else:
-                if not args.query:
-                    raise UserError(f"{args.mode} mode needs --query")
-                nearest = (analysis.nearest_phonemes if args.mode == "phonemes"
-                           else analysis.nearest_languages)
-                for query in comma_list(args.query):
-                    result = nearest(query, args.k, bundle)
-                    line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
-                    out_fh.write(f"{query}\t{line}\n")
-    except KeyError as exc:
-        raise UserError(str(exc)) from None
+    with _output(args.out) as out_fh:
+        if args.mode == "crosstoken":
+            langs = comma_list(args.langs or "")
+            if not args.word or not langs:
+                raise UserError("crosstoken mode needs --word and --langs")
+            _gate_sources(bundle, [(args.word, lang, "") for lang in langs])
+            table = analysis.translate_as(args.word, langs, bundle, width=args.width)
+            for lang, phones in table.items():
+                out_fh.write(f"{lang}\t{' '.join(phones)}\n")
+        else:
+            if not args.query:
+                raise UserError(f"{args.mode} mode needs --query")
+            nearest = (analysis.nearest_phonemes if args.mode == "phonemes"
+                       else analysis.nearest_languages)
+            for query in comma_list(args.query):
+                result = nearest(query, args.k, bundle)
+                line = ", ".join(f"{t} ({s:.3f})" for t, s in result.neighbors)
+                out_fh.write(f"{query}\t{line}\n")
     return 0
 
 

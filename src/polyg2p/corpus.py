@@ -364,7 +364,6 @@ def parse_inventory(stream: Iterable[str]) -> InventoryTable:
         raise ValueError(f"{where}: inventory file needs a 3-field header line")
     n_features = len(header[2].split(","))
 
-    per_lang_phones: dict[str, set[str]] = defaultdict(set)
     per_lang_features: dict[str, dict[str, tuple[int, ...]]] = defaultdict(dict)
     global_features: dict[str, tuple[int, ...]] = {}
     for line_no, raw in lines:
@@ -382,13 +381,12 @@ def parse_inventory(stream: Iterable[str]) -> InventoryTable:
             vector = tuple(_FEATURE_VALUES[p] for p in parts)
         except KeyError as exc:
             raise ValueError(f"{where}:{line_no}: bad feature value {exc}") from None
-        per_lang_phones[lang].add(phoneme)
         per_lang_features[lang][phoneme] = vector
         global_features.setdefault(phoneme, vector)
 
     by_lang = {
-        lang: PhonemeInventory(lang, frozenset(phones), per_lang_features[lang])
-        for lang, phones in per_lang_phones.items()
+        lang: PhonemeInventory(lang, frozenset(features), features)
+        for lang, features in per_lang_features.items()
     }
     return InventoryTable(by_lang, global_features)
 
@@ -407,7 +405,7 @@ def hamming(a: Sequence[int], b: Sequence[int]) -> int:
 def clean_transcription(
     phonemes: Sequence[str],
     inventory: PhonemeInventory,
-    feature_table: dict[str, tuple[int, ...]] | None = None,
+    feature_table: dict[str, tuple[int, ...]],
 ) -> CleanResult:
     """Map out-of-inventory phonemes to the nearest in-inventory phoneme.
 
@@ -415,14 +413,13 @@ def clean_transcription(
     ties broken lexicographically. Phonemes without a feature vector in the
     (global) feature table pass through unchanged with a warning. Idempotent.
     """
-    features = feature_table if feature_table is not None else inventory.features
     cleaned: list[str] = []
     warnings: list[str] = []
     for p in phonemes:
         if p in inventory.phonemes:
             cleaned.append(p)
             continue
-        vector = features.get(p)
+        vector = feature_table.get(p)
         if vector is None:
             warnings.append(f"no feature vector for {p!r}; left unchanged")
             cleaned.append(p)

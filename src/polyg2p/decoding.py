@@ -23,9 +23,9 @@ and ranks the finished rows and the candidates with one `np.lexsort` on the
 ranking contract; the next state is the new state's rows at the survivors'
 parents, one fancy index per array. `greedy_decode` is a separate argmax
 loop, the independent width-1 reference that tests compare `beam_search`
-against. `decode_step` records no tape entries; the decoders and
-`score_sequence` run `encode` under `ad.inference_mode`, so inference builds
-no graph at all. An empty source is `encode`'s error, raised before any step.
+against. `decode_step` records no tape entries, and `encode` records only
+inside a `Tape`, which no decoder opens, so inference builds no graph at all.
+An empty source is `encode`'s error, raised before any step.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
 from .model import (
     DecoderState,
@@ -77,49 +76,48 @@ def beam_search(
         raise ValueError("max_len must be >= 1")
     live_done = max_len + 1  # completion step of a hypothesis that has not emitted EOS
 
-    with ad.inference_mode():
-        encoded = encode([src_ids], params, config)
-        state = initial_state(encoded, config)  # one row per live hypothesis, in beam order
-        paths = np.full((1, max_len + 1), PAD_ID, dtype=np.intp)
-        paths[0, 0] = BOS_ID
-        scores = np.zeros(1)
-        done = np.full(1, live_done, dtype=np.intp)
+    encoded = encode([src_ids], params, config)
+    state = initial_state(encoded, config)  # one row per live hypothesis, in beam order
+    paths = np.full((1, max_len + 1), PAD_ID, dtype=np.intp)
+    paths[0, 0] = BOS_ID
+    scores = np.zeros(1)
+    done = np.full(1, live_done, dtype=np.intp)
 
-        for step in range(1, max_len + 1):
-            live = np.flatnonzero(done == live_done)
-            if live.size == 0:
-                break
-            finished = np.flatnonzero(done != live_done)
+    for step in range(1, max_len + 1):
+        live = np.flatnonzero(done == live_done)
+        if live.size == 0:
+            break
+        finished = np.flatnonzero(done != live_done)
 
-            # the one-row encoding serves every live hypothesis
-            log_probs, new_state = decode_step(paths[live, step - 1], state, encoded,
-                                               params, config)
-            cand = log_probs + scores[live, None]
-            cand[:, _BANNED] = -np.inf
+        # the one-row encoding serves every live hypothesis
+        log_probs, new_state = decode_step(paths[live, step - 1], state, encoded,
+                                           params, config)
+        cand = log_probs + scores[live, None]
+        cand[:, _BANNED] = -np.inf
 
-            flat = cand.ravel()
-            kept = np.flatnonzero(np.isfinite(flat))
-            if kept.size > width:
-                # keep everything tied with the width-th best so ties break stably
-                threshold = np.partition(flat[kept], -width)[-width]
-                kept = kept[flat[kept] >= threshold]
-            parent, token = np.divmod(kept, cand.shape[1])
+        flat = cand.ravel()
+        kept = np.flatnonzero(np.isfinite(flat))
+        if kept.size > width:
+            # keep everything tied with the width-th best so ties break stably
+            threshold = np.partition(flat[kept], -width)[-width]
+            kept = kept[flat[kept] >= threshold]
+        parent, token = np.divmod(kept, cand.shape[1])
 
-            # the pool: hypotheses finished earlier, then this step's candidates
-            new_paths = paths[live[parent]]
-            new_paths[:, step] = token
-            pool_paths = np.concatenate([paths[finished], new_paths])
-            pool_scores = np.concatenate([scores[finished], flat[kept]])
-            pool_done = np.concatenate(
-                [done[finished], np.where(token == EOS_ID, step, live_done)])
+        # the pool: hypotheses finished earlier, then this step's candidates
+        new_paths = paths[live[parent]]
+        new_paths[:, step] = token
+        pool_paths = np.concatenate([paths[finished], new_paths])
+        pool_scores = np.concatenate([scores[finished], flat[kept]])
+        pool_done = np.concatenate(
+            [done[finished], np.where(token == EOS_ID, step, live_done)])
 
-            # ranking contract: score, then completion step, then token ids; paths of
-            # equal completion step have equal length, so columns 1..step decide
-            order = np.lexsort((*pool_paths[:, step:0:-1].T, pool_done, -pool_scores))[:width]
-            paths, scores, done = pool_paths[order], pool_scores[order], pool_done[order]
-            # live survivors are all candidates, which follow the finished rows in the pool
-            rows = parent[order[done == live_done] - finished.size]
-            state = DecoderState(new_state.h[:, rows], new_state.c[:, rows], new_state.attn[rows])
+        # ranking contract: score, then completion step, then token ids; paths of
+        # equal completion step have equal length, so columns 1..step decide
+        order = np.lexsort((*pool_paths[:, step:0:-1].T, pool_done, -pool_scores))[:width]
+        paths, scores, done = pool_paths[order], pool_scores[order], pool_done[order]
+        # live survivors are all candidates, which follow the finished rows in the pool
+        rows = parent[order[done == live_done] - finished.size]
+        state = DecoderState(new_state.h[:, rows], new_state.c[:, rows], new_state.attn[rows])
 
     return [
         NBestEntry(tuple(tgt_vocab.decode(row[1:end].tolist())), float(score),
@@ -160,22 +158,21 @@ def greedy_decode(
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
 
-    with ad.inference_mode():
-        encoded = encode([src_ids], params, config)
-        state = initial_state(encoded, config)
-        prev = np.array([BOS_ID], dtype=np.intp)
-        ids: list[int] = []
-        total = 0.0
-        for _ in range(max_len):
-            log_probs, state = decode_step(prev, state, encoded, params, config)
-            row = log_probs[0]
-            row[_BANNED] = -np.inf
-            tok = int(row.argmax())
-            total += float(row[tok])
-            if tok == EOS_ID:
-                break
-            ids.append(tok)
-            prev = np.array([tok], dtype=np.intp)
+    encoded = encode([src_ids], params, config)
+    state = initial_state(encoded, config)
+    prev = np.array([BOS_ID], dtype=np.intp)
+    ids: list[int] = []
+    total = 0.0
+    for _ in range(max_len):
+        log_probs, state = decode_step(prev, state, encoded, params, config)
+        row = log_probs[0]
+        row[_BANNED] = -np.inf
+        tok = int(row.argmax())
+        total += float(row[tok])
+        if tok == EOS_ID:
+            break
+        ids.append(tok)
+        prev = np.array([tok], dtype=np.intp)
     return tuple(tgt_vocab.decode(ids)), total
 
 
@@ -190,16 +187,15 @@ def score_sequence(
     golds = list(phoneme_ids) + ([EOS_ID] if include_eos else [])
     if not golds:
         raise ValueError("nothing to score")
-    with ad.inference_mode():
-        encoded = encode([src_ids], params, config)
-        state = initial_state(encoded, config)
-        prev = BOS_ID
-        total = 0.0
-        for gold in golds:
-            log_probs, state = decode_step(np.array([prev], dtype=np.intp), state, encoded,
-                                           params, config)
-            total += float(log_probs[0, gold])
-            prev = gold
+    encoded = encode([src_ids], params, config)
+    state = initial_state(encoded, config)
+    prev = BOS_ID
+    total = 0.0
+    for gold in golds:
+        log_probs, state = decode_step(np.array([prev], dtype=np.intp), state, encoded,
+                                       params, config)
+        total += float(log_probs[0, gold])
+        prev = gold
     return total
 
 

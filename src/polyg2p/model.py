@@ -214,13 +214,6 @@ def _keep_scale(shape, config: ModelConfig, training: bool, rng, dtype) -> np.nd
     return (rng.random(shape) >= config.dropout).astype(dtype) / (1.0 - config.dropout)
 
 
-def _trim_pads(row: Sequence[int]) -> Sequence[int]:
-    end = len(row)
-    while end > 0 and row[end - 1] == PAD_ID:
-        end -= 1
-    return row[:end]
-
-
 def encode(
     src_rows: Sequence[Sequence[int]],
     params: ModelParams,
@@ -228,10 +221,7 @@ def encode(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> EncodedSource:
-    """Run the bidirectional encoder over a batch of source id sequences.
-
-    Trailing PAD ids count as padding, not content."""
-    src_rows = [_trim_pads(r) for r in src_rows]
+    """Run the bidirectional encoder over a batch of source id sequences."""
     if not src_rows or any(len(r) == 0 for r in src_rows):
         raise ValueError("empty source")
     dtype = params["src_embedding"].data.dtype
@@ -425,12 +415,11 @@ def validation_loss(
     """Token-weighted mean loss; independent of batching."""
     order = sorted(range(len(pairs)), key=lambda i: len(pairs[i][0]))
     total, tokens = 0.0, 0
-    with ad.inference_mode():
-        for start in range(0, len(order), batch_size):
-            batch = [pairs[i] for i in order[start : start + batch_size]]
-            n = target_token_count(batch)
-            total += float(forward_loss(batch, params, config).data) * n
-            tokens += n
+    for start in range(0, len(order), batch_size):
+        batch = [pairs[i] for i in order[start : start + batch_size]]
+        n = target_token_count(batch)
+        total += float(forward_loss(batch, params, config).data) * n
+        tokens += n
     return total / tokens
 
 

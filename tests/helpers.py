@@ -1,9 +1,10 @@
 """Shared test oracles: finite differences, scalar LSTM math, a per-hypothesis
-beam search, recursive edit distance; a checkpoint meta editor; and traced
-memory of a backward pass."""
+beam search, recursive edit distance; a checkpoint meta editor; traced
+memory of a backward pass; and the functions of a module that reference a name."""
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import struct
@@ -202,26 +203,25 @@ def reference_beam(src, params, config, vocab, width, max_len):
         tokens, score, _, finish = hyp
         return (-score, finish or max_len + 1, tokens)
 
-    with ad.inference_mode():
-        encoded = encode([src], params, config)
-        beam = [((BOS_ID,), 0.0, initial_state(encoded, config), None)]
-        for step in range(1, max_len + 1):
-            live = [hyp for hyp in beam if hyp[3] is None]
-            if not live:
-                break
-            candidates = []
-            for tokens, score, state, _ in live:
-                log_probs, new_state = decode_step([tokens[-1]], state, encoded, params, config)
-                for tok, lp in enumerate(log_probs[0].tolist()):
-                    if tok in (PAD_ID, BOS_ID, UNK_ID) or not math.isfinite(lp):
-                        continue
-                    finish = step if tok == EOS_ID else None
-                    candidates.append((tokens + (tok,), score + lp, new_state, finish))
-            if len(candidates) > width:
-                threshold = sorted(c[1] for c in candidates)[-width]
-                candidates = [c for c in candidates if c[1] >= threshold]
-            finished = [hyp for hyp in beam if hyp[3] is not None]
-            beam = sorted(finished + candidates, key=key)[:width]
+    encoded = encode([src], params, config)
+    beam = [((BOS_ID,), 0.0, initial_state(encoded, config), None)]
+    for step in range(1, max_len + 1):
+        live = [hyp for hyp in beam if hyp[3] is None]
+        if not live:
+            break
+        candidates = []
+        for tokens, score, state, _ in live:
+            log_probs, new_state = decode_step([tokens[-1]], state, encoded, params, config)
+            for tok, lp in enumerate(log_probs[0].tolist()):
+                if tok in (PAD_ID, BOS_ID, UNK_ID) or not math.isfinite(lp):
+                    continue
+                finish = step if tok == EOS_ID else None
+                candidates.append((tokens + (tok,), score + lp, new_state, finish))
+        if len(candidates) > width:
+            threshold = sorted(c[1] for c in candidates)[-width]
+            candidates = [c for c in candidates if c[1] >= threshold]
+        finished = [hyp for hyp in beam if hyp[3] is not None]
+        beam = sorted(finished + candidates, key=key)[:width]
     return [NBestEntry(tuple(vocab.decode(tokens[1:-1] if finish else tokens[1:])), score,
                        truncated=finish is None)
             for tokens, score, _, finish in beam]
@@ -333,3 +333,16 @@ def buffer_bytes(arrays) -> int:
             a = a.base
         roots[id(a)] = a.nbytes
     return sum(roots.values())
+
+
+def names_of(tree: ast.AST, name: str):
+    """The innermost enclosing function (or None) of every reference to
+    `name` in a module: a call, a load, an attribute or an import."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.alias) and name in (child.name, child.asname)):
+                yield func
+            yield from visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+    return visit(tree, None)

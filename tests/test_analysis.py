@@ -62,9 +62,9 @@ def test_two_language_model_neighbors_each_other():
 
 def test_unknown_queries_raise():
     bundle = _bundle()
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^unknown phoneme 'zz'$"):
         nearest_phonemes("zz", k=1, bundle=bundle)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^unknown language token '<zzz>'$"):
         nearest_languages("zzz", k=1, bundle=bundle)
 
 

@@ -1,11 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_difference, matmul, rel_err, weighted_sum
+from helpers import finite_difference, matmul, names_of, rel_err, weighted_sum
 from polyg2p import autodiff as ad
 from polyg2p.autodiff import Tape, Tensor
 
@@ -345,12 +347,26 @@ def test_each_op_call_records_one_tape_entry():
         assert len(tape.nodes[0][0]) == 3
 
 
-def test_inference_mode_masks_active_tape():
-    x = Tensor(np.ones((1, 3)))
-    with Tape() as tape:
-        with ad.inference_mode():
-            matmul(x, Tensor(np.ones((3, 2))))
-        assert tape.nodes == []
+def test_a_tape_inside_a_tape_raises():
+    # an inner tape's entries would never reach the outer tape's backward
+    with Tape() as outer:
+        with pytest.raises(RuntimeError, match="already recording"):
+            with Tape():
+                pass
+        assert ad.active_tape() is outer
+    assert ad.active_tape() is None
+    with pytest.raises(ValueError, match="inside"):
+        with Tape():
+            raise ValueError("inside")
+    assert ad.active_tape() is None
+
+
+def test_only_train_model_opens_a_tape():
+    # inference records nothing because nothing but training opens a tape
+    package = Path(ad.__file__).resolve().parent
+    found = [(path.name, func) for path in sorted(package.glob("*.py"))
+             for func in names_of(ast.parse(path.read_text(encoding="utf-8")), "Tape")]
+    assert found == [("model.py", "train_model")]
 
 
 # --- fused ops: gradients against central finite differences, float64 -------

@@ -620,10 +620,15 @@ def test_crosstoken_warns_about_unseen_languages_before_decoding(run_dir, capsys
         ["zzz", "aaa", "qal"]
 
 
-def test_analyze_unknown_phoneme_is_user_error(run_dir, capsys):
+@pytest.mark.parametrize("mode,query,message", [
+    ("phonemes", "zz", "unknown phoneme 'zz'"),
+    ("languages", "xyz", "unknown language token '<xyz>'"),
+], ids=["phonemes", "languages"])
+def test_analyze_unknown_phoneme_is_user_error(run_dir, capsys, mode, query, message):
     code = main(["analyze", "--checkpoint", str(run_dir / "final.mg2p"),
-                 "--mode", "phonemes", "--query", "nope"])
+                 "--mode", mode, "--query", query])
     assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_beam, tiny_model, toy_tgt_vocab
+from helpers import names_of, reference_beam, tiny_model, toy_tgt_vocab
 from polyg2p import decoding
 from polyg2p.checkpoint import load_checkpoint
 from polyg2p.corpus import BOS_ID, EOS_ID
@@ -73,24 +73,11 @@ def test_decode_words_checks_its_settings_before_any_search(monkeypatch, width, 
             decode_words(sources, params, config, vocab, width, max_len)
 
 
-def _names_of(tree: ast.AST, name: str):
-    """The innermost enclosing function (or None) of every reference to
-    `name` in a module: a call, a load, an attribute or an import."""
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.Attribute) and child.attr == name
-                    or isinstance(child, ast.alias) and name in (child.name, child.asname)):
-                yield func
-            yield from visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
-    return visit(tree, None)
-
-
 def test_beam_search_is_called_only_by_decode_words():
     # the one decode entry point: nothing else in the package names `beam_search`
     package = Path(decoding.__file__).resolve().parent
     found = [(path.name, func) for path in sorted(package.glob("*.py"))
-             for func in _names_of(ast.parse(path.read_text(encoding="utf-8")), "beam_search")]
+             for func in names_of(ast.parse(path.read_text(encoding="utf-8")), "beam_search")]
     assert found == [("decoding.py", "decode_words")]
 
 

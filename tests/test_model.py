@@ -491,14 +491,6 @@ def test_encode_padded_batch_matches_lone_sequence():
     assert np.allclose(both.final_h.data[0, 0], alone.final_h.data[0, 0], atol=1e-5)
 
 
-def test_encode_trims_explicit_pad_suffix():
-    config, params = tiny_model(seed=15)
-    plain = encode([[4, 5]], params, config)
-    padded = encode([[4, 5, PAD_ID, PAD_ID]], params, config)
-    assert padded.annotations.data.shape[1] == 2
-    assert np.allclose(padded.annotations.data, plain.annotations.data, atol=1e-7)
-
-
 def test_train_lr_zero_leaves_parameters_bit_identical():
     config, params = tiny_model(seed=16)
     before = {name: t.data.copy() for name, t in params.items()}
