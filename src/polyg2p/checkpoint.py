@@ -18,9 +18,10 @@ shapes (weight matrices [out x in]), whatever layout the model holds in
 memory: the format does not depend on how the products are computed. A load
 accepts exactly that set of tensors, and no gate order but
 `model.GATE_ORDER`. Every length in the header is checked against the bytes
-left in the file before it is read, and the meta's layer counts against the
-header's tensor count. Meta `epoch`, `languages` and `lang_token`, when
-present, must be an integer >= 0, a list of strings and a boolean.
+left in the file before it is read, the meta's layer counts against the
+header's tensor count, and each vocabulary's size against the model config.
+Meta `epoch`, `languages` and `lang_token`, when present, must be an integer
+>= 0, a list of strings and a boolean.
 
 Round trips are bit-exact: loading and re-saving reproduces the same bytes.
 
@@ -196,6 +197,11 @@ def _read_bundle(r: _Reader) -> ModelBundle:
     if 7 + 6 * config.enc_layers + 3 * config.dec_layers != count:
         raise ValueError(f"{config.enc_layers} encoder and {config.dec_layers} decoder layers "
                          f"do not match the {count} tensors in the file")
+    for side, vocab, size in (("source", src_vocab, config.src_vocab_size),
+                              ("target", tgt_vocab, config.tgt_vocab_size)):
+        if len(vocab) != size:
+            raise ValueError(f"{side} vocabulary has {len(vocab)} tokens, "
+                             f"but the model config says {size}")
     epoch = meta.get("epoch", 0)
     if type(epoch) is not int or epoch < 0:
         raise ValueError("meta epoch must be an integer >= 0")

@@ -323,25 +323,8 @@ def encode_pairs(
 _FEATURE_VALUES = {"+": 1, "0": 0, "-": -1}
 
 
-@dataclass
-class PhonemeInventory:
-    """One language's phoneme set with articulatory feature vectors."""
-
-    lang: str
-    phonemes: frozenset[str]
-    features: dict[str, tuple[int, ...]]
-
-    def __post_init__(self):
-        missing = self.phonemes - self.features.keys()
-        if missing:
-            raise ValueError(f"phonemes without feature vectors: {sorted(missing)}")
-        lengths = {len(v) for v in self.features.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"inconsistent feature vector lengths: {sorted(lengths)}")
-
-
 class InventoryTable(NamedTuple):
-    by_lang: dict[str, PhonemeInventory]
+    by_lang: dict[str, dict[str, tuple[int, ...]]]  # lang -> its phonemes' feature vectors
     features: dict[str, tuple[int, ...]]  # global phoneme -> feature vector
 
 
@@ -350,7 +333,10 @@ def parse_inventory(stream: Iterable[str]) -> InventoryTable:
 
     Format: a header line ``lang<TAB>phoneme<TAB>name1,name2,...`` naming the
     features, then one row per (language, phoneme) with values in {+, 0, -}.
-    Errors begin ``<file>:<line>:``, the file being the stream's ``name``.
+    A language's inventory is a dict from each of its phonemes to its feature
+    vector, every vector as long as the header's feature list; `features`
+    keeps each phoneme's first vector. Errors begin ``<file>:<line>:``, the
+    file being the stream's ``name``.
     """
     where = getattr(stream, "name", "<inventory>")
     lines = iter(enumerate(stream, start=1))
@@ -384,11 +370,7 @@ def parse_inventory(stream: Iterable[str]) -> InventoryTable:
         per_lang_features[lang][phoneme] = vector
         global_features.setdefault(phoneme, vector)
 
-    by_lang = {
-        lang: PhonemeInventory(lang, frozenset(features), features)
-        for lang, features in per_lang_features.items()
-    }
-    return InventoryTable(by_lang, global_features)
+    return InventoryTable(dict(per_lang_features), global_features)
 
 
 class CleanResult(NamedTuple):
@@ -404,10 +386,11 @@ def hamming(a: Sequence[int], b: Sequence[int]) -> int:
 
 def clean_transcription(
     phonemes: Sequence[str],
-    inventory: PhonemeInventory,
+    inventory: dict[str, tuple[int, ...]],
     feature_table: dict[str, tuple[int, ...]],
 ) -> CleanResult:
-    """Map out-of-inventory phonemes to the nearest in-inventory phoneme.
+    """Map phonemes missing from `inventory` (one language's phoneme ->
+    feature vector dict) to the nearest phoneme in it.
 
     Nearest = minimal Hamming distance between articulatory feature vectors,
     ties broken lexicographically. Phonemes without a feature vector in the
@@ -416,7 +399,7 @@ def clean_transcription(
     cleaned: list[str] = []
     warnings: list[str] = []
     for p in phonemes:
-        if p in inventory.phonemes:
+        if p in inventory:
             cleaned.append(p)
             continue
         vector = feature_table.get(p)
@@ -424,6 +407,6 @@ def clean_transcription(
             warnings.append(f"no feature vector for {p!r}; left unchanged")
             cleaned.append(p)
             continue
-        best = min(inventory.phonemes, key=lambda q: (hamming(vector, inventory.features[q]), q))
+        best = min(inventory, key=lambda q: (hamming(vector, inventory[q]), q))
         cleaned.append(best)
     return CleanResult(tuple(cleaned), warnings)

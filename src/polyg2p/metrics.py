@@ -4,14 +4,13 @@ Per-language scores are macro-averaged with equal weight per language.
 All three metrics compare phoneme tokens under one rule: each token is
 NFC-normalized (Unicode Standard Annex #15), so a gold transcription and a
 prediction that differ only in how a symbol is composed score as equal.
-A word's WER and WER 100 misses are decided in one place, `_word_misses`;
-`wer`, `wer100` and `score` all call it. `per` normalizes its arguments.
-`score` is the one scoring loop over a test corpus: it takes the entries and
-their n-best lists, one list at a time, normalizes each word's gold and n-best
-tokens once and takes WER, WER 100 and both PERs from those. `evaluate` is its
-wrapper for a per-entry decode function. PER is averaged per word, then per
-language (mean of ratios); a corpus-level ratio-of-sums variant is also
-provided.
+`score` is the one scoring loop, and every WER, WER 100 and PER number comes
+out of it: it takes the entries and their n-best lists, one list at a time,
+normalizes each word's gold and n-best tokens once and takes WER, WER 100
+(the rank-100 cut-off is decided there) and both PERs from those. `evaluate`
+is its wrapper for a per-entry decode function. PER is averaged per word,
+then per language (mean of ratios); a corpus-level ratio-of-sums variant is
+also provided.
 """
 
 from __future__ import annotations
@@ -41,38 +40,8 @@ def levenshtein(a: TokenSeq, b: TokenSeq) -> int:
     return previous[-1]
 
 
-def per(pred: TokenSeq, gold: TokenSeq) -> float:
-    """Phoneme error rate for one word: edit distance / gold length (ratio)."""
-    return _per_of(levenshtein(_nfc(pred), _nfc(gold)), gold)
-
-
-def _per_of(distance: int, gold: TokenSeq) -> float:
-    if not gold:
-        raise ValueError("empty gold sequence")
-    return distance / len(gold)
-
-
 def _nfc(tokens: TokenSeq) -> tuple[str, ...]:
     return tuple(unicodedata.normalize("NFC", t) for t in tokens)
-
-
-def _word_misses(
-    guesses: Sequence[TokenSeq], gold: tuple[str, ...]
-) -> tuple[tuple[str, ...], bool, bool]:
-    """One word's normalized top guess, whether it misses the normalized
-    `gold` (WER), and whether all of the first 100 guesses do (WER 100).
-    Ranks 2-100 are normalized only until one matches."""
-    top = _nfc(guesses[0]) if guesses else ()
-    miss = top != gold
-    return top, miss, miss and all(_nfc(g) != gold for g in guesses[1:100])
-
-
-def wer(pairs: Sequence[tuple[TokenSeq, TokenSeq]]) -> float:
-    """Percentage of (top-1 prediction, gold) pairs that do not match exactly."""
-    if not pairs:
-        raise ValueError("no pairs to score")
-    misses = sum(_word_misses([pred], _nfc(gold))[1] for pred, gold in pairs)
-    return 100.0 * misses / len(pairs)
 
 
 def _warn_if_narrow(width: int | None) -> None:
@@ -81,18 +50,6 @@ def _warn_if_narrow(width: int | None) -> None:
     this one, so `evaluate` warns itself and passes `score` no width."""
     if width is not None and width < 100:
         warnings.warn(f"WER 100 computed from beam width {width} (< 100)", stacklevel=3)
-
-
-def wer100(
-    nbest_pairs: Sequence[tuple[Sequence[TokenSeq], TokenSeq]],
-    width: int | None = None,
-) -> float:
-    """Percentage of words whose gold sequence is absent from the first 100 guesses."""
-    if not nbest_pairs:
-        raise ValueError("no n-best lists to score")
-    _warn_if_narrow(width)
-    misses = sum(_word_misses(list(c), _nfc(gold))[2] for c, gold in nbest_pairs)
-    return 100.0 * misses / len(nbest_pairs)
 
 
 @dataclass
@@ -128,9 +85,9 @@ def score(
     each entry's n-best list in the same order (objects with a .phonemes
     attribute, best first). It is read one list at a time, so it may be an
     iterator that decodes as it goes; a count that differs from the entries'
-    raises ValueError. Each word's gold and n-best tokens are NFC-normalized
-    once, and all the scores are taken from those. Languages unseen in
-    training are scored like any other.
+    raises ValueError, as does an empty gold sequence. Each word's gold and
+    n-best tokens are NFC-normalized once, and all the scores are taken from
+    those. Languages unseen in training are scored like any other.
     """
     if not entries:
         raise ValueError("empty test corpus")
@@ -141,10 +98,17 @@ def score(
     tallies: dict[str, list[tuple[bool, bool, int, int, float]]] = {}
     for entry, nbest in zip(entries, nbests, strict=True):
         gold = _nfc(entry.phonemes)
-        top, miss, miss100 = _word_misses([c.phonemes for c in nbest], gold)
+        if not gold:
+            raise ValueError("empty gold sequence")
+        guesses = [c.phonemes for c in nbest]
+        top = _nfc(guesses[0]) if guesses else ()
+        miss = top != gold
+        # a WER 100 miss: none of the first 100 guesses is the gold; ranks
+        # 2-100 are normalized only until one matches
+        miss100 = miss and all(_nfc(g) != gold for g in guesses[1:100])
         distance = levenshtein(top, gold)
         tallies.setdefault(entry.lang, []).append(
-            (miss, miss100, distance, len(gold), _per_of(distance, gold)))
+            (miss, miss100, distance, len(gold), distance / len(gold)))
 
     per_language: dict[str, LanguageScores] = {}
     for lang in sorted(tallies):

@@ -20,7 +20,7 @@ from polyg2p.autodiff import Tape
 from polyg2p.checkpoint import ModelBundle, load_checkpoint, save_checkpoint
 from polyg2p.corpus import build_vocab, encode_pairs, parse_lexicon, split_train_val
 from polyg2p.decoding import beam_search, greedy_decode, score_sequence, write_nbest
-from polyg2p.metrics import evaluate, levenshtein, per, wer, wer100
+from polyg2p.metrics import evaluate, levenshtein, score
 from polyg2p.model import ModelConfig, TrainingSchedule, forward_loss, train_model
 from polyg2p.synth import (
     LETTERS,
@@ -130,23 +130,6 @@ def test_criterion3_langid_disambiguation(bilingual_experiment):
 
 
 def test_criterion4_metric_oracles():
-    rng = np.random.default_rng(99)
-    alphabet = ["a", "b", "c", "d"]
-    for _ in range(1000):
-        a = [alphabet[i] for i in rng.integers(0, 4, rng.integers(0, 7))]
-        b = [alphabet[i] for i in rng.integers(0, 4, rng.integers(0, 7))]
-        assert levenshtein(a, b) == recursive_levenshtein(a, b)
-        if b:
-            assert per(a, b) == recursive_levenshtein(a, b) / len(b)
-
-    gold = ["a", "b"]
-    filler = [["z", str(i)] for i in range(150)]
-    at_100 = filler[:99] + [gold] + filler[99:]
-    at_101 = filler[:100] + [gold] + filler[100:]
-    assert wer100([(at_100, gold)]) == 0.0
-    assert wer100([(at_101, gold)]) == 100.0
-
-    # equal-weight macro equals the hand-computed mean of per-language scores
     class Entry:
         def __init__(self, lang, phonemes):
             self.lang, self.phonemes = lang, phonemes
@@ -155,6 +138,24 @@ def test_criterion4_metric_oracles():
         def __init__(self, phonemes):
             self.phonemes = phonemes
 
+    rng = np.random.default_rng(99)
+    alphabet = ["a", "b", "c", "d"]
+    for _ in range(1000):
+        a = [alphabet[i] for i in rng.integers(0, 4, rng.integers(0, 7))]
+        b = [alphabet[i] for i in rng.integers(0, 4, rng.integers(0, 7))]
+        assert levenshtein(a, b) == recursive_levenshtein(a, b)
+        if b:
+            report = score([Entry("aaa", b)], [[Hyp(a)]])
+            assert report.per_language["aaa"].per == 100.0 * (recursive_levenshtein(a, b) / len(b))
+
+    gold = ["a", "b"]
+    filler = [["z", str(i)] for i in range(150)]
+    at_100 = filler[:99] + [gold] + filler[99:]
+    at_101 = filler[:100] + [gold] + filler[100:]
+    assert score([Entry("aaa", gold)], [[Hyp(p) for p in at_100]]).macro.wer100 == 0.0
+    assert score([Entry("aaa", gold)], [[Hyp(p) for p in at_101]]).macro.wer100 == 100.0
+
+    # equal-weight macro equals the hand-computed mean of per-language scores
     answers = {"aaa": [("p",), ("x",)], "bbb": [("q",)], "ccc": [("x",), ("x",), ("x",)]}
     entries = [Entry(lang, ("p",) if lang == "aaa" else ("q",) if lang == "bbb" else ("r",))
                for lang, preds in answers.items() for _ in preds]

@@ -55,6 +55,22 @@ def test_checkpoint_with_another_gate_order_is_rejected(tmp_path):
     assert "gate_order" not in load_checkpoint(path).meta
 
 
+@pytest.mark.parametrize("command", [["translate", "--word", "cab", "--lang", "aaa"],
+                                     ["analyze", "--mode", "phonemes", "--query", "p3"]])
+@pytest.mark.parametrize("sizes", [(6, 7), (8, 5)], ids=["source", "target"])
+def test_checkpoint_whose_vocabulary_disagrees_with_its_config_is_user_error(
+        tmp_path, capsys, sizes, command):
+    bundle = _bundle()  # 8 source and 7 target tokens
+    bundle.config, bundle.params = tiny_model(src_vocab=sizes[0], tgt_vocab=sizes[1])
+    path = tmp_path / "model.mg2p"
+    save_checkpoint(path, bundle)
+    code = main([command[0], "--checkpoint", str(path)] + command[1:])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: ") and "vocabulary has" in err
+    assert "Traceback" not in err
+
+
 def test_checkpoint_save_load_save_is_bit_exact(tmp_path):
     bundle = _bundle(seed=3)
     first = tmp_path / "a.mg2p"

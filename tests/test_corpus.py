@@ -20,7 +20,6 @@ from polyg2p.corpus import (
     UNK_ID,
     CleanResult,
     LexiconEntry,
-    PhonemeInventory,
     Vocabulary,
     atomic_write,
     build_vocab,
@@ -328,7 +327,7 @@ INVENTORY_SAMPLE = (
 def test_parse_inventory():
     table = parse_inventory(io.StringIO(INVENTORY_SAMPLE))
     assert set(table.by_lang) == {"deu", "heb"}
-    assert table.by_lang["deu"].phonemes == frozenset({"x", "k", "g"})
+    assert table.by_lang["deu"] == {"x": (1, 1, -1), "k": (1, -1, -1), "g": (1, -1, 1)}
     assert table.features["χ"] == (1, 1, -1)
 
 
@@ -358,21 +357,19 @@ def test_clean_identity_for_in_inventory_phoneme():
 
 
 def test_clean_toy_hamming_example():
-    inventory = PhonemeInventory("zzz", frozenset({"m", "n"}),
-                                 {"m": (1, 1, 1), "n": (-1, -1, -1)})
+    inventory = {"m": (1, 1, 1), "n": (-1, -1, -1)}
     result = clean_transcription(["z"], inventory, {"z": (1, 1, -1)})
     assert result.phonemes == ("m",)  # distance 1 beats distance 2
 
 
 def test_clean_tie_breaks_lexicographically():
-    inventory = PhonemeInventory("zzz", frozenset({"b", "a"}),
-                                 {"a": (1, 0, 0), "b": (0, 1, 0)})
+    inventory = {"b": (0, 1, 0), "a": (1, 0, 0)}
     result = clean_transcription(["z"], inventory, {"z": (0, 0, 0)})
     assert result.phonemes == ("a",)  # both at distance 1
 
 
 def test_clean_unknown_phoneme_passes_through_with_warning():
-    inventory = PhonemeInventory("zzz", frozenset({"a"}), {"a": (1,)})
+    inventory = {"a": (1,)}
     result = clean_transcription(["mystery"], inventory, {})
     assert result.phonemes == ("mystery",)
     assert len(result.warnings) == 1

@@ -1,21 +1,21 @@
+import ast
 import io
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import recursive_levenshtein
+from helpers import names_of, recursive_levenshtein
+from polyg2p import metrics
 from polyg2p.metrics import (
     EvalReport,
     evaluate,
     levenshtein,
-    per,
     score,
-    wer,
-    wer100,
     write_report,
 )
 
@@ -54,27 +54,41 @@ def test_levenshtein_bounds(a, b):
     assert abs(len(a) - len(b)) <= d <= max(len(a), len(b), 0)
 
 
+def test_levenshtein_is_called_only_by_score():
+    # the one scoring loop: nothing else in the package takes an edit distance
+    package = Path(metrics.__file__).resolve().parent
+    found = [(path.name, func) for path in sorted(package.glob("*.py"))
+             for func in names_of(ast.parse(path.read_text(encoding="utf-8")), "levenshtein")]
+    assert found == [("metrics.py", "score")]
+
+
+def _scores_of(pairs):
+    """`score`'s one-language scores for (top-1 guess, gold) pairs."""
+    entries = [_Entry("aaa", tuple(gold)) for _, gold in pairs]
+    return score(entries, [[_Hyp(tuple(pred))] for pred, _ in pairs]).per_language["aaa"]
+
+
 def test_per_examples():
-    assert per(["k", "a", "t"], ["k", "a", "t"]) == 0.0
-    assert per(["k", "a", "t"], ["k", "b", "t"]) == pytest.approx(1 / 3)
-    assert per(list("abcdef"), ["x"]) == 6.0  # may exceed 1, never clamped
+    assert _scores_of([(["k", "a", "t"], ["k", "a", "t"])]).per == 0.0
+    assert _scores_of([(["k", "a", "t"], ["k", "b", "t"])]).per == pytest.approx(100 / 3)
+    assert _scores_of([(list("abcdef"), ["x"])]).per == 600.0  # may exceed 100, never clamped
 
 
 def test_per_empty_gold_errors():
     with pytest.raises(ValueError, match="empty gold"):
-        per(["a"], [])
+        score([_Entry("aaa", ())], [[_Hyp(("a",))]])
 
 
 def test_per_zero_iff_exact():
-    assert per(["a", "b"], ["a", "b"]) == 0.0
-    assert per(["a"], ["a", "b"]) > 0.0
+    assert _scores_of([(["a", "b"], ["a", "b"])]).per == 0.0
+    assert _scores_of([(["a"], ["a", "b"])]).per > 0.0
 
 
 def test_wer_examples():
     gold = (["k"], ["a"], ["t"], ["s"])
-    assert wer([(g, g) for g in gold]) == 0.0
+    assert _scores_of([(g, g) for g in gold]).wer == 0.0
     pairs = [(["x"], ["k"])] + [(g, g) for g in gold[1:]]
-    assert wer(pairs) == 25.0
+    assert _scores_of(pairs).wer == 25.0
 
 
 def test_low_per_can_coexist_with_total_wer():
@@ -83,15 +97,16 @@ def test_low_per_can_coexist_with_total_wer():
         gold = ["p"] * 10
         pred = ["q"] + ["p"] * 9
         pairs.append((pred, gold))
-    assert wer(pairs) == 100.0
-    assert sum(per(p, g) for p, g in pairs) / len(pairs) == pytest.approx(0.1)
+    scores = _scores_of(pairs)
+    assert scores.wer == 100.0
+    assert scores.per == pytest.approx(10.0)
 
 
 def test_exact_match_normalizes_unicode():
-    assert wer([(["é"], ["é"])]) == 0.0  # NFC-equivalent tokens
+    assert _scores_of([(["e\u0301"], ["\u00e9"])]).wer == 0.0  # NFC-equivalent tokens
     # an NFD gold against its NFC prediction: one rule for every metric
     nfd, nfc = ("e\u0301", "t"), ("\u00e9", "t")
-    assert per(nfc, nfd) == 0.0
+    assert _scores_of([(nfc, nfd)]).per == 0.0
     scores = evaluate([_Entry("aaa", nfd)], lambda e: [_Hyp(nfc)]).per_language["aaa"]
     assert (scores.wer, scores.wer100, scores.per, scores.per_corpus) == (0.0, 0.0, 0.0, 0.0)
     scores = evaluate([_Entry("aaa", nfd)], lambda e: [_Hyp(("x",)), _Hyp(nfc)])
@@ -111,24 +126,21 @@ def _evaluate_wer100(gold, nbest, width=None):
 
 def test_wer100_boundary_rank_100_found():
     gold = ["a", "b"]
-    assert wer100([(_fake_nbest(gold, 100, 120), gold)]) == 0.0
     assert _evaluate_wer100(gold, _fake_nbest(gold, 100, 120)) == 0.0
 
 
 def test_wer100_boundary_rank_101_missed():
     gold = ["a", "b"]
-    assert wer100([(_fake_nbest(gold, 101, 120), gold)]) == 100.0
     assert _evaluate_wer100(gold, _fake_nbest(gold, 101, 120)) == 100.0
 
 
 def test_wer100_gold_on_top():
-    gold = ["a"]
-    assert wer100([([gold], gold), ([gold, ["b"]], gold)]) == 0.0
+    gold = ("a",)
+    entries = [_Entry("aaa", gold), _Entry("aaa", gold)]
+    assert score(entries, [[_Hyp(gold)], [_Hyp(gold), _Hyp(("b",))]]).macro.wer100 == 0.0
 
 
 def test_wer100_warns_on_narrow_beam():
-    with pytest.warns(UserWarning, match="beam width"):
-        wer100([([["a"]], ["a"])], width=10)
     with pytest.warns(UserWarning, match="beam width 10"):
         _evaluate_wer100(["a"], [["a"]], width=10)
 
@@ -136,7 +148,6 @@ def test_wer100_warns_on_narrow_beam():
 def test_narrow_beam_warning_names_the_callers_file():
     entries, hyps = [_Entry("aaa", ("a",))], [_Hyp(("a",))]
     calls = {
-        "wer100": lambda: wer100([([["a"]], ["a"])], width=10),
         "evaluate": lambda: evaluate(entries, lambda e: hyps, width=10),
         "score": lambda: score(entries, [hyps], width=10),
     }
@@ -227,7 +238,8 @@ def test_evaluate_per_scores_match_their_definitions():
         table[("aaa", gold)] = [tuple(rng.choice(["p", "q", "r"], size=rng.integers(0, 5)))]
     scores = _evaluate(entries, _decoder(table)).per_language["aaa"]
     tops = [table[("aaa", e.phonemes)][0] for e in entries]
-    assert scores.per == 100.0 * sum(per(t, e.phonemes) for t, e in zip(tops, entries)) / 12
+    assert scores.per == 100.0 * sum(levenshtein(t, e.phonemes) / len(e.phonemes)
+                                     for t, e in zip(tops, entries)) / 12
     assert scores.per_corpus == (100.0 * sum(levenshtein(t, e.phonemes)
                                              for t, e in zip(tops, entries))
                                  / sum(len(e.phonemes) for e in entries))
