@@ -71,4 +71,4 @@ def translate_as(word: str, langs: list[str], bundle: ModelBundle,
                          "tokens; this one was trained without them")
     sources = {lang: bundle.source_ids(word, lang) for lang in langs}
     nbests = decode_words(sources.values(), bundle.params, bundle.config, bundle.tgt_vocab, width)
-    return {lang: nbest[0].phonemes if nbest else () for lang, nbest in zip(sources, nbests)}
+    return {lang: nbest[0].phonemes for lang, nbest in zip(sources, nbests)}

@@ -68,7 +68,16 @@ Every op records through `_record`, the one reader of the active tape, so a
 fused op records or not like any other.
 `lookup`, the one range check of token ids, and `generator_log_probs` are
 plain array functions, not ops: training and inference decoding share them.
-`model.train_model` owns the non-finite check.
+
+Non-finite values. No op checks its inputs or outputs; the checks sit at the
+edges, and each raises:
+- loading a checkpoint rejects a tensor holding a NaN or an infinity
+  (`model.params_from_arrays`, ValueError);
+- training raises on a non-finite loss, gradient norm or validation loss
+  (`model.train_model`, RuntimeError);
+- decoding raises when a step has no finite candidate (`decoding.beam_search`,
+  ValueError);
+- the CLI turns each of these into exit 1 with one `error:` line.
 
 A Tape is single-threaded; distinct tapes over shared read-only parameters
 may run on different threads. Training is float32 by default; building

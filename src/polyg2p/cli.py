@@ -1,7 +1,8 @@
 """Command-line surface: prepare, train, translate, evaluate, analyze.
 
 Exit codes: 0 success, 1 user error (bad arguments, unreadable or empty
-inputs), 2 internal error.
+inputs, a non-finite checkpoint or decode step) or a diverged training run,
+2 internal error.
 """
 
 from __future__ import annotations
@@ -256,8 +257,11 @@ def cmd_train(args) -> int:
         print(f"epoch {epoch}: train {stats.train_loss:.4f} val {val}", file=sys.stderr)
 
     write_log()
-    result = train_model(train_pairs, val_pairs, model_config, schedule,
-                         params=params, start_epoch=start_epoch, epoch_callback=on_epoch)
+    try:
+        result = train_model(train_pairs, val_pairs, model_config, schedule,
+                             params=params, start_epoch=start_epoch, epoch_callback=on_epoch)
+    except RuntimeError as exc:  # a loss or gradient that is not finite: the run diverged
+        raise UserError(str(exc)) from None
 
     def bundle_for(p, epoch):
         meta = {

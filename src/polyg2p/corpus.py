@@ -8,7 +8,7 @@ where ``lang`` is an ISO 639-3 code. Lines starting with ``#`` are ignored.
 Spellings pass `source_problem`, then are tokenized into Unicode codepoints
 after NFC normalization; phoneme fields are taken verbatim, split on
 whitespace (`metrics` normalizes them only to score). Every text input
-(lexicons, inventories, vocabularies, config files, `translate --input`) is
+(lexicons, inventories, config files, `translate --input`) is
 read through `open_text`, and every file the package writes, text or binary,
 is written through `atomic_write`.
 """
@@ -226,10 +226,6 @@ class Vocabulary:
         with atomic_write(path) as fh:
             for t in self.tokens:
                 fh.write(t + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        return cls([line.rstrip("\n") for line in open_text(path) if line.rstrip("\n")])
 
 
 def build_vocab(

@@ -25,7 +25,9 @@ parents, one fancy index per array. `greedy_decode` is a separate argmax
 loop, the independent width-1 reference that tests compare `beam_search`
 against. `decode_step` records no tape entries, and `encode` records only
 inside a `Tape`, which no decoder opens, so inference builds no graph at all.
-An empty source is `encode`'s error, raised before any step.
+An empty source is `encode`'s error, raised before any step. A step that
+leaves no finite candidate raises ValueError, so an n-best list is never
+empty.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ def beam_search(
 
         flat = cand.ravel()
         kept = np.flatnonzero(np.isfinite(flat))
+        if kept.size == 0:
+            raise ValueError(f"no finite candidate at decoding step {step}")
         if kept.size > width:
             # keep everything tied with the width-th best so ties break stably
             threshold = np.partition(flat[kept], -width)[-width]
@@ -150,20 +154,15 @@ def greedy_decode(
     params: ModelParams,
     config: ModelConfig,
     tgt_vocab: Vocabulary,
-    max_len: int | None = None,
 ) -> tuple[tuple[str, ...], float]:
-    """Argmax decoding until EOS or max_len; equals beam_search with width 1."""
-    if max_len is None:
-        max_len = default_max_len(len(src_ids))
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-
+    """Argmax decoding until EOS or `default_max_len` steps; equals beam_search
+    with width 1."""
     encoded = encode([src_ids], params, config)
     state = initial_state(encoded, config)
     prev = np.array([BOS_ID], dtype=np.intp)
     ids: list[int] = []
     total = 0.0
-    for _ in range(max_len):
+    for _ in range(default_max_len(len(src_ids))):
         log_probs, state = decode_step(prev, state, encoded, params, config)
         row = log_probs[0]
         row[_BANNED] = -np.inf

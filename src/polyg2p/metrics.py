@@ -101,7 +101,7 @@ def score(
         if not gold:
             raise ValueError("empty gold sequence")
         guesses = [c.phonemes for c in nbest]
-        top = _nfc(guesses[0]) if guesses else ()
+        top = _nfc(guesses[0]) if guesses else ()  # a word whose search failed: a miss
         miss = top != gold
         # a WER 100 miss: none of the first 100 guesses is the gold; ranks
         # 2-100 are normalized only until one matches

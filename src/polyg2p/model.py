@@ -151,7 +151,7 @@ def clone_params(params: ModelParams) -> ModelParams:
 def params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
     """Rebuild float32 ModelParams from named arrays in the canonical layout
     (e.g. a loaded checkpoint), which must hold exactly `param_specs`'s
-    tensors; the arrays are copied, not kept."""
+    tensors, every entry finite; the arrays are copied, not kept."""
     specs = param_specs(config)
     unexpected = arrays.keys() - {name for name, _, _ in specs}
     if unexpected:
@@ -161,6 +161,8 @@ def params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> Mo
             raise ValueError(f"missing tensor {name!r}")
         if arrays[name].shape != shape:
             raise ValueError(f"tensor {name!r}: expected shape {shape}, got {arrays[name].shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"tensor {name!r} holds a NaN or an infinity")
     return _build(specs, arrays, np.float32)
 
 
@@ -197,11 +199,11 @@ class DecoderState:
     attn: np.ndarray  # previous attentional vector [B, h]
 
 
-def pad_batch(rows: Sequence[Sequence[int]], pad_id: int = PAD_ID) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad integer sequences into an id matrix plus a 0/1 mask."""
+def pad_batch(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad integer sequences with PAD_ID into an id matrix plus a 0/1 mask."""
     lengths = [len(r) for r in rows]
     real = np.arange(max(lengths)) < np.array(lengths)[:, None]
-    ids = np.full(real.shape, pad_id, dtype=np.intp)
+    ids = np.full(real.shape, PAD_ID, dtype=np.intp)
     ids[real] = np.fromiter(itertools.chain.from_iterable(rows), np.intp, sum(lengths))
     return ids, real.astype(np.float64)
 
@@ -435,7 +437,9 @@ def train_model(
     """SGD training with per-epoch shuffling, length-bucketed batches, global-norm
     gradient clipping, and an optional learning-rate decay. A batch whose loss
     or global gradient norm is not finite raises RuntimeError naming the epoch
-    and batch, before the update, so no parameter is touched.
+    and batch, before the update, so no parameter is touched; a validation
+    loss that is not finite raises it naming the epoch, before the epoch's
+    parameters can become the best.
 
     Keeps (a copy of) the parameters with the best validation loss alongside the
     final ones. Deterministic for a fixed seed, config, and data.
@@ -473,6 +477,8 @@ def train_model(
             total += float(loss.data) * n
             tokens += n
         val = validation_loss(val_pairs, params, config, schedule.batch_size) if val_pairs else None
+        if val is not None and not math.isfinite(val):
+            raise RuntimeError(f"non-finite validation loss at epoch {epoch}")
         stats = EpochStats(epoch=epoch, lr=lr, train_loss=total / tokens, val_loss=val)
         result.history.append(stats)
         if val is not None and val < best_val:

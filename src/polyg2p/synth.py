@@ -30,12 +30,12 @@ PHONES_A = ("ɑ", "β", "ʃ", "ð", "ɛ", "ɸ", "ɣ", "χ")
 PHONES_B = ("ɛ", "ɸ", "ɣ", "χ", "ɑ", "β", "ʃ", "ð")  # every letter maps differently
 
 
-def _random_spellings(n: int, rng: np.random.Generator,
-                      min_len: int = 3, max_len: int = 7) -> list[str]:
+def _random_spellings(n: int, rng: np.random.Generator) -> list[str]:
+    """`n` distinct spellings of 3-7 letters."""
     seen: set[str] = set()
     words: list[str] = []
     while len(words) < n:
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(3, 8))
         word = "".join(LETTERS[i] for i in rng.integers(0, len(LETTERS), length))
         if word not in seen:
             seen.add(word)
@@ -48,30 +48,26 @@ def rule_based_entry(word: str, lang: str, mapping: dict[str, str]) -> LexiconEn
     return LexiconEntry(lang, graphemes, tuple(mapping[g] for g in graphemes))
 
 
-def conflicting_bilingual_corpus(
-    n_words: int = 200,
-    seed: int = 7,
-    langs: tuple[str, str] = ("aaa", "bbb"),
-) -> list[LexiconEntry]:
-    """Shared spellings, two languages, systematically conflicting letter rules."""
+def conflicting_bilingual_corpus(n_words: int = 200, seed: int = 7) -> list[LexiconEntry]:
+    """Shared spellings in `aaa` and `bbb`, systematically conflicting letter rules."""
     rng = np.random.default_rng(seed)
     map_a = dict(zip(LETTERS, PHONES_A))
     map_b = dict(zip(LETTERS, PHONES_B))
     entries: list[LexiconEntry] = []
     for word in _random_spellings(n_words, rng):
-        entries.append(rule_based_entry(word, langs[0], map_a))
-        entries.append(rule_based_entry(word, langs[1], map_b))
+        entries.append(rule_based_entry(word, "aaa", map_a))
+        entries.append(rule_based_entry(word, "bbb", map_b))
     return entries
 
 
-def memorization_corpus(n_words: int = 50, seed: int = 11, lang: str = "mem") -> list[LexiconEntry]:
-    """Random spellings paired with unrelated random pronunciations."""
+def memorization_corpus(n_words: int = 50, seed: int = 11) -> list[LexiconEntry]:
+    """Random spellings paired with unrelated random pronunciations, in language `mem`."""
     rng = np.random.default_rng(seed)
     entries: list[LexiconEntry] = []
     for word in _random_spellings(n_words, rng):
         n_phones = int(rng.integers(3, 7))
         phones = tuple(PHONES_A[i] for i in rng.integers(0, len(PHONES_A), n_phones))
-        entries.append(LexiconEntry(lang, tokenize_graphemes(word), phones))
+        entries.append(LexiconEntry("mem", tokenize_graphemes(word), phones))
     return entries
 
 

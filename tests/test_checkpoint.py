@@ -71,6 +71,26 @@ def test_checkpoint_whose_vocabulary_disagrees_with_its_config_is_user_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["translate", "--word", "cab", "--lang", "aaa", "--width", "3"],
+                                     ["evaluate", "--test-lexicon", "{test}"],
+                                     ["analyze", "--mode", "phonemes", "--query", "p3"]],
+                         ids=["translate", "evaluate", "analyze"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_with_a_non_finite_tensor_is_user_error(tmp_path, capsys, command, value):
+    bundle = _bundle()
+    bundle.params["generator.bias"].data[[4, 5, 6]] = value
+    path = tmp_path / "model.mg2p"
+    save_checkpoint(path, bundle)
+    test = tmp_path / "test.tsv"
+    test.write_text("aaa\tcab\tp1 p2\n", encoding="utf-8")
+    code = main([command[0], "--checkpoint", str(path)]
+                + [arg.format(test=test) for arg in command[1:]])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"error: {path}: tensor 'generator.bias' holds a NaN or an infinity\n"
+    assert out == ""
+
+
 def test_checkpoint_save_load_save_is_bit_exact(tmp_path):
     bundle = _bundle(seed=3)
     first = tmp_path / "a.mg2p"

@@ -177,6 +177,20 @@ def test_train_writes_checkpoints_and_log(run_dir):
     assert json.loads((run_dir / "run_manifest.json").read_text())["command"] == "train"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_train_that_diverges_is_a_user_error(tmp_path, lexicon, capsys):
+    # at lr 1e38 an update overflows float32, and a later batch's loss is not finite
+    out = tmp_path / "diverged"
+    code = main(["train", "--train-lexicon", str(lexicon), "--checkpoint-dir", str(out)]
+                + FAST + ["--lr", "1e38", "--val-fraction", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: non-finite loss or gradient at epoch 1, batch 2; no parameter was updated"]
+    assert "Traceback" not in err
+    assert not list(out.glob("*.mg2p"))
+
+
 def test_train_default_config_runs_13_epochs_and_writes_2_checkpoints(tmp_path, lexicon):
     out = tmp_path / "defaults"
     code = main(["train", "--train-lexicon", str(lexicon), "--checkpoint-dir", str(out)])

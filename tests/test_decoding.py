@@ -227,6 +227,16 @@ def test_eos_forced_model_returns_empty_sequence():
     assert top.phonemes == () and not top.truncated
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_step_without_a_finite_candidate_raises():
+    # a NaN generator bias makes every candidate NaN: no empty n-best list
+    vocab = toy_tgt_vocab(4)
+    config, params = tiny_model(seed=7, tgt_vocab=len(vocab))
+    params["generator.bias"].data[5] = np.nan
+    with pytest.raises(ValueError, match="^no finite candidate at decoding step 1$"):
+        beam_search([4, 5], params, config, vocab, width=3)
+
+
 def test_default_max_len_bound():
     assert default_max_len(4) == 18
     vocab = toy_tgt_vocab(3)
@@ -242,9 +252,8 @@ def test_empty_source_errors():
         beam_search([], params, config, vocab)
     with pytest.raises(ValueError, match="empty source"):
         greedy_decode([], params, config, vocab)
-    for decode in (beam_search, greedy_decode):
-        with pytest.raises(ValueError, match="max_len"):
-            decode([4], params, config, vocab, max_len=0)
+    with pytest.raises(ValueError, match="max_len"):
+        beam_search([4], params, config, vocab, max_len=0)
     with pytest.raises(ValueError, match="width"):
         beam_search([4], params, config, vocab, width=0)
 

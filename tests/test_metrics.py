@@ -74,6 +74,12 @@ def test_per_examples():
     assert _scores_of([(list("abcdef"), ["x"])]).per == 600.0  # may exceed 100, never clamped
 
 
+def test_empty_nbest_list_scores_as_a_miss():
+    # no decoder yields one; bench/run.py passes it for a word whose search failed
+    scores = score([_Entry("aaa", ("k", "a"))], [[]]).per_language["aaa"]
+    assert (scores.wer, scores.wer100, scores.per, scores.per_corpus) == (100.0, 100.0, 100.0, 100.0)
+
+
 def test_per_empty_gold_errors():
     with pytest.raises(ValueError, match="empty gold"):
         score([_Entry("aaa", ())], [[_Hyp(("a",))]])

@@ -15,6 +15,7 @@ from helpers import (
     traced_backward,
 )
 from polyg2p import autodiff as ad
+from polyg2p import model
 from polyg2p.autodiff import Tape
 from polyg2p.corpus import EOS_ID, PAD_ID
 from polyg2p.decoding import score_sequence
@@ -317,8 +318,8 @@ def test_forward_saves_only_what_backward_cannot_rebuild():
 
 
 def test_pad_batch_equals_the_per_row_loop():
-    def padded_by_rows(rows, pad_id):
-        ids = np.full((len(rows), max(len(r) for r in rows)), pad_id, dtype=np.intp)
+    def padded_by_rows(rows):
+        ids = np.full((len(rows), max(len(r) for r in rows)), PAD_ID, dtype=np.intp)
         mask = np.zeros(ids.shape)
         for i, r in enumerate(rows):
             ids[i, : len(r)] = r
@@ -330,12 +331,11 @@ def test_pad_batch_equals_the_per_row_loop():
     cases = ([[4, 5, 6], [7], [8, 9]], [[5]], [[4, 9, 9, 4]], [(6, 7), np.array([8, 9, 4])],
              [[3], [], [6, 7]], ragged)
     for rows in cases:
-        for pad_id in (PAD_ID, 2):
-            ids, mask = pad_batch(rows, pad_id)
-            want_ids, want_mask = padded_by_rows(rows, pad_id)
-            assert (ids.dtype, mask.dtype) == (np.intp, np.float64)
-            np.testing.assert_array_equal(ids, want_ids)
-            np.testing.assert_array_equal(mask, want_mask)
+        ids, mask = pad_batch(rows)
+        want_ids, want_mask = padded_by_rows(rows)
+        assert (ids.dtype, mask.dtype) == (np.intp, np.float64)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(mask, want_mask)
 
 
 def test_encode_rejects_empty_input():
@@ -536,6 +536,20 @@ def test_train_aborts_on_non_finite_value_before_any_update(name, index, value):
                     TrainingSchedule(epochs=1, batch_size=1, lr=0.1, seed=1), params=params)
     for n, t in params.items():
         assert t.data.tobytes() == before[n], n
+
+
+@pytest.mark.parametrize("losses", [[math.nan], [2.0, math.inf]], ids=["epoch1", "epoch2"])
+def test_train_aborts_on_non_finite_validation_loss(monkeypatch, losses):
+    # raised before the epoch is reported or its parameters can become the best
+    config, _ = tiny_model(seed=18)
+    given = iter(losses)
+    monkeypatch.setattr(model, "validation_loss", lambda *args: next(given))
+    reported = []
+    with pytest.raises(RuntimeError, match=f"^non-finite validation loss at epoch {len(losses)}$"):
+        train_model([([4, 5], [4])], [([5], [5])], config,
+                    TrainingSchedule(epochs=3, batch_size=1, lr=0.1, seed=1),
+                    epoch_callback=lambda epoch, _params, stats: reported.append(stats.val_loss))
+    assert reported == losses[:-1]
 
 
 def test_forward_loss_equals_summed_score_sequence():
